@@ -13,8 +13,6 @@ from .data import (
     load_csv,
     make_synthetic,
     prepare_task,
-    shuffle_with_seed,
-    stratified_subsample,
     tokenize_truncate,
 )
 from .distill import (
@@ -43,12 +41,8 @@ from .ensemble import (
     EnsembleSet,
     RunningMean,
     average_parameters,
-    load_ring,
-    load_running_mean,
     ring_push,
     running_mean_update,
-    save_ring,
-    save_running_mean,
     voted_predict,
     window_mean,
 )

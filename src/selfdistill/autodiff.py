@@ -153,20 +153,6 @@ def add(a, b) -> Tensor:
     return out
 
 
-def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    out = Tensor(a.data - b.data)
-    tape = _live_tape(a, b)
-    if tape is not None:
-        pairs = []
-        if _tracked(a, tape):
-            pairs.append((a, lambda g: _unbroadcast(g, a.data.shape)))
-        if _tracked(b, tape):
-            pairs.append((b, lambda g: _unbroadcast(-g, b.data.shape)))
-        tape._record(out, pairs)
-    return out
-
-
 def mul(a, b) -> Tensor:
     """Elementwise product; either side may be a plain python scalar."""
     if isinstance(b, (int, float)) and isinstance(a, Tensor):

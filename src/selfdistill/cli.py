@@ -53,6 +53,18 @@ def _env(flag: str):
     return os.environ.get(ENV_PREFIX + flag.upper().replace("-", "_"))
 
 
+def _env_bool(flag: str) -> bool:
+    """1/true/yes -> True; unset, empty, 0/false/no -> False."""
+    name = ENV_PREFIX + flag.upper().replace("-", "_")
+    raw = os.environ.get(name, "")
+    value = raw.strip().lower()
+    if value in ("1", "true", "yes"):
+        return True
+    if value in ("", "0", "false", "no"):
+        return False
+    raise ConfigError(f"{name}={raw!r} is not a boolean (use 1/0, true/false, yes/no)")
+
+
 def _add(parser, flag: str, **kwargs):
     """add_argument with an environment-variable default."""
     raw = _env(flag)
@@ -101,7 +113,7 @@ def _add_train_flags(p: _Parser) -> None:
     _add(p, "select-by", choices=["final", "best_dev"], default="final")
     _add(p, "out", default="runs/out", help="output directory for reports")
     p.add_argument("--save-checkpoints", action="store_true",
-                   default=_env("save-checkpoints") is not None,
+                   default=_env_bool("save-checkpoints"),
                    help="write a parameter checkpoint at every epoch boundary")
 
 
@@ -123,7 +135,7 @@ def _dataset_config(args) -> DatasetConfig:
         )
     path = Path(name)
     if path.suffix == ".json":
-        spec = SyntheticSpec.from_dict(json.loads(path.read_text()))
+        spec = SyntheticSpec(**json.loads(path.read_text()))
         return DatasetConfig(source="synthetic", synthetic=spec,
                              dataset_seed=args.dataset_seed)
     schema = CsvSchema(

@@ -35,7 +35,6 @@ class Vocab:
         for tok in tokens:
             if tok not in self.token_to_id:
                 self.token_to_id[tok] = len(self.token_to_id)
-        self.id_to_token = {i: t for t, i in self.token_to_id.items()}
 
     def __len__(self) -> int:
         return len(self.token_to_id)
@@ -85,7 +84,6 @@ class Example:
 @dataclass
 class DatasetSplit:
     examples: list[Example]
-    role: str  # train | dev | test
     n_classes: int
 
     def __len__(self) -> int:
@@ -151,6 +149,10 @@ def iter_batches(split: DatasetSplit, vocab: Vocab, max_len: int,
         yield make_batch(chunk, vocab, max_len)
 
 
+def permutation_with_seed(n: int, seed) -> np.ndarray:
+    return np.random.default_rng(seed).permutation(n)
+
+
 # ---------------------------------------------------------------------------
 # CSV ingestion
 # ---------------------------------------------------------------------------
@@ -173,7 +175,7 @@ class CsvSchema:
             raise ConfigError("n_classes must be >= 2")
 
 
-def load_csv(path, schema: CsvSchema, role: str = "train") -> DatasetSplit:
+def load_csv(path, schema: CsvSchema) -> DatasetSplit:
     """One Example per row; multiple text columns join into one segment."""
     examples: list[Example] = []
     with open(path, newline="", encoding="utf-8") as fh:
@@ -202,49 +204,7 @@ def load_csv(path, schema: CsvSchema, role: str = "train") -> DatasetSplit:
                 examples.append(Example(segments=(text,), label=label))
         except csv.Error as exc:
             raise InputError(f"{path}:{line + 1}: malformed row: {exc}") from exc
-    return DatasetSplit(examples=examples, role=role, n_classes=schema.n_classes)
-
-
-# ---------------------------------------------------------------------------
-# Seeded ordering and subsampling
-# ---------------------------------------------------------------------------
-
-
-def shuffle_with_seed(split: DatasetSplit, seed) -> DatasetSplit:
-    """Deterministically permuted view (same Example objects, new order)."""
-    perm = np.random.default_rng(seed).permutation(len(split.examples))
-    return DatasetSplit(
-        examples=[split.examples[i] for i in perm],
-        role=split.role,
-        n_classes=split.n_classes,
-    )
-
-
-def permutation_with_seed(n: int, seed) -> np.ndarray:
-    return np.random.default_rng(seed).permutation(n)
-
-
-def stratified_subsample(split: DatasetSplit, n_per_class: int, seed) -> DatasetSplit:
-    """Exactly n_per_class examples of each class, drawn without replacement."""
-    rng = np.random.default_rng(seed)
-    by_class: dict[int, list[int]] = {}
-    for i, ex in enumerate(split.examples):
-        by_class.setdefault(ex.label, []).append(i)
-    chosen: list[int] = []
-    for c in range(split.n_classes):
-        pool = by_class.get(c, [])
-        if len(pool) < n_per_class:
-            raise InputError(
-                f"class {c} has {len(pool)} examples, need {n_per_class}"
-            )
-        if n_per_class:
-            picked = rng.choice(len(pool), size=n_per_class, replace=False)
-            chosen.extend(pool[j] for j in sorted(picked))
-    return DatasetSplit(
-        examples=[split.examples[i] for i in chosen],
-        role=split.role,
-        n_classes=split.n_classes,
-    )
+    return DatasetSplit(examples=examples, n_classes=schema.n_classes)
 
 
 # ---------------------------------------------------------------------------
@@ -285,19 +245,6 @@ class SyntheticSpec:
         if self.tokens_per_example < 1 or self.n_train < 0 or self.n_test < 0:
             raise ConfigError("sizes must be positive")
 
-    def to_dict(self) -> dict:
-        return {
-            "n_classes": self.n_classes, "vocab_span": self.vocab_span,
-            "tokens_per_example": self.tokens_per_example, "signal": self.signal,
-            "label_noise": self.label_noise,
-            "test_label_noise": self.test_label_noise,
-            "n_train": self.n_train, "n_test": self.n_test,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SyntheticSpec":
-        return cls(**d)
-
 
 def _token_name(i: int) -> str:
     return f"w{i:04d}"
@@ -308,7 +255,7 @@ def make_synthetic(spec: SyntheticSpec, seed) -> dict[str, DatasetSplit]:
     rng = np.random.default_rng(seed)
     block = spec.vocab_span // spec.n_classes
 
-    def draw_split(n: int, role: str, noise: float) -> DatasetSplit:
+    def draw_split(n: int, noise: float) -> DatasetSplit:
         examples = []
         for _ in range(n):
             true_label = int(rng.integers(spec.n_classes))
@@ -325,39 +272,14 @@ def make_synthetic(spec: SyntheticSpec, seed) -> dict[str, DatasetSplit]:
                 label = (true_label + shift) % spec.n_classes
             text = " ".join(_token_name(t) for t in toks)
             examples.append(Example(segments=(text,), label=label))
-        return DatasetSplit(examples=examples, role=role, n_classes=spec.n_classes)
+        return DatasetSplit(examples=examples, n_classes=spec.n_classes)
 
     test_noise = (spec.label_noise if spec.test_label_noise is None
                   else spec.test_label_noise)
     return {
-        "train": draw_split(spec.n_train, "train", spec.label_noise),
-        "test": draw_split(spec.n_test, "test", test_noise),
+        "train": draw_split(spec.n_train, spec.label_noise),
+        "test": draw_split(spec.n_test, test_noise),
     }
-
-
-def save_split(split: DatasetSplit, path) -> None:
-    """One example per line: ``label<TAB>text`` (segments joined by SEP token)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for ex in split.examples:
-            text = " [SEP] ".join(ex.segments)
-            fh.write(f"{ex.label}\t{text}\n")
-
-
-def load_split(path, n_classes: int, role: str = "train") -> DatasetSplit:
-    examples = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            raw = raw.rstrip("\n")
-            if not raw:
-                continue
-            try:
-                label_s, text = raw.split("\t", 1)
-                label = int(label_s)
-            except ValueError as exc:
-                raise InputError(f"{path}:{lineno}: malformed line") from exc
-            segments = tuple(s.strip() for s in text.split(" [SEP] "))
-            examples.append(Example(segments=segments, label=label))
-    return DatasetSplit(examples=examples, role=role, n_classes=n_classes)
 
 
 @dataclass

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -81,13 +81,6 @@ class DistillConfig:
         elif self.teacher_size < 1:
             raise ConfigError(f"teacher_size must be >= 1, got {self.teacher_size}")
 
-    def to_dict(self) -> dict:
-        return {
-            "mode": self.mode, "lam": self.lam,
-            "teacher_size": self.teacher_size,
-            "snapshot_every": self.snapshot_every,
-        }
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -113,16 +106,6 @@ class TrainConfig:
             raise ConfigError("micro_batch and accum_steps must be >= 1")
         if self.select_by not in ("final", "best_dev"):
             raise ConfigError(f"select_by {self.select_by!r} not understood")
-
-    def to_dict(self) -> dict:
-        return {
-            "epochs": self.epochs, "micro_batch": self.micro_batch,
-            "accum_steps": self.accum_steps, "lr_encoder": self.lr_encoder,
-            "lr_head": self.lr_head, "warmup_prop": self.warmup_prop,
-            "beta1": self.beta1, "beta2": self.beta2, "eps": self.eps,
-            "weight_decay": self.weight_decay,
-            "eval_batch_size": self.eval_batch_size, "select_by": self.select_by,
-        }
 
 
 @dataclass
@@ -322,6 +305,9 @@ def fine_tune(model_config: ModelConfig, distill_config: DistillConfig,
     if train_config.epochs > 0 and ("test" not in task.splits
                                     or len(task.test) == 0):
         raise InputError("fine_tune: empty test split")
+    select_best_dev = train_config.select_by == "best_dev"
+    if select_best_dev and (task.dev is None or len(task.dev) == 0):
+        raise ConfigError('select_by="best_dev" needs a non-empty dev split')
     data_seed = seed if data_seed is None else data_seed
     started = time.perf_counter()
 
@@ -362,7 +348,7 @@ def fine_tune(model_config: ModelConfig, distill_config: DistillConfig,
                      state.opt.total_steps, state.opt.lr_encoder,
                      state.opt.warmup_prop),
         ))
-        if task.dev is not None and len(task.dev) > 0:
+        if select_best_dev:
             dev_acc, _ = evaluate_params(state.params, model_config, task.dev,
                                          vocab, train_config.eval_batch_size)
             if dev_acc > best_dev_acc:
@@ -375,7 +361,7 @@ def fine_tune(model_config: ModelConfig, distill_config: DistillConfig,
 
     student = state.params
     selected_epoch = None
-    if (train_config.select_by == "best_dev" and best_params is not None):
+    if best_params is not None:
         student = best_params
         selected_epoch = best_epoch
 
@@ -396,9 +382,9 @@ def fine_tune(model_config: ModelConfig, distill_config: DistillConfig,
 
     report = RunReport(
         config={
-            "model": model_config.to_dict(),
-            "distill": distill_config.to_dict(),
-            "train": train_config.to_dict(),
+            "model": asdict(model_config),
+            "distill": asdict(distill_config),
+            "train": asdict(train_config),
         },
         seeds={"seed": seed, "data_seed": data_seed},
         epoch_curve=epoch_curve,

@@ -9,6 +9,7 @@ distillation machinery can treat whole models as vectors.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,18 +49,6 @@ class ModelConfig:
             raise ConfigError("max_len must be >= 2 (room for the CLS token)")
         if not 0.0 <= self.dropout_p < 1.0:
             raise ConfigError(f"dropout_p must be in [0, 1), got {self.dropout_p}")
-
-    def to_dict(self) -> dict:
-        return {
-            "vocab_size": self.vocab_size, "max_len": self.max_len,
-            "dim": self.dim, "n_layers": self.n_layers,
-            "n_heads": self.n_heads, "ffn_dim": self.ffn_dim,
-            "n_classes": self.n_classes, "dropout_p": self.dropout_p,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**d)
 
 
 class ParameterSet:
@@ -114,7 +103,7 @@ class ParameterSet:
         tape.watch_all(self.tensors.values())
 
 
-def init_params(config: ModelConfig, seed: int, dtype=np.float64) -> ParameterSet:
+def init_params(config: ModelConfig, seed: int) -> ParameterSet:
     """Deterministic initialization: N(0, 0.02) weights, zero biases, unit gains."""
     rng = np.random.default_rng(seed)
     std = 0.02
@@ -122,7 +111,7 @@ def init_params(config: ModelConfig, seed: int, dtype=np.float64) -> ParameterSe
     groups: dict[str, str] = {}
 
     def param(name, array, group=GROUP_ENCODER):
-        tensors[name] = Tensor(np.asarray(array, dtype=dtype), is_param=True)
+        tensors[name] = Tensor(np.asarray(array, dtype=np.float64), is_param=True)
         groups[name] = group
 
     d, f = config.dim, config.ffn_dim
@@ -273,21 +262,26 @@ def load_params(path) -> ParameterSet:
     with open(path, "rb") as fh:
         header_line = fh.readline()
         body = fh.read()
-    header = json.loads(header_line.decode("utf-8"))
-    if header.get("format") != _CHECKPOINT_MAGIC:
-        raise InputError(f"{path}: not a parameter checkpoint")
+    try:
+        header = json.loads(header_line.decode("utf-8"))
+        if header.get("format") != _CHECKPOINT_MAGIC:
+            raise InputError(f"{path}: not a parameter checkpoint")
+        entries = [(e["name"], e["group"], np.dtype(e["dtype"]), tuple(e["shape"]))
+                   for e in header["entries"]]
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise InputError(f"{path}: malformed checkpoint header: {exc}") from exc
     tensors: dict[str, Tensor] = {}
     groups: dict[str, str] = {}
     offset = 0
-    for entry in header["entries"]:
-        dtype = np.dtype(entry["dtype"])
-        shape = tuple(entry["shape"])
-        nbytes = dtype.itemsize * int(np.prod(shape)) if shape else dtype.itemsize
+    for name, group, dtype, shape in entries:
+        nbytes = dtype.itemsize * math.prod(shape)
         raw = body[offset:offset + nbytes]
         if len(raw) != nbytes:
-            raise InputError(f"{path}: truncated checkpoint at {entry['name']}")
+            raise InputError(f"{path}: truncated checkpoint at {name}")
         offset += nbytes
         arr = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
-        tensors[entry["name"]] = Tensor(arr, is_param=True)
-        groups[entry["name"]] = entry["group"]
+        tensors[name] = Tensor(arr, is_param=True)
+        groups[name] = group
+    if offset != len(body):
+        raise InputError(f"{path}: {len(body) - offset} bytes after the last tensor")
     return ParameterSet(tensors, groups)

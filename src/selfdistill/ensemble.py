@@ -8,15 +8,13 @@ recent snapshots and a cumulative running mean over every snapshot).
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .encoder import ModelConfig, ParameterSet, load_params, predict_proba, save_params
-from .errors import InputError, ShapeError, UsageError
+from .encoder import ModelConfig, ParameterSet, predict_proba
+from .errors import ShapeError, UsageError
 
 
 def average_parameters(sets: list[ParameterSet]) -> ParameterSet:
@@ -128,55 +126,3 @@ def running_mean_update(rm: RunningMean, snapshot: ParameterSet) -> RunningMean:
     rm.count = new_count
     return rm
 
-
-# ---------------------------------------------------------------------------
-# Teacher-state serialization for resumable runs. A ring or running mean
-# becomes a directory of parameter checkpoints plus a small meta file.
-# ---------------------------------------------------------------------------
-
-
-def save_ring(ring: CheckpointRing, out_dir) -> None:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    for i, snap in enumerate(ring.snapshots()):
-        save_params(snap, out / f"snapshot_{i:03d}.ckpt")
-    meta = {"kind": "ring", "capacity": ring.capacity,
-            "insertions": ring.insertions, "held": len(ring)}
-    (out / "meta.json").write_text(json.dumps(meta, sort_keys=True))
-
-
-def load_ring(in_dir) -> CheckpointRing:
-    src = Path(in_dir)
-    try:
-        meta = json.loads((src / "meta.json").read_text())
-    except OSError as exc:
-        raise InputError(f"{in_dir}: not a saved ring: {exc}") from exc
-    if meta.get("kind") != "ring":
-        raise InputError(f"{in_dir}: not a saved ring")
-    ring = CheckpointRing(meta["capacity"])
-    for i in range(meta["held"]):
-        ring._buf.append(load_params(src / f"snapshot_{i:03d}.ckpt"))
-    ring.insertions = meta["insertions"]
-    return ring
-
-
-def save_running_mean(rm: RunningMean, out_dir) -> None:
-    if rm.mean is None:
-        raise UsageError("cannot save an empty running mean")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    save_params(rm.mean, out / "mean.ckpt")
-    meta = {"kind": "running_mean", "count": rm.count}
-    (out / "meta.json").write_text(json.dumps(meta, sort_keys=True))
-
-
-def load_running_mean(in_dir) -> RunningMean:
-    src = Path(in_dir)
-    try:
-        meta = json.loads((src / "meta.json").read_text())
-    except OSError as exc:
-        raise InputError(f"{in_dir}: not a saved running mean: {exc}") from exc
-    if meta.get("kind") != "running_mean":
-        raise InputError(f"{in_dir}: not a saved running mean")
-    return RunningMean(mean=load_params(src / "mean.ckpt"),
-                       count=meta["count"])

@@ -8,7 +8,7 @@ report from flat CSV curve files so external plotting never parses JSON.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -77,19 +77,13 @@ class DatasetConfig:
     def to_dict(self) -> dict:
         d = {"source": self.source, "dataset_seed": self.dataset_seed}
         if self.source == "synthetic":
-            d["synthetic"] = self.synthetic.to_dict()
+            d["synthetic"] = asdict(self.synthetic)
         else:
             d.update({
                 "train_path": self.train_path,
                 "eval_path": self.eval_path,
                 "dev_path": self.dev_path,
-                "schema": {
-                    "label_col": self.schema.label_col,
-                    "text_cols": list(self.schema.text_cols),
-                    "n_classes": self.schema.n_classes,
-                    "delimiter": self.schema.delimiter,
-                    "label_base": self.schema.label_base,
-                },
+                "schema": asdict(self.schema),
             })
         return d
 
@@ -105,16 +99,6 @@ class ExperimentConfig:
     seed: int = 0
     data_seed: int | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "model": self.model.to_dict(),
-            "distill": self.distill.to_dict(),
-            "train": self.train.to_dict(),
-            "dataset": self.dataset.to_dict(),
-            "seed": self.seed,
-            "data_seed": self.data_seed,
-        }
-
 
 def build_task(config: ExperimentConfig) -> TaskData:
     ds = config.dataset
@@ -122,18 +106,12 @@ def build_task(config: ExperimentConfig) -> TaskData:
         splits = make_synthetic(ds.synthetic, ds.dataset_seed)
     else:
         splits = {
-            "train": load_csv(ds.train_path, ds.schema, role="train"),
-            "test": load_csv(ds.eval_path, ds.schema, role="test"),
+            "train": load_csv(ds.train_path, ds.schema),
+            "test": load_csv(ds.eval_path, ds.schema),
         }
         if ds.dev_path:
-            splits["dev"] = load_csv(ds.dev_path, ds.schema, role="dev")
+            splits["dev"] = load_csv(ds.dev_path, ds.schema)
     return prepare_task(splits, vocab_size=config.model.vocab_size)
-
-
-def evaluate(params: ParameterSet, split, vocab, config: ModelConfig,
-             batch_size: int = 64):
-    """(accuracy, error) on a split; eval mode, deterministic."""
-    return evaluate_params(params, config, split, vocab, batch_size)
 
 
 def run_experiment(config: ExperimentConfig, task: TaskData | None = None,
@@ -291,15 +269,13 @@ def _write_lines(path: Path, lines: list[str]) -> None:
         raise InputError(f"cannot write {path}: {exc}") from exc
 
 
-def emit_report(obj, out_dir, fmt: str = "json") -> list[Path]:
+def emit_report(obj, out_dir) -> list[Path]:
     """Write a report object under ``out_dir``; returns the file paths.
 
     RunReports produce report.json plus curves_epoch.csv / curves_step.csv
     (separate CE and MSE columns); sweeps and stability results produce a
     single JSON document.
     """
-    if fmt != "json":
-        raise ConfigError(f"unsupported report format {fmt!r}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
@@ -327,7 +303,7 @@ def emit_report(obj, out_dir, fmt: str = "json") -> list[Path]:
         written += [epoch_path, step_path]
     elif isinstance(obj, SweepTable):
         path = out / "sweep.json"
-        save_json(obj.to_dict(), path)
+        save_json(asdict(obj), path)
         written.append(path)
     elif isinstance(obj, EnsembleReport):
         path = out / "ensemble.json"
@@ -335,15 +311,11 @@ def emit_report(obj, out_dir, fmt: str = "json") -> list[Path]:
         written.append(path)
     elif isinstance(obj, list) and all(isinstance(r, StabilityResult) for r in obj):
         path = out / "stability.json"
-        save_json({"strategies": [r.to_dict() for r in obj]}, path)
+        save_json({"strategies": [asdict(r) for r in obj]}, path)
         written.append(path)
     else:
         raise ConfigError(f"emit_report: unsupported object {type(obj).__name__}")
     return written
-
-
-def load_report(path) -> RunReport:
-    return RunReport.from_dict(load_json(path))
 
 
 # ---------------------------------------------------------------------------

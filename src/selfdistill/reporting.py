@@ -9,7 +9,7 @@ and live only on the in-memory object.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -25,13 +25,6 @@ class EpochPoint:
     mean_mse: float
     lr: float
 
-    def to_dict(self) -> dict:
-        return {
-            "epoch": self.epoch, "test_error": self.test_error,
-            "test_accuracy": self.test_accuracy, "mean_ce": self.mean_ce,
-            "mean_mse": self.mean_mse, "lr": self.lr,
-        }
-
 
 @dataclass
 class StepPoint:
@@ -39,9 +32,6 @@ class StepPoint:
     ce: float
     mse: float
     lr: float
-
-    def to_dict(self) -> dict:
-        return {"step": self.step, "ce": self.ce, "mse": self.mse, "lr": self.lr}
 
 
 @dataclass
@@ -62,27 +52,9 @@ class RunReport:
     wall_clock_s: float | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "seeds": self.seeds,
-            "epoch_curve": [p.to_dict() for p in self.epoch_curve],
-            "step_curve": [p.to_dict() for p in self.step_curve],
-            "final_student": self.final_student,
-            "final_teacher": self.final_teacher,
-            "counters": self.counters,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RunReport":
-        return cls(
-            config=d["config"],
-            seeds=d["seeds"],
-            epoch_curve=[EpochPoint(**p) for p in d["epoch_curve"]],
-            step_curve=[StepPoint(**p) for p in d["step_curve"]],
-            final_student=d["final_student"],
-            final_teacher=d["final_teacher"],
-            counters=d["counters"],
-        )
+        d = asdict(self)
+        del d["wall_clock_s"]
+        return d
 
 
 @dataclass
@@ -95,19 +67,6 @@ class SweepTable:
     cells: dict = field(default_factory=dict)
     # cells[str(value)] = {"mean_test_error":…, "mean_test_accuracy":…,
     #                      "per_seed": {...}, "failed": {...}}
-
-    def to_dict(self) -> dict:
-        return {
-            "axis": self.axis,
-            "grid": self.grid,
-            "seeds": self.seeds,
-            "cells": self.cells,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SweepTable":
-        return cls(axis=d["axis"], grid=d["grid"], seeds=d["seeds"],
-                   cells=d["cells"])
 
 
 @dataclass
@@ -135,19 +94,6 @@ class StabilityResult:
         }
         return cls(strategy=strategy, data_seeds=list(data_seeds),
                    accuracies=[float(a) for a in accuracies], summary=summary)
-
-    def to_dict(self) -> dict:
-        return {
-            "strategy": self.strategy,
-            "data_seeds": self.data_seeds,
-            "accuracies": self.accuracies,
-            "summary": self.summary,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "StabilityResult":
-        return cls(strategy=d["strategy"], data_seeds=d["data_seeds"],
-                   accuracies=d["accuracies"], summary=d["summary"])
 
 
 def canonical_json(payload: dict) -> str:

@@ -386,6 +386,21 @@ class TestFineTune:
                                        task.vocab)
         assert train_err <= 0.02
 
+    def test_best_dev_without_dev_split_is_config_error(self):
+        with pytest.raises(ConfigError, match="dev split"):
+            fine_tune(MODEL, DistillConfig(mode="baseline"),
+                      TrainConfig(epochs=1, select_by="best_dev"),
+                      small_task(n_train=64, n_test=32), seed=0)
+
+    def test_best_dev_reports_the_selected_epoch(self):
+        task = small_task(n_train=64, n_test=32)
+        task.splits["dev"] = task.test
+        result = fine_tune(MODEL, DistillConfig(mode="baseline"),
+                           TrainConfig(epochs=2, micro_batch=8,
+                                       select_by="best_dev"),
+                           task, seed=0)
+        assert result.report.config["selected_epoch"] in (0, 1)
+
     def test_determinism_same_seeds_same_report(self):
         task = small_task(n_train=64, n_test=32)
         cfgs = (MODEL, DistillConfig(mode="sda", teacher_size=2),

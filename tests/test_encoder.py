@@ -1,5 +1,7 @@
 """Encoder contracts: shapes, determinism, masking, gradients, checkpoints."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -53,7 +55,7 @@ class TestConfig:
             ModelConfig(dropout_p=1.0)
 
     def test_roundtrip(self):
-        assert ModelConfig.from_dict(TINY.to_dict()) == TINY
+        assert ModelConfig(**asdict(TINY)) == TINY
 
 
 class TestInitParams:
@@ -218,4 +220,19 @@ class TestCheckpoint:
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b'{"format": "something-else"}\n')
         with pytest.raises(InputError):
+            load_params(path)
+
+    def test_rejects_trailing_bytes(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_params(init_params(TINY, seed=3), path)
+        path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(InputError, match="1 bytes after the last tensor"):
+            load_params(path)
+
+    def test_rejects_non_json_header(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_params(init_params(TINY, seed=3), path)
+        body = path.read_bytes().split(b"\n", 1)[1]
+        path.write_bytes(b"not json\n" + body)
+        with pytest.raises(InputError, match="malformed checkpoint header"):
             load_params(path)

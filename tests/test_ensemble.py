@@ -15,12 +15,8 @@ from selfdistill.ensemble import (
     EnsembleSet,
     RunningMean,
     average_parameters,
-    load_ring,
-    load_running_mean,
     ring_push,
     running_mean_update,
-    save_ring,
-    save_running_mean,
     voted_predict,
     window_mean,
 )
@@ -249,32 +245,3 @@ class TestRunningMean:
             np.testing.assert_allclose(rm.mean[name].data, oracle, rtol=1e-6,
                                        atol=1e-9)
 
-
-class TestTeacherStateSerialization:
-    def test_ring_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(17)
-        ring = CheckpointRing(3)
-        for _ in range(5):
-            ring_push(ring, random_set(rng))
-        save_ring(ring, tmp_path / "ring")
-        loaded = load_ring(tmp_path / "ring")
-        assert loaded.capacity == 3
-        assert loaded.insertions == 5
-        assert len(loaded) == 3
-        for a, b in zip(ring.snapshots(), loaded.snapshots()):
-            assert sets_equal(a, b)
-
-    def test_running_mean_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(18)
-        rm = RunningMean()
-        for _ in range(4):
-            running_mean_update(rm, random_set(rng))
-        save_running_mean(rm, tmp_path / "rm")
-        loaded = load_running_mean(tmp_path / "rm")
-        assert loaded.count == 4
-        assert sets_equal(rm.mean, loaded.mean)
-        # resuming from the loaded state matches continuing the original
-        extra = random_set(rng)
-        running_mean_update(rm, extra)
-        running_mean_update(loaded, extra)
-        assert sets_equal(rm.mean, loaded.mean)

@@ -1,14 +1,21 @@
 """Harness tests: evaluation, experiment runs, sweeps, stability, emission,
 and the CLI surface (flags, env overrides, exit codes, determinism)."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from selfdistill.cli import main as cli_main
-from selfdistill.data import DatasetSplit, Example, SyntheticSpec, prepare_task
-from selfdistill.distill import DistillConfig, TrainConfig
+from selfdistill.data import (
+    CsvSchema,
+    DatasetSplit,
+    Example,
+    SyntheticSpec,
+    prepare_task,
+)
+from selfdistill.distill import DistillConfig, TrainConfig, evaluate_params
 from selfdistill.encoder import ModelConfig, init_params
 from selfdistill.harness import (
     DatasetConfig,
@@ -16,15 +23,13 @@ from selfdistill.harness import (
     build_task,
     emit_report,
     ensemble_experiment,
-    evaluate,
-    load_report,
     relative_error_change,
     render_summary,
     run_experiment,
     stability_study,
     sweep,
 )
-from selfdistill.reporting import StabilityResult
+from selfdistill.reporting import RunReport, StabilityResult
 
 MODEL = ModelConfig(vocab_size=150, max_len=12, dim=16, n_layers=1, n_heads=2,
                     ffn_dim=32, n_classes=4, dropout_p=0.1)
@@ -52,12 +57,12 @@ class TestEvaluate:
         examples = ([Example(("w1 w2",), 0)] * 40
                     + [Example(("w3 w4",), 1)] * 35
                     + [Example(("w5 w6",), 2)] * 25)
-        split = DatasetSplit(examples=examples, role="test", n_classes=4)
+        split = DatasetSplit(examples=examples, n_classes=4)
         task = prepare_task({"train": split, "test": split},
                             vocab_size=MODEL.vocab_size)
         params = init_params(MODEL, seed=0)
         params["head.W"].data[...] = 0.0
-        acc, err = evaluate(params, split, task.vocab, MODEL)
+        acc, err = evaluate_params(params, MODEL, split, task.vocab)
         assert acc == pytest.approx(0.40)
         assert err == pytest.approx(0.60)
 
@@ -65,7 +70,7 @@ class TestEvaluate:
         config = fast_config()
         task = build_task(config)
         params = init_params(MODEL, seed=1)
-        acc, err = evaluate(params, task.test, task.vocab, MODEL)
+        acc, err = evaluate_params(params, MODEL, task.test, task.vocab)
         assert acc + err == pytest.approx(1.0, abs=1e-12)
 
     def test_batching_invariance(self):
@@ -73,8 +78,8 @@ class TestEvaluate:
         config = fast_config()
         task = build_task(config)
         params = init_params(MODEL, seed=2)
-        a1 = evaluate(params, task.test, task.vocab, MODEL, batch_size=1)
-        a64 = evaluate(params, task.test, task.vocab, MODEL, batch_size=64)
+        a1 = evaluate_params(params, MODEL, task.test, task.vocab, batch_size=1)
+        a64 = evaluate_params(params, MODEL, task.test, task.vocab, batch_size=64)
         assert a1 == a64
 
 
@@ -86,8 +91,26 @@ class TestRunExperiment:
     def test_report_roundtrip_through_disk(self, tmp_path):
         result = run_experiment(fast_config())
         emit_report(result, tmp_path)
-        loaded = load_report(tmp_path / "report.json")
-        assert loaded.to_dict() == result.report.to_dict()
+        doc = json.loads((tmp_path / "report.json").read_text())
+        assert doc == result.report.to_dict()
+
+    def test_report_dict_echoes_config_fields_without_wall_clock(self):
+        report = run_experiment(fast_config()).report
+        assert report.wall_clock_s is not None
+        d = report.to_dict()
+        assert "wall_clock_s" not in d
+        assert set(d) | {"wall_clock_s"} == \
+            {f.name for f in dataclasses.fields(RunReport)}
+        for key, cls in (("model", ModelConfig), ("distill", DistillConfig),
+                         ("train", TrainConfig)):
+            assert set(d["config"][key]) == {f.name for f in dataclasses.fields(cls)}
+        assert set(d["config"]["dataset"]["synthetic"]) == \
+            {f.name for f in dataclasses.fields(SyntheticSpec)}
+        csv = DatasetConfig(source="csv", train_path="a.csv", eval_path="b.csv",
+                            schema=CsvSchema(label_col=0, text_cols=(1, 2),
+                                             n_classes=2))
+        assert set(csv.to_dict()["schema"]) == \
+            {f.name for f in dataclasses.fields(CsvSchema)}
 
     def test_same_config_same_seed_identical_files(self, tmp_path):
         for sub in ("a", "b"):
@@ -298,6 +321,29 @@ class TestCli:
         doc = json.loads((out / "report.json").read_text())
         assert doc["config"]["train"]["epochs"] == 0
         assert doc["epoch_curve"] == []
+
+    @pytest.mark.parametrize("raw,saved", [("0", False), ("1", True)])
+    def test_save_checkpoints_env_is_boolean(self, tmp_path, monkeypatch,
+                                             raw, saved):
+        monkeypatch.setenv("SELFDISTILL_SAVE_CHECKPOINTS", raw)
+        out = tmp_path / "run"
+        assert cli_main(["train", *SMALL_CLI_ARGS, "--out", str(out)]) == 0
+        assert (out / "checkpoints" / "epoch_000.ckpt").exists() is saved
+
+    def test_save_checkpoints_env_junk_is_config_error(self, tmp_path,
+                                                       monkeypatch, capsys):
+        monkeypatch.setenv("SELFDISTILL_SAVE_CHECKPOINTS", "maybe")
+        out = tmp_path / "run"
+        assert cli_main(["train", *SMALL_CLI_ARGS, "--out", str(out)]) == 1
+        assert "SELFDISTILL_SAVE_CHECKPOINTS" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_best_dev_without_dev_split_is_config_error(self, tmp_path):
+        out = tmp_path / "run"
+        code = cli_main(["train", *SMALL_CLI_ARGS, "--select-by", "best_dev",
+                         "--out", str(out)])
+        assert code == 1
+        assert not out.exists()
 
     def test_report_subcommand(self, tmp_path, capsys):
         out = tmp_path / "run"
