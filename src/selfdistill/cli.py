@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .data import CsvSchema, SyntheticSpec
@@ -125,6 +126,11 @@ def _parse_int_list(raw: str) -> list[int]:
     return [int(tok) for tok in raw.split(",") if tok != ""]
 
 
+def _require_file(flag: str, path: str | None) -> None:
+    if path is not None and not Path(path).is_file():
+        raise InputError(f"{flag}: no such file: {path}")
+
+
 def _dataset_config(args) -> DatasetConfig:
     name = args.dataset
     if name == "synthetic":
@@ -134,10 +140,19 @@ def _dataset_config(args) -> DatasetConfig:
             dataset_seed=args.dataset_seed,
         )
     path = Path(name)
+    _require_file("--dataset", name)
     if path.suffix == ".json":
-        spec = SyntheticSpec(**json.loads(path.read_text()))
-        return DatasetConfig(source="synthetic", synthetic=spec,
+        raw = json.loads(path.read_text())
+        if not isinstance(raw, dict):
+            raise ConfigError(f"{path}: a synthetic spec must be a JSON object")
+        unknown = sorted(set(raw) - {f.name for f in fields(SyntheticSpec)})
+        if unknown:
+            raise ConfigError(f"{path}: unknown synthetic-spec key(s): "
+                              f"{', '.join(unknown)}")
+        return DatasetConfig(source="synthetic", synthetic=SyntheticSpec(**raw),
                              dataset_seed=args.dataset_seed)
+    _require_file("--eval-dataset", args.eval_dataset)
+    _require_file("--dev-dataset", args.dev_dataset)
     schema = CsvSchema(
         label_col=args.label_col,
         text_cols=tuple(_parse_int_list(args.text_cols)),

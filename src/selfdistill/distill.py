@@ -122,6 +122,9 @@ class TrainState:
     ring: CheckpointRing | None = None
     rmean: RunningMean | None = None
     pending: list = field(default_factory=list)
+    # the last window_mean(ring), valid while ring.insertions == teacher_at
+    teacher: ParameterSet | None = None
+    teacher_at: int = -1
     counters: dict = field(default_factory=lambda: {
         "student_forwards": 0, "teacher_forwards": 0,
     })
@@ -176,12 +179,19 @@ def make_train_state(model_config: ModelConfig, distill_config: DistillConfig,
 
 
 def sda_teacher(state: TrainState) -> ParameterSet:
-    """Parameter-averaged teacher over past snapshots (current step excluded)."""
+    """Parameter-averaged teacher over past snapshots (current step excluded).
+
+    The window average is recomputed only after the ring gains a snapshot;
+    between insertions every call returns the same (shared, read-only) set.
+    """
     if state.distill_config.mode != "sda":
         raise UsageError("sda_teacher is only defined in sda mode")
     if state.distill_config.teacher_size == TEACHER_ALL:
         return state.rmean.mean
-    return window_mean(state.ring)
+    if state.teacher_at != state.ring.insertions:
+        state.teacher = window_mean(state.ring)
+        state.teacher_at = state.ring.insertions
+    return state.teacher
 
 
 def sdv_teacher_logits(state: TrainState, batch) -> Tensor:

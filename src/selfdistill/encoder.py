@@ -179,17 +179,16 @@ def encode(params: ParameterSet, batch, config: ModelConfig,
     # keys at padded positions are hidden from every query
     mask_bias = Tensor((mask - 1.0)[:, None, None, :] * ad.MASK_PENALTY)
 
+    def heads(t):
+        return ad.transpose(ad.reshape(t, (b, length, n_heads, dh)), (0, 2, 1, 3))
+
     for i in range(config.n_layers):
-        pref = f"enc{i}"
+        def w(name, pref=f"enc{i}."):
+            return params[pref + name]
 
-        def heads(t):
-            return ad.transpose(ad.reshape(t, (b, length, n_heads, dh)), (0, 2, 1, 3))
-
-        q = heads(ad.add(ad.matmul(x, params[f"{pref}.attn.wq"]),
-                         params[f"{pref}.attn.bq"]))
-        k = heads(ad.matmul(x, params[f"{pref}.attn.wk"]))
-        v = heads(ad.add(ad.matmul(x, params[f"{pref}.attn.wv"]),
-                         params[f"{pref}.attn.bv"]))
+        q = heads(ad.linear(x, w("attn.wq"), w("attn.bq")))
+        k = heads(ad.linear(x, w("attn.wk")))
+        v = heads(ad.linear(x, w("attn.wv"), w("attn.bv")))
 
         scores = ad.mul(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))),
                         1.0 / np.sqrt(dh))
@@ -198,21 +197,16 @@ def encode(params: ParameterSet, batch, config: ModelConfig,
             attn = ad.dropout(attn, p, rng)
         ctx = ad.reshape(ad.transpose(ad.matmul(attn, v), (0, 2, 1, 3)),
                          (b, length, d))
-        att_out = ad.add(ad.matmul(ctx, params[f"{pref}.attn.wo"]),
-                         params[f"{pref}.attn.bo"])
+        att_out = ad.linear(ctx, w("attn.wo"), w("attn.bo"))
         if p > 0.0:
             att_out = ad.dropout(att_out, p, rng)
-        x = ad.layer_norm(ad.add(x, att_out),
-                          params[f"{pref}.ln1.g"], params[f"{pref}.ln1.b"])
+        x = ad.layer_norm(ad.add(x, att_out), w("ln1.g"), w("ln1.b"))
 
-        h1 = ad.gelu(ad.add(ad.matmul(x, params[f"{pref}.ffn.w1"]),
-                            params[f"{pref}.ffn.b1"]))
-        h2 = ad.add(ad.matmul(h1, params[f"{pref}.ffn.w2"]),
-                    params[f"{pref}.ffn.b2"])
+        h1 = ad.gelu(ad.linear(x, w("ffn.w1"), w("ffn.b1")))
+        h2 = ad.linear(h1, w("ffn.w2"), w("ffn.b2"))
         if p > 0.0:
             h2 = ad.dropout(h2, p, rng)
-        x = ad.layer_norm(ad.add(x, h2),
-                          params[f"{pref}.ln2.g"], params[f"{pref}.ln2.b"])
+        x = ad.layer_norm(ad.add(x, h2), w("ln2.g"), w("ln2.b"))
 
     return ad.select_position(x, 0)
 

@@ -42,6 +42,72 @@ class TestMatmul:
         assert err < 1e-7
 
 
+class TestLinear:
+    def _inputs(self, seed=0):
+        rng = np.random.default_rng(seed)
+        x = Tensor(rng.normal(0, 1, (2, 3, 4)), is_param=True)
+        w = Tensor(rng.normal(0, 1, (4, 5)), is_param=True)
+        b = Tensor(rng.normal(0, 1, 5), is_param=True)
+        target = Tensor(rng.normal(0, 1, (2, 3, 5)))
+        return x, w, b, target
+
+    def test_gradients_match_fd_with_bias(self):
+        x, w, b, target = self._inputs()
+        err = grad_check(lambda: ad.mse(ad.linear(x, w, b), target), [x, w, b])
+        assert err < 1e-6
+
+    def test_gradients_match_fd_without_bias(self):
+        x, w, _, target = self._inputs(1)
+        err = grad_check(lambda: ad.mse(ad.linear(x, w), target), [x, w])
+        assert err < 1e-6
+
+    def test_forward_equals_matmul_plus_bias(self):
+        x, w, b, _ = self._inputs(2)
+        fused = ad.linear(x, w, b).data
+        oracle = ad.add(ad.matmul(x, w), b).data
+        assert fused.shape == oracle.shape
+        np.testing.assert_allclose(fused, oracle, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(ad.linear(x, w).data, ad.matmul(x, w).data,
+                                   rtol=1e-13, atol=0)
+
+    def test_inner_dimension_mismatch(self):
+        with pytest.raises(ShapeError, match=r"\(2, 3\).*\(4, 2\)"):
+            ad.linear(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 2))))
+
+    def test_weight_must_be_2d(self):
+        with pytest.raises(ShapeError, match="2-d weight"):
+            ad.linear(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3, 4))))
+
+    def test_untracked_inputs_record_no_node(self):
+        x, w, b, _ = self._inputs(3)
+        tape = Tape()
+        out = ad.linear(x, w, b)
+        assert len(tape) == 0
+        assert out.tape is None
+
+
+class TestGelu:
+    @staticmethod
+    def _pow_formula(x):
+        inner = math.sqrt(2.0 / math.pi) * (x + 0.044715 * x ** 3)
+        return 0.5 * x * (1.0 + np.tanh(inner))
+
+    def test_matches_cube_by_pow(self):
+        rng = np.random.default_rng(4)
+        for x in (np.linspace(-8, 8, 10001), rng.normal(0, 1, (8, 14, 64))):
+            np.testing.assert_allclose(ad.gelu(Tensor(x)).data,
+                                       self._pow_formula(x), rtol=0, atol=1e-13)
+
+    def test_gradient_matches_fd(self):
+        # the grid steps over gelu's stationary point near -0.75 and stops
+        # short of the flat tails, where a relative error would measure only
+        # finite-difference noise
+        x = Tensor(np.linspace(-3, 3, 19), is_param=True)
+        target = Tensor(np.full(19, 5.0))
+        err = grad_check(lambda: ad.mse(ad.gelu(x), target), [x])
+        assert err < 1e-6
+
+
 class TestSoftmax:
     def test_symmetry(self):
         np.testing.assert_allclose(ad.softmax(Tensor([0.0, 0.0])).data,
@@ -230,7 +296,7 @@ class TestFiniteOutputs:
         bias = Tensor(rng.uniform(-1, 1, 8))
         outputs = [
             ad.add(x, y), ad.mul(x, y), ad.mul(x, 3.5),
-            ad.matmul(x, w), ad.gelu(x), ad.softmax(x),
+            ad.matmul(x, w), ad.linear(x, w), ad.gelu(x), ad.softmax(x),
             ad.layer_norm(x, gain, bias),
             ad.cross_entropy(ad.matmul(x, w), rng.integers(0, 4, 6)),
             ad.mse(x, y),

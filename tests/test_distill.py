@@ -9,10 +9,12 @@ import numpy as np
 import pytest
 
 from selfdistill import autodiff as ad
+from selfdistill import distill
 from selfdistill.autodiff import Tape, Tensor
 from selfdistill.data import (
     Batch,
     SyntheticSpec,
+    iter_batches,
     make_batch,
     make_synthetic,
     prepare_task,
@@ -29,7 +31,7 @@ from selfdistill.distill import (
     train_step,
 )
 from selfdistill.encoder import ModelConfig, classify, init_params
-from selfdistill.ensemble import ring_push
+from selfdistill.ensemble import average_parameters, ring_push
 from selfdistill.errors import ConfigError, InputError, UsageError
 
 MODEL = ModelConfig(vocab_size=120, max_len=12, dim=16, n_layers=1, n_heads=2,
@@ -109,6 +111,66 @@ class TestSdaTeacher:
                                  TrainConfig(epochs=1), n_train=32, seed=5)
         with pytest.raises(UsageError):
             sda_teacher(state)
+
+
+class TestSdaTeacherCache:
+    """The window teacher is recomputed once per ring insertion, never stale."""
+
+    def test_teacher_at_every_micro_batch_is_the_fresh_window_mean(
+            self, monkeypatch):
+        task = small_task(n_train=40)
+        state = make_train_state(MODEL, DistillConfig(mode="sda", teacher_size=3),
+                                 TrainConfig(epochs=1, micro_batch=4,
+                                             accum_steps=2),
+                                 n_train=len(task.train), seed=2)
+        original = distill.sda_teacher
+        matches = []
+
+        def checked(st):
+            teacher = original(st)
+            oracle = average_parameters(st.ring.snapshots())
+            matches.append(all(np.array_equal(teacher[n].data, oracle[n].data)
+                               for n in oracle))
+            return teacher
+
+        monkeypatch.setattr(distill, "sda_teacher", checked)
+        for batch in iter_batches(task.train, task.vocab, MODEL.max_len, 4):
+            train_step(state, batch)
+        assert len(matches) == 10
+        assert all(matches)
+        assert state.ring.insertions == 1 + 5
+
+    def test_window_mean_runs_once_per_insertion(self, monkeypatch):
+        calls = []
+        original = distill.window_mean
+        monkeypatch.setattr(distill, "window_mean",
+                            lambda ring: calls.append(1) or original(ring))
+        task = small_task(n_train=40, n_test=20)
+        fine_tune(MODEL, DistillConfig(mode="sda", teacher_size=3),
+                  TrainConfig(epochs=2, micro_batch=4, accum_steps=2), task,
+                  seed=2)
+        # 20 micro-batches and the final teacher read 11 distinct windows:
+        # the seeded theta_0 plus one per optimizer step
+        assert len(calls) == 1 + 10
+
+    def test_direct_ring_push_is_seen_by_the_next_call(self):
+        state = make_train_state(MODEL, DistillConfig(mode="sda", teacher_size=2),
+                                 TrainConfig(epochs=1), n_train=32, seed=5)
+        before = sda_teacher(state)
+        snap = init_params(MODEL, seed=6)
+        ring_push(state.ring, snap)
+        after = sda_teacher(state)
+        assert after is not before
+        for name in after:
+            np.testing.assert_array_equal(
+                after[name].data,
+                np.mean(np.stack([before[name].data, snap[name].data]), axis=0))
+
+    def test_all_mode_returns_the_running_mean_itself(self):
+        state = make_train_state(MODEL, DistillConfig(mode="sda",
+                                                      teacher_size="all"),
+                                 TrainConfig(epochs=1), n_train=32, seed=5)
+        assert sda_teacher(state) is state.rmean.mean
 
 
 class TestSdaLoss:

@@ -171,6 +171,26 @@ class TestClassify:
         probs = predict_proba(params, tiny_batch(rng, b=8), TINY)
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-6)
 
+    def test_train_mode_tape_node_count(self):
+        """A deterministic counter: un-fusing a primitive in encode shows here.
+
+        Per layer 25 nodes (q 3, k 3, v 3, scores 3, mask add and softmax 2,
+        context 3, output 1, two residual adds and two layer norms 4, ffn 3),
+        plus 3 for the embeddings, 1 for pooling and 2 for the head.
+        """
+        from selfdistill.autodiff import Tape
+        from test_acceptance import STABILITY_MODEL
+
+        rng = np.random.default_rng(12)
+        ids = rng.integers(4, STABILITY_MODEL.vocab_size, size=(8, 14))
+        batch = Batch(token_ids=ids, mask=np.ones((8, 14)),
+                      labels=rng.integers(0, STABILITY_MODEL.n_classes, 8))
+        tape = Tape()
+        classify(init_params(STABILITY_MODEL, seed=0), batch, STABILITY_MODEL,
+                 train_mode=True, tape=tape)
+        assert STABILITY_MODEL.dropout_p == 0.0
+        assert len(tape) == 56
+
 
 class TestGradients:
     def test_full_encoder_gradient_check(self):

@@ -345,6 +345,42 @@ class TestCli:
         assert code == 1
         assert not out.exists()
 
+    def test_missing_dataset_file_is_input_error(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        out = tmp_path / "run"
+        code = cli_main(["train", *SMALL_CLI_ARGS, "--dataset", str(missing),
+                         "--out", str(out)])
+        assert code == 1
+        assert f"--dataset: no such file: {missing}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--eval-dataset", "--dev-dataset"])
+    def test_missing_eval_or_dev_file_is_input_error(self, tmp_path, capsys,
+                                                     flag):
+        train_csv = tmp_path / "train.csv"
+        train_csv.write_text('0,"aaa"\n1,"bbb"\n')
+        paths = {"--eval-dataset": train_csv, "--dev-dataset": train_csv}
+        missing = tmp_path / "missing.csv"
+        paths[flag] = missing
+        out = tmp_path / "run"
+        code = cli_main(["train", *SMALL_CLI_ARGS, "--dataset", str(train_csv),
+                         "--eval-dataset", str(paths["--eval-dataset"]),
+                         "--dev-dataset", str(paths["--dev-dataset"]),
+                         "--out", str(out)])
+        assert code == 1
+        assert f"{flag}: no such file: {missing}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unknown_spec_key_is_config_error(self, tmp_path, capsys):
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps({"n_classes": 2, "bogus": 1}))
+        out = tmp_path / "run"
+        code = cli_main(["train", *SMALL_CLI_ARGS, "--dataset", str(spec_file),
+                         "--out", str(out)])
+        assert code == 1
+        assert "bogus" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_report_subcommand(self, tmp_path, capsys):
         out = tmp_path / "run"
         assert cli_main(["train", *SMALL_CLI_ARGS, "--out", str(out)]) == 0
