@@ -5,7 +5,8 @@ defaulted through an environment variable with the ``SELFDISTILL_`` prefix
 (flag ``--teacher-size`` -> ``SELFDISTILL_TEACHER_SIZE``); explicit flags
 win over the environment.
 
-Exit codes: 0 success, 1 configuration error, 2 runtime/divergence error.
+Exit codes: 0 success; 1 a bad flag, environment value, config or input
+file; 2 an error raised while running (divergence, or any ``ValueError``).
 """
 
 from __future__ import annotations
@@ -50,13 +51,22 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _env(flag: str):
-    return os.environ.get(ENV_PREFIX + flag.upper().replace("-", "_"))
+def _env_name(flag: str) -> str:
+    return ENV_PREFIX + flag.upper().replace("-", "_")
+
+
+def _parse_token(source: str, token: str, cast):
+    """``cast(token)``; a bad token is a ConfigError naming its flag or variable."""
+    try:
+        return cast(token)
+    except ValueError:
+        raise ConfigError(f"{source}: {token!r} is not a valid "
+                          f"{cast.__name__}") from None
 
 
 def _env_bool(flag: str) -> bool:
     """1/true/yes -> True; unset, empty, 0/false/no -> False."""
-    name = ENV_PREFIX + flag.upper().replace("-", "_")
+    name = _env_name(flag)
     raw = os.environ.get(name, "")
     value = raw.strip().lower()
     if value in ("1", "true", "yes"):
@@ -68,10 +78,10 @@ def _env_bool(flag: str) -> bool:
 
 def _add(parser, flag: str, **kwargs):
     """add_argument with an environment-variable default."""
-    raw = _env(flag)
+    name = _env_name(flag)
+    raw = os.environ.get(name)
     if raw is not None:
-        cast = kwargs.get("type", str)
-        kwargs["default"] = cast(raw)
+        kwargs["default"] = _parse_token(name, raw, kwargs.get("type", str))
     parser.add_argument(f"--{flag}", **kwargs)
 
 
@@ -118,12 +128,12 @@ def _add_train_flags(p: _Parser) -> None:
                    help="write a parameter checkpoint at every epoch boundary")
 
 
-def _parse_teacher_size(raw: str):
-    return "all" if raw == "all" else int(raw)
+def _parse_teacher_size(flag: str, raw: str):
+    return "all" if raw == "all" else _parse_token(flag, raw, int)
 
 
-def _parse_int_list(raw: str) -> list[int]:
-    return [int(tok) for tok in raw.split(",") if tok != ""]
+def _parse_int_list(flag: str, raw: str) -> list[int]:
+    return [_parse_token(flag, tok, int) for tok in raw.split(",") if tok != ""]
 
 
 def _require_file(flag: str, path: str | None) -> None:
@@ -142,7 +152,10 @@ def _dataset_config(args) -> DatasetConfig:
     path = Path(name)
     _require_file("--dataset", name)
     if path.suffix == ".json":
-        raw = json.loads(path.read_text())
+        try:
+            raw = json.loads(path.read_text())
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise ConfigError(f"{path}: not a JSON synthetic spec: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError(f"{path}: a synthetic spec must be a JSON object")
         unknown = sorted(set(raw) - {f.name for f in fields(SyntheticSpec)})
@@ -155,7 +168,7 @@ def _dataset_config(args) -> DatasetConfig:
     _require_file("--dev-dataset", args.dev_dataset)
     schema = CsvSchema(
         label_col=args.label_col,
-        text_cols=tuple(_parse_int_list(args.text_cols)),
+        text_cols=tuple(_parse_int_list("--text-cols", args.text_cols)),
         n_classes=args.n_classes,
         delimiter=args.delimiter,
         label_base=args.label_base,
@@ -187,7 +200,7 @@ def _experiment_config(args) -> ExperimentConfig:
     distill = DistillConfig(
         mode=args.mode,
         lam=args.lam,
-        teacher_size=_parse_teacher_size(args.teacher_size),
+        teacher_size=_parse_teacher_size("--teacher-size", args.teacher_size),
         snapshot_every=args.snapshot_every,
     )
     train = TrainConfig(
@@ -259,11 +272,12 @@ def _cmd_sweep(args) -> int:
     if args.grid is None:
         grid = DEFAULT_LAMBDA_GRID if args.axis == "lambda" else DEFAULT_K_GRID
     elif args.axis == "lambda":
-        grid = [float(tok) for tok in args.grid.split(",") if tok != ""]
+        grid = [_parse_token("--grid", tok, float)
+                for tok in args.grid.split(",") if tok != ""]
     else:
-        grid = [_parse_teacher_size(tok) for tok in args.grid.split(",")
+        grid = [_parse_teacher_size("--grid", tok) for tok in args.grid.split(",")
                 if tok != ""]
-    table = sweep(config, args.axis, grid, _parse_int_list(args.seeds))
+    table = sweep(config, args.axis, grid, _parse_int_list("--seeds", args.seeds))
     paths = emit_report(table, args.out)
     print(f"wrote {', '.join(str(p) for p in paths)}")
     print(render_summary(args.out))
@@ -273,7 +287,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_ensemble(args) -> int:
     config = _experiment_config(args)
     report = ensemble_experiment(config, args.n_models,
-                                 _parse_int_list(args.seeds))
+                                 _parse_int_list("--seeds", args.seeds))
     paths = emit_report(report, args.out)
     print(f"wrote {', '.join(str(p) for p in paths)}")
     print(render_summary(args.out))
@@ -282,7 +296,8 @@ def _cmd_ensemble(args) -> int:
 
 def _cmd_stability(args) -> int:
     config = _experiment_config(args)
-    results = stability_study(config, _parse_int_list(args.data_seeds),
+    results = stability_study(config,
+                              _parse_int_list("--data-seeds", args.data_seeds),
                               args.init_seed)
     paths = emit_report(results, args.out)
     print(f"wrote {', '.join(str(p) for p in paths)}")
@@ -313,10 +328,9 @@ def main(argv=None) -> int:
     except (ConfigError, UsageError, ContractError, InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print(f"error: invalid value: {exc}", file=sys.stderr)
-        return 1
-    except SelfDistillError as exc:
+    except (SelfDistillError, ValueError) as exc:
+        # configuration is checked before any work starts, so what is left
+        # (divergence, a numpy ValueError) failed at run time
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

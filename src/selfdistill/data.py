@@ -202,7 +202,7 @@ def load_csv(path, schema: CsvSchema) -> DatasetSplit:
                     )
                 text = " ".join(row[c] for c in schema.text_cols)
                 examples.append(Example(segments=(text,), label=label))
-        except csv.Error as exc:
+        except (csv.Error, UnicodeDecodeError) as exc:
             raise InputError(f"{path}:{line + 1}: malformed row: {exc}") from exc
     return DatasetSplit(examples=examples, n_classes=schema.n_classes)
 

@@ -363,17 +363,15 @@ def fine_tune(model_config: ModelConfig, distill_config: DistillConfig,
                                          vocab, train_config.eval_batch_size)
             if dev_acc > best_dev_acc:
                 best_dev_acc, best_epoch = dev_acc, epoch
-                best_params = state.params.copy()
+                # the last epoch's parameters are returned as state.params
+                best_params = (state.params.copy()
+                               if epoch < train_config.epochs - 1 else None)
         if checkpoint_dir is not None:
             out = Path(checkpoint_dir)
             out.mkdir(parents=True, exist_ok=True)
             save_params(state.params, out / f"epoch_{epoch:03d}.ckpt")
 
-    student = state.params
-    selected_epoch = None
-    if best_params is not None:
-        student = best_params
-        selected_epoch = best_epoch
+    student = state.params if best_params is None else best_params
 
     teacher = None
     if distill_config.mode == "sda" and train_config.epochs > 0:
@@ -382,9 +380,10 @@ def fine_tune(model_config: ModelConfig, distill_config: DistillConfig,
     final_student = {}
     final_teacher = None
     if train_config.epochs > 0:
-        acc, err = evaluate_params(student, model_config, task.test, vocab,
-                                   train_config.eval_batch_size)
-        final_student = {"test_accuracy": acc, "test_error": err}
+        # the epoch curve already holds the student's test metrics
+        point = epoch_curve[-1 if best_epoch is None else best_epoch]
+        final_student = {"test_accuracy": point.test_accuracy,
+                         "test_error": point.test_error}
         if teacher is not None:
             tacc, terr = evaluate_params(teacher, model_config, task.test,
                                          vocab, train_config.eval_batch_size)
@@ -404,6 +403,6 @@ def fine_tune(model_config: ModelConfig, distill_config: DistillConfig,
         counters=dict(state.counters),
         wall_clock_s=time.perf_counter() - started,
     )
-    if selected_epoch is not None:
-        report.config["selected_epoch"] = selected_epoch
+    if best_epoch is not None:
+        report.config["selected_epoch"] = best_epoch
     return TrainResult(student=student, teacher=teacher, report=report)

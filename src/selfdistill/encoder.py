@@ -4,6 +4,11 @@ Token embeddings + learned positions + a stack of small post-norm
 transformer encoder layers + first-token pooling + a linear softmax head.
 Every parameter lives in a flat named ``ParameterSet`` so the averaging and
 distillation machinery can treat whole models as vectors.
+
+``encode`` computes only what reaches the pooled vector: the last layer
+computes position 0 only, while its keys and values still see every
+position. A row with no real token has nothing to attend to and is an
+``InputError``.
 """
 
 from __future__ import annotations
@@ -136,9 +141,11 @@ def init_params(config: ModelConfig, seed: int) -> ParameterSet:
     return ParameterSet(tensors, groups)
 
 
-def _check_batch(config: ModelConfig, ids: np.ndarray) -> None:
+def _check_batch(config: ModelConfig, ids: np.ndarray, mask: np.ndarray) -> None:
     if ids.ndim != 2:
         raise InputError(f"token ids must be [B, L], got shape {ids.shape}")
+    if mask.shape != ids.shape:
+        raise InputError(f"mask shape {mask.shape} != token ids shape {ids.shape}")
     if ids.shape[1] > config.max_len:
         raise InputError(
             f"sequence length {ids.shape[1]} exceeds max_len {config.max_len}"
@@ -147,6 +154,9 @@ def _check_batch(config: ModelConfig, ids: np.ndarray) -> None:
         raise InputError(
             f"token id out of range [0, {config.vocab_size}): max={ids.max()}"
         )
+    empty = np.flatnonzero(~mask.any(axis=1))
+    if empty.size:
+        raise InputError(f"batch row {empty[0]} has no real token (its mask is all 0)")
 
 
 def encode(params: ParameterSet, batch, config: ModelConfig,
@@ -154,13 +164,18 @@ def encode(params: ParameterSet, batch, config: ModelConfig,
            rng: np.random.Generator | None = None) -> Tensor:
     """Pooled first-token representation h, shape [B, dim].
 
+    The last layer runs its queries, output projection, layer norms and
+    FFN on position 0 alone, as [B, dim] rows, because only position 0
+    reaches h. A row whose mask is all 0 raises ``InputError``.
+
     In train mode, dropout (embeddings, attention probabilities, sublayer
-    outputs) draws from ``rng``; eval mode is a pure function of
-    (params, batch). Pass an open ``tape`` to record gradients.
+    outputs) draws from ``rng`` for the computed positions only; eval mode
+    is a pure function of (params, batch). Pass an open ``tape`` to record
+    gradients.
     """
     ids = np.asarray(batch.token_ids)
     mask = np.asarray(batch.mask, dtype=params["tok_emb"].data.dtype)
-    _check_batch(config, ids)
+    _check_batch(config, ids, mask)
     p = config.dropout_p if train_mode else 0.0
     if p > 0.0 and rng is None:
         raise InputError("train_mode with dropout needs an rng stream")
@@ -186,7 +201,12 @@ def encode(params: ParameterSet, batch, config: ModelConfig,
         def w(name, pref=f"enc{i}."):
             return params[pref + name]
 
-        q = heads(ad.linear(x, w("attn.wq"), w("attn.bq")))
+        # the head reads position 0 only, so the last layer's queries and
+        # everything after attention run on that position as [B, d] rows
+        last = i == config.n_layers - 1
+        xq = ad.select_position(x, 0) if last else x
+        q = ad.linear(xq, w("attn.wq"), w("attn.bq"))
+        q = ad.reshape(q, (b, n_heads, 1, dh)) if last else heads(q)
         k = heads(ad.linear(x, w("attn.wk")))
         v = heads(ad.linear(x, w("attn.wv"), w("attn.bv")))
 
@@ -195,12 +215,13 @@ def encode(params: ParameterSet, batch, config: ModelConfig,
         attn = ad.softmax(ad.add(scores, mask_bias))
         if p > 0.0:
             attn = ad.dropout(attn, p, rng)
-        ctx = ad.reshape(ad.transpose(ad.matmul(attn, v), (0, 2, 1, 3)),
-                         (b, length, d))
+        ctx = ad.matmul(attn, v)
+        ctx = (ad.reshape(ctx, (b, d)) if last else
+               ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (b, length, d)))
         att_out = ad.linear(ctx, w("attn.wo"), w("attn.bo"))
         if p > 0.0:
             att_out = ad.dropout(att_out, p, rng)
-        x = ad.layer_norm(ad.add(x, att_out), w("ln1.g"), w("ln1.b"))
+        x = ad.layer_norm(ad.add(xq, att_out), w("ln1.g"), w("ln1.b"))
 
         h1 = ad.gelu(ad.linear(x, w("ffn.w1"), w("ffn.b1")))
         h2 = ad.linear(h1, w("ffn.w2"), w("ffn.b2"))
@@ -208,7 +229,7 @@ def encode(params: ParameterSet, batch, config: ModelConfig,
             h2 = ad.dropout(h2, p, rng)
         x = ad.layer_norm(ad.add(x, h2), w("ln2.g"), w("ln2.b"))
 
-    return ad.select_position(x, 0)
+    return x
 
 
 def classify(params: ParameterSet, batch, config: ModelConfig,

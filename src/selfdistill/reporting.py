@@ -112,5 +112,6 @@ def load_json(path) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
+        # ValueError covers a truncated or non-UTF-8 file
         raise InputError(f"cannot read report from {path}: {exc}") from exc

@@ -13,6 +13,7 @@ from selfdistill import distill
 from selfdistill.autodiff import Tape, Tensor
 from selfdistill.data import (
     Batch,
+    DatasetSplit,
     SyntheticSpec,
     iter_batches,
     make_batch,
@@ -360,6 +361,22 @@ class TestTrajectoryEquivalences:
             assert mse_a == pytest.approx(mse_v, abs=1e-9)
 
 
+def test_evaluate_rejects_a_row_without_a_real_token(monkeypatch):
+    """No tokenized example has an empty mask (CLS is always real), so the
+    batches are emptied on the way in, to show the error reaches the caller."""
+    task = small_task(n_train=16, n_test=16)
+
+    def emptied(*args, **kwargs):
+        for batch in iter_batches(*args, **kwargs):
+            batch.mask[-1] = 0.0
+            yield batch
+
+    monkeypatch.setattr(distill, "iter_batches", emptied)
+    with pytest.raises(InputError, match="row 7 has no real token"):
+        evaluate_params(init_params(MODEL, seed=0), MODEL, task.test,
+                        task.vocab, batch_size=8)
+
+
 class TestTrainStep:
     def test_first_sda_step_has_zero_mse_without_dropout(self):
         task = small_task()
@@ -462,6 +479,58 @@ class TestFineTune:
                                        select_by="best_dev"),
                            task, seed=0)
         assert result.report.config["selected_epoch"] in (0, 1)
+
+    def test_final_student_reuses_the_last_epoch_evaluation(self, monkeypatch):
+        calls = []
+        real = distill.evaluate_params
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(distill, "evaluate_params", counted)
+        result = fine_tune(MODEL, DistillConfig(mode="baseline"),
+                           TrainConfig(epochs=3, micro_batch=8),
+                           small_task(n_train=48, n_test=24), seed=0)
+        last = result.report.epoch_curve[-1]
+        assert result.report.final_student == {
+            "test_accuracy": last.test_accuracy, "test_error": last.test_error}
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize("dev_accs,selected", [((0.9, 0.5), 0),
+                                                   ((0.5, 0.9), 1)])
+    def test_best_dev_reuses_the_selected_epoch_evaluation(
+            self, monkeypatch, dev_accs, selected):
+        task = small_task(n_train=48, n_test=24)
+        task.splits["dev"] = DatasetSplit(list(task.test.examples),
+                                          task.test.n_classes)
+        scripted = iter(dev_accs)
+        evaluated = []
+
+        def fake(params, config, split, vocab, batch_size=64):
+            if split is task.dev:
+                acc = next(scripted)
+            else:  # a distinct test accuracy per epoch
+                evaluated.append(params.copy())
+                acc = 0.1 * len(evaluated)
+            return acc, 1.0 - acc
+
+        monkeypatch.setattr(distill, "evaluate_params", fake)
+        result = fine_tune(MODEL_NODROP, DistillConfig(mode="baseline"),
+                           TrainConfig(epochs=2, micro_batch=8,
+                                       select_by="best_dev"),
+                           task, seed=0)
+        assert result.report.config["selected_epoch"] == selected
+        assert len(evaluated) == 2
+        point = result.report.epoch_curve[selected]
+        assert point.test_accuracy == pytest.approx(0.1 * (selected + 1))
+        assert result.report.final_student == {
+            "test_accuracy": point.test_accuracy, "test_error": point.test_error}
+        # the reused metrics belong to the parameters returned
+        for name, t in result.student.items():
+            np.testing.assert_array_equal(t.data, evaluated[selected][name].data)
+        assert any(not np.array_equal(a.data, b.data) for (_, a), (_, b)
+                   in zip(evaluated[0].items(), evaluated[1].items()))
 
     def test_determinism_same_seeds_same_report(self):
         task = small_task(n_train=64, n_test=32)

@@ -130,6 +130,14 @@ class TestEncode:
         with pytest.raises(InputError, match="max_len"):
             encode(params, tiny_batch(rng, length=11), TINY)
 
+    def test_row_without_a_real_token_is_rejected(self):
+        rng = np.random.default_rng(13)
+        params = init_params(TINY, seed=0)
+        batch = tiny_batch(rng, b=3, length=6)
+        batch.mask[1] = 0.0
+        with pytest.raises(InputError, match="row 1 has no real token"):
+            classify(params, batch, TINY)
+
     def test_dropout_needs_rng(self):
         rng = np.random.default_rng(4)
         cfg = ModelConfig(vocab_size=50, max_len=10, dim=8, n_layers=1,
@@ -174,9 +182,12 @@ class TestClassify:
     def test_train_mode_tape_node_count(self):
         """A deterministic counter: un-fusing a primitive in encode shows here.
 
-        Per layer 25 nodes (q 3, k 3, v 3, scores 3, mask add and softmax 2,
-        context 3, output 1, two residual adds and two layer norms 4, ffn 3),
-        plus 3 for the embeddings, 1 for pooling and 2 for the head.
+        The first layer records 25 nodes (q 3, k 3, v 3, scores 3, mask add
+        and softmax 2, context 3, output 1, two residual adds and two layer
+        norms 4, ffn 3). The last layer records 24: it computes position 0
+        only, so q is select, linear and reshape (3) and the context needs
+        no transpose (2), and its select is the pooling. Plus 3 for the
+        embeddings and 2 for the head.
         """
         from selfdistill.autodiff import Tape
         from test_acceptance import STABILITY_MODEL
@@ -189,7 +200,147 @@ class TestClassify:
         classify(init_params(STABILITY_MODEL, seed=0), batch, STABILITY_MODEL,
                  train_mode=True, tape=tape)
         assert STABILITY_MODEL.dropout_p == 0.0
-        assert len(tape) == 56
+        assert len(tape) == 54
+
+
+TWO_LAYER = ModelConfig(vocab_size=50, max_len=14, dim=8, n_layers=2,
+                        n_heads=2, ffn_dim=16, n_classes=4, dropout_p=0.0)
+
+
+def ragged_batch(rng, cfg, width, lengths):
+    """One row per entry of ``lengths``, that many real tokens, padded to
+    ``width`` columns."""
+    b = len(lengths)
+    ids = np.zeros((b, width), dtype=np.int64)
+    mask = np.zeros((b, width))
+    for row, n in enumerate(lengths):
+        ids[row, :n] = rng.integers(4, cfg.vocab_size, n)
+        ids[row, 0] = 2  # CLS
+        mask[row, :n] = 1.0
+    return Batch(token_ids=ids, mask=mask,
+                 labels=rng.integers(0, cfg.n_classes, b))
+
+
+def reference_logits(params, batch, cfg):
+    """Plain-numpy forward that runs every layer on every position and pools
+    position 0 only at the end; padded keys get weight exp(-inf) = 0."""
+    P = {name: t.data for name, t in params.items()}
+    ids, mask = batch.token_ids, batch.mask
+    b, length = ids.shape
+    h, dh = cfg.n_heads, cfg.dim // cfg.n_heads
+
+    def ln(x, g, bias):
+        mu = x.mean(-1, keepdims=True)
+        var = ((x - mu) ** 2).mean(-1, keepdims=True)
+        return g * (x - mu) / np.sqrt(var + 1e-5) + bias
+
+    def gelu(x):
+        return 0.5 * x * (1 + np.tanh(np.sqrt(2 / np.pi) * (x + 0.044715 * x ** 3)))
+
+    def split(t):
+        return t.reshape(b, length, h, dh).transpose(0, 2, 1, 3)
+
+    x = P["tok_emb"][ids] + P["pos_emb"][:length]
+    for i in range(cfg.n_layers):
+        w = {name[len(f"enc{i}."):]: a for name, a in P.items()
+             if name.startswith(f"enc{i}.")}
+        q = split(x @ w["attn.wq"] + w["attn.bq"])
+        k = split(x @ w["attn.wk"])
+        v = split(x @ w["attn.wv"] + w["attn.bv"])
+        s = (q @ k.transpose(0, 1, 3, 2) / np.sqrt(dh)
+             + np.where(mask[:, None, None, :] > 0, 0.0, -np.inf))
+        a = np.exp(s - s.max(-1, keepdims=True))
+        a /= a.sum(-1, keepdims=True)
+        ctx = (a @ v).transpose(0, 2, 1, 3).reshape(b, length, cfg.dim)
+        x = ln(x + ctx @ w["attn.wo"] + w["attn.bo"], w["ln1.g"], w["ln1.b"])
+        ffn = gelu(x @ w["ffn.w1"] + w["ffn.b1"]) @ w["ffn.w2"] + w["ffn.b2"]
+        x = ln(x + ffn, w["ln2.g"], w["ln2.b"])
+    return x[:, 0] @ P["head.W"].T
+
+
+class TestExactness:
+    """The position-0 last layer and all-pad columns change nothing."""
+
+    def test_matches_full_sequence_reference(self):
+        rng = np.random.default_rng(18)
+        params = generic_point(init_params(TWO_LAYER, seed=0))
+        batch = ragged_batch(rng, TWO_LAYER, 14, [12, 3, 7, 12, 1, 9, 5, 11])
+        np.testing.assert_allclose(classify(params, batch, TWO_LAYER).data,
+                                   reference_logits(params, batch, TWO_LAYER),
+                                   rtol=0, atol=1e-12)
+
+    def test_padding_invariance(self):
+        rng = np.random.default_rng(14)
+        params = generic_point(init_params(TWO_LAYER, seed=0))
+        narrow = ragged_batch(rng, TWO_LAYER, 12, [12, 3, 7, 12, 1, 9, 5, 11])
+        wide = Batch(token_ids=np.pad(narrow.token_ids, ((0, 0), (0, 2))),
+                     mask=np.pad(narrow.mask, ((0, 0), (0, 2))),
+                     labels=narrow.labels)
+        np.testing.assert_allclose(classify(params, wide, TWO_LAYER).data,
+                                   classify(params, narrow, TWO_LAYER).data,
+                                   rtol=0, atol=1e-12)
+
+    def test_rows_are_independent(self):
+        rng = np.random.default_rng(15)
+        params = generic_point(init_params(TWO_LAYER, seed=0))
+        batch = ragged_batch(rng, TWO_LAYER, 14, [14, 3, 7, 12, 1, 9, 5, 11])
+        together = classify(params, batch, TWO_LAYER).data
+        alone = np.concatenate([
+            classify(params, Batch(token_ids=batch.token_ids[r:r + 1],
+                                   mask=batch.mask[r:r + 1],
+                                   labels=batch.labels[r:r + 1]),
+                     TWO_LAYER).data
+            for r in range(8)
+        ])
+        np.testing.assert_allclose(alone, together, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_gradient_matches_reference_differences(self, seed):
+        """Tape gradients through the position-0 last layer against central
+        differences of the full-sequence reference loss, on rows padded to
+        14 columns. The bound is absolute: the gradients reach O(1) and the
+        differences carry ~1e-10 truncation and rounding error at any
+        generic point."""
+        rng = np.random.default_rng(seed)
+        params = generic_point(init_params(TWO_LAYER, seed=seed), seed=seed)
+        batch = ragged_batch(rng, TWO_LAYER, 14, [10, 4, 10, 7])
+
+        def reference_loss():
+            logits = reference_logits(params, batch, TWO_LAYER)
+            top = logits.max(-1, keepdims=True)
+            logz = np.log(np.exp(logits - top).sum(-1)) + top[:, 0]
+            return float(np.mean(logz - logits[np.arange(4), batch.labels]))
+
+        tape = ad.Tape()
+        loss = ad.cross_entropy(
+            classify(params, batch, TWO_LAYER, train_mode=True, tape=tape),
+            batch.labels)
+        grads = ad.backward(loss, tape)
+        eps = 1e-5
+        for name, t in params.items():
+            fd = np.zeros_like(t.data)
+            for idx in np.ndindex(t.data.shape):
+                orig = t.data[idx]
+                t.data[idx] = orig + eps
+                up = reference_loss()
+                t.data[idx] = orig - eps
+                down = reference_loss()
+                t.data[idx] = orig
+                fd[idx] = (up - down) / (2 * eps)
+            np.testing.assert_allclose(grads[t], fd, rtol=0, atol=1e-8,
+                                       err_msg=name)
+
+    def test_pos_emb_of_all_pad_columns_gets_zero_gradient(self):
+        rng = np.random.default_rng(17)
+        params = generic_point(init_params(TWO_LAYER, seed=0))
+        batch = ragged_batch(rng, TWO_LAYER, 12, [5, 9, 3, 9])
+        tape = ad.Tape()
+        loss = ad.cross_entropy(
+            classify(params, batch, TWO_LAYER, train_mode=True, tape=tape),
+            batch.labels)
+        grad = ad.backward(loss, tape)[params["pos_emb"]]
+        assert np.all(grad[9:] == 0.0)
+        assert np.all(np.abs(grad[:9]).sum(axis=1) > 0.0)
 
 
 class TestGradients:

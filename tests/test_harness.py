@@ -381,6 +381,67 @@ class TestCli:
         assert "bogus" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command,flag,value", [
+        ("sweep", "--seeds", "1,x"),
+        ("sweep", "--grid", "0,x"),
+        ("stability", "--data-seeds", "0,x"),
+        ("train", "--teacher-size", "x"),
+    ])
+    def test_unparseable_flag_token_is_config_error(self, tmp_path, capsys,
+                                                    command, flag, value):
+        out = tmp_path / "run"
+        code = cli_main([command, *SMALL_CLI_ARGS, flag, value,
+                         "--out", str(out)])
+        assert code == 1
+        assert f"{flag}: 'x' is not a valid" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unparseable_env_value_is_config_error(self, tmp_path, monkeypatch,
+                                                   capsys):
+        monkeypatch.setenv("SELFDISTILL_EPOCHS", "two")
+        assert cli_main(["train", *SMALL_CLI_ARGS, "--out", str(tmp_path)]) == 1
+        assert "SELFDISTILL_EPOCHS: 'two'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name,content", [("spec.json", b"{not json"),
+                                              ("spec.json", b'{"n_classes": "\xff"}'),
+                                              ("train.csv", b"0,\xff\xfe\n")])
+    def test_undecodable_dataset_file_is_exit_1(self, tmp_path, capsys,
+                                                name, content):
+        data = tmp_path / name
+        data.write_bytes(content)
+        out = tmp_path / "run"
+        code = cli_main(["train", *SMALL_CLI_ARGS, "--dataset", str(data),
+                         "--eval-dataset", str(data), "--out", str(out)])
+        assert code == 1
+        assert str(data) in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_value_error_while_training_is_runtime_error(self, tmp_path,
+                                                         monkeypatch, capsys):
+        import selfdistill.harness
+
+        def broken(*args, **kwargs):
+            raise ValueError("operands could not be broadcast together")
+
+        monkeypatch.setattr(selfdistill.harness, "fine_tune", broken)
+        code = cli_main(["train", *SMALL_CLI_ARGS, "--out", str(tmp_path)])
+        assert code == 2
+        assert "could not be broadcast" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", [b'{"final_student": {', b"\xff\xfe"])
+    def test_report_on_a_corrupt_report_is_exit_1(self, tmp_path, capsys,
+                                                  content):
+        good = tmp_path / "run"
+        assert cli_main(["train", *SMALL_CLI_ARGS, "--out", str(good)]) == 0
+        bad = tmp_path / "bad"
+        bad.mkdir()
+        (bad / "report.json").write_bytes(content)
+        capsys.readouterr()
+        assert cli_main(["report", str(bad)]) == 1
+        assert str(bad / "report.json") in capsys.readouterr().err
+        assert cli_main(["report", str(good), "--baseline", str(bad)]) == 1
+        assert str(bad / "report.json") in capsys.readouterr().err
+
     def test_report_subcommand(self, tmp_path, capsys):
         out = tmp_path / "run"
         assert cli_main(["train", *SMALL_CLI_ARGS, "--out", str(out)]) == 0
