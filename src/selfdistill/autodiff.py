@@ -466,7 +466,8 @@ def backward(loss: Tensor, tape: Tape) -> dict[Tensor, np.ndarray]:
     tape._open = False
     grads: dict[Tensor, np.ndarray] = {}
     for t in tape._watched:
-        grads[t] = adjoints.get(id(t), np.zeros_like(t.data))
+        g = adjoints.get(id(t))
+        grads[t] = np.zeros_like(t.data) if g is None else g
     return grads
 
 

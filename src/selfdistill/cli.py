@@ -17,6 +17,7 @@ import os
 import sys
 from dataclasses import fields
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 from .data import CsvSchema, SyntheticSpec
 from .distill import DistillConfig, TrainConfig
@@ -141,6 +142,25 @@ def _require_file(flag: str, path: str | None) -> None:
         raise InputError(f"{flag}: no such file: {path}")
 
 
+def _check_spec_types(path, raw: dict) -> None:
+    """Each value must fit its SyntheticSpec field: an int field takes an
+    int, a float field an int or a float, and only an optional field takes
+    null. A bool is not a number here."""
+    hints = get_type_hints(SyntheticSpec)
+    for key, value in raw.items():
+        allowed = get_args(hints[key]) or (hints[key],)
+        number = (int, float) if float in allowed else int
+        if value is None:
+            ok = type(None) in allowed
+        else:
+            ok = isinstance(value, number) and not isinstance(value, bool)
+        if not ok:
+            expected = ("a number" if float in allowed else "an integer") + (
+                " or null" if type(None) in allowed else "")
+            raise ConfigError(f"{path}: synthetic-spec key {key!r} must be "
+                              f"{expected}, got {value!r}")
+
+
 def _dataset_config(args) -> DatasetConfig:
     name = args.dataset
     if name == "synthetic":
@@ -162,6 +182,7 @@ def _dataset_config(args) -> DatasetConfig:
         if unknown:
             raise ConfigError(f"{path}: unknown synthetic-spec key(s): "
                               f"{', '.join(unknown)}")
+        _check_spec_types(path, raw)
         return DatasetConfig(source="synthetic", synthetic=SyntheticSpec(**raw),
                              dataset_seed=args.dataset_seed)
     _require_file("--eval-dataset", args.eval_dataset)

@@ -51,7 +51,7 @@ from .ensemble import (
     window_mean,
 )
 from .errors import ConfigError, DivergenceError, InputError, UsageError
-from .optim import OptimState, accumulate, adamw_step, lr_at
+from .optim import OptimState, accumulate, adamw_step, flatten_grads, lr_at
 from .reporting import EpochPoint, RunReport, StepPoint
 
 TEACHER_ALL = "all"
@@ -121,7 +121,7 @@ class TrainState:
     step: int = 0                      # optimizer steps completed
     ring: CheckpointRing | None = None
     rmean: RunningMean | None = None
-    pending: list = field(default_factory=list)
+    pending: list = field(default_factory=list)   # flat micro-batch gradients
     # the last window_mean(ring), valid while ring.insertions == teacher_at
     teacher: ParameterSet | None = None
     teacher_at: int = -1
@@ -265,7 +265,8 @@ def train_step(state: TrainState, batch, force_flush: bool = False) -> StepMetri
         )
 
     grads = ad.backward(total, tape)
-    state.pending.append({name: grads[t] for name, t in state.params.items()})
+    state.pending.append(flatten_grads(
+        state.params, {name: grads[t] for name, t in state.params.items()}))
 
     stepped = False
     lr = lr_at(min(state.opt.t + 1, state.opt.total_steps), state.opt.total_steps,

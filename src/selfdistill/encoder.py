@@ -2,8 +2,10 @@
 
 Token embeddings + learned positions + a stack of small post-norm
 transformer encoder layers + first-token pooling + a linear softmax head.
-Every parameter lives in a flat named ``ParameterSet`` so the averaging and
-distillation machinery can treat whole models as vectors.
+A ``ParameterSet`` keeps every parameter in one contiguous vector, ``flat``,
+and hands out each named tensor as a view into it; ``encode`` and the tape
+see only the named views, while averaging, snapshots and the optimizer work
+on the whole vector at once.
 
 ``encode`` computes only what reaches the pooled vector: the last layer
 computes position 0 only, while its keys and values still see every
@@ -16,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,56 +59,95 @@ class ModelConfig:
             raise ConfigError(f"dropout_p must be in [0, 1), got {self.dropout_p}")
 
 
-class ParameterSet:
-    """Named flat map of parameter tensors with a group tag per entry.
+class Slot(NamedTuple):
+    """Where one named tensor sits in a ParameterSet's flat vector."""
 
-    Closed under elementwise linear combination: any two sets built from the
-    same ModelConfig share name order, shapes and dtypes.
+    name: str
+    offset: int
+    shape: tuple[int, ...]
+    group: str
+
+    @property
+    def stop(self) -> int:
+        return self.offset + math.prod(self.shape)
+
+
+class ParameterSet:
+    """Named parameter tensors stored in one contiguous vector.
+
+    ``flat`` holds every parameter; ``layout`` is the fixed tuple of
+    ``Slot`` entries (name, offset, shape, group) that cuts it into
+    tensors, in the order they were given. ``ps[name]`` is a ``Tensor`` whose ``data`` is a view
+    into ``flat``, so an in-place change through either one shows in the
+    other. Sets built from the same ModelConfig share the layout, which
+    makes averaging, snapshots and optimizer updates whole-vector
+    operations on ``flat``.
     """
 
     def __init__(self, tensors: dict[str, Tensor], groups: dict[str, str]):
         if set(tensors) != set(groups):
             raise ShapeError("tensor and group name sets differ")
-        self.tensors = dict(tensors)
-        self.groups = dict(groups)
+        if not tensors:
+            raise ShapeError("a parameter set needs at least one tensor")
+        dtypes = sorted({str(t.data.dtype) for t in tensors.values()})
+        if len(dtypes) > 1:
+            raise ShapeError(f"one flat vector holds one dtype, got {dtypes}")
+        layout, offset = [], 0
+        for name, t in tensors.items():
+            layout.append(Slot(name, offset, t.data.shape, groups[name]))
+            offset += t.data.size
+        self.layout = tuple(layout)
+        self._slots = {s.name: s for s in self.layout}
+        self._view(np.concatenate([t.data.ravel() for t in tensors.values()]))
+
+    def _view(self, flat: np.ndarray) -> None:
+        self.flat = flat
+        self._tensors = {
+            s.name: Tensor(flat[s.offset:s.stop].reshape(s.shape), is_param=True)
+            for s in self.layout
+        }
+
+    def with_flat(self, flat: np.ndarray) -> "ParameterSet":
+        """A set with this layout whose tensors view ``flat`` (not copied)."""
+        if flat.shape != self.flat.shape:
+            raise ShapeError(f"flat vector of shape {flat.shape} does not fit "
+                             f"a layout of size {self.flat.size}")
+        out = ParameterSet.__new__(ParameterSet)
+        out.layout, out._slots = self.layout, self._slots
+        out._view(flat)
+        return out
 
     def __getitem__(self, name: str) -> Tensor:
-        return self.tensors[name]
+        return self._tensors[name]
 
     def __iter__(self):
-        return iter(self.tensors)
+        return iter(self._tensors)
 
     def __len__(self) -> int:
-        return len(self.tensors)
+        return len(self._tensors)
 
     def names(self) -> list[str]:
-        return list(self.tensors)
+        return list(self._tensors)
 
     def items(self):
-        return self.tensors.items()
+        return self._tensors.items()
 
     def group(self, name: str) -> str:
-        return self.groups[name]
+        return self._slots[name].group
 
     def copy(self) -> "ParameterSet":
         """Deep copy detached from any tape (snapshots are constants)."""
-        return ParameterSet(
-            {n: Tensor(t.data.copy(), is_param=True) for n, t in self.tensors.items()},
-            dict(self.groups),
-        )
+        return self.with_flat(self.flat.copy())
 
     def compatible_with(self, other: "ParameterSet") -> bool:
-        return (
-            self.tensors.keys() == other.tensors.keys()
-            and all(self[n].data.shape == other[n].data.shape for n in self.tensors)
-        )
+        return self.layout == other.layout
 
     def require_compatible(self, other: "ParameterSet") -> None:
         if not self.compatible_with(other):
-            raise ShapeError("parameter sets have different name sets or shapes")
+            raise ShapeError("parameter sets have different layouts")
 
     def watch_on(self, tape: Tape) -> None:
-        tape.watch_all(self.tensors.values())
+        tape.watch_all(self._tensors.values())
 
 
 def init_params(config: ModelConfig, seed: int) -> ParameterSet:
@@ -254,23 +296,14 @@ def predict_proba(params: ParameterSet, batch, config: ModelConfig) -> np.ndarra
 
 
 def save_params(params: ParameterSet, path) -> None:
-    entries = []
-    blobs = []
-    for name, t in params.items():
-        arr = np.ascontiguousarray(t.data)
-        entries.append({
-            "name": name,
-            "shape": list(arr.shape),
-            "dtype": arr.dtype.str,
-            "group": params.group(name),
-        })
-        blobs.append(arr.tobytes())
+    dtype = params.flat.dtype.str
+    entries = [{"name": s.name, "shape": list(s.shape), "dtype": dtype,
+                "group": s.group} for s in params.layout]
     header = json.dumps({"format": _CHECKPOINT_MAGIC, "entries": entries},
                         sort_keys=True)
     with open(path, "wb") as fh:
         fh.write(header.encode("utf-8") + b"\n")
-        for blob in blobs:
-            fh.write(blob)
+        fh.write(params.flat.tobytes())
 
 
 def load_params(path) -> ParameterSet:
@@ -285,6 +318,10 @@ def load_params(path) -> ParameterSet:
                    for e in header["entries"]]
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise InputError(f"{path}: malformed checkpoint header: {exc}") from exc
+    dtypes = sorted({str(dtype) for _, _, dtype, _ in entries})
+    if len(dtypes) != 1:
+        raise InputError(f"{path}: a parameter set holds tensors of one dtype, "
+                         f"found {dtypes}")
     tensors: dict[str, Tensor] = {}
     groups: dict[str, str] = {}
     offset = 0
@@ -294,8 +331,8 @@ def load_params(path) -> ParameterSet:
         if len(raw) != nbytes:
             raise InputError(f"{path}: truncated checkpoint at {name}")
         offset += nbytes
-        arr = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
-        tensors[name] = Tensor(arr, is_param=True)
+        tensors[name] = Tensor(np.frombuffer(raw, dtype=dtype).reshape(shape),
+                               is_param=True)
         groups[name] = group
     if offset != len(body):
         raise InputError(f"{path}: {len(body) - offset} bytes after the last tensor")

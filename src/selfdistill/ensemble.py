@@ -18,20 +18,15 @@ from .errors import ShapeError, UsageError
 
 
 def average_parameters(sets: list[ParameterSet]) -> ParameterSet:
-    """Elementwise arithmetic mean per named tensor."""
+    """Elementwise arithmetic mean of the flat vectors, in list order."""
     if not sets:
         raise UsageError("average_parameters: empty list")
     first = sets[0]
     for other in sets[1:]:
         first.require_compatible(other)
-    out = first.copy()
-    for name in first:
-        # pairwise summation via np.mean keeps the mean of 2^k identical
-        # tensors bit-exact
-        out[name].data[...] = np.mean(
-            np.stack([s[name].data for s in sets], axis=0), axis=0
-        )
-    return out
+    # np.mean over axis 0 adds the rows in list order, then divides: the
+    # mean of 2^k identical vectors is bit-exact
+    return first.with_flat(np.mean(np.stack([s.flat for s in sets]), axis=0))
 
 
 @dataclass
@@ -120,9 +115,8 @@ def running_mean_update(rm: RunningMean, snapshot: ParameterSet) -> RunningMean:
         return rm
     rm.mean.require_compatible(snapshot)
     new_count = rm.count + 1
-    for name in rm.mean:
-        m = rm.mean[name].data
-        m += (snapshot[name].data - m) / new_count
+    m = rm.mean.flat
+    m += (snapshot.flat - m) / new_count
     rm.count = new_count
     return rm
 

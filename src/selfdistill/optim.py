@@ -1,5 +1,5 @@
 """AdamW with a linear warmup/decay schedule, two parameter groups, and
-gradient accumulation.
+gradient accumulation, all over the flat parameter vector.
 
 Decoupled weight decay is applied to weight matrices only; biases and
 layer-norm parameters (names whose last component is ``b`` or ``g``) are
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoder import GROUP_HEAD, ParameterSet
+from .encoder import GROUP_ENCODER, GROUP_HEAD, ParameterSet
 from .errors import ConfigError, ContractError
 
 GradMap = dict[str, np.ndarray]
@@ -49,12 +49,53 @@ def decay_applies(name: str) -> bool:
     return name.rsplit(".", 1)[-1] not in _NO_DECAY_SUFFIXES
 
 
+def flatten_grads(params: ParameterSet, grads: GradMap) -> np.ndarray:
+    """Concatenate a name -> gradient map in the layout order of ``params``.
+
+    The names and the shape of every gradient must match the parameters.
+    """
+    if set(grads) != set(params.names()):
+        missing = set(params.names()) - set(grads)
+        extra = set(grads) - set(params.names())
+        raise ContractError(
+            f"gradient names do not match parameters: missing={sorted(missing)}, "
+            f"extra={sorted(extra)}"
+        )
+    for slot in params.layout:
+        if grads[slot.name].shape != slot.shape:
+            raise ContractError(
+                f"gradient of {slot.name} has shape {grads[slot.name].shape}, "
+                f"the parameter {slot.shape}"
+            )
+    return np.concatenate([grads[slot.name].ravel() for slot in params.layout])
+
+
+def _runs(params: ParameterSet, key) -> list[tuple[int, int, object]]:
+    """(start, stop, key) over the maximal runs of adjacent slots sharing ``key``."""
+    runs: list[tuple[int, int, object]] = []
+    for slot in params.layout:
+        k = key(slot)
+        if runs and runs[-1][2] == k:
+            runs[-1] = (runs[-1][0], slot.stop, k)
+        else:
+            runs.append((slot.offset, slot.stop, k))
+    return runs
+
+
 @dataclass
 class OptimState:
-    """Moments, step counter and hyperparameters for one training run."""
+    """Moments, step counter and hyperparameters for one training run.
 
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    ``m`` and ``v`` are flat like ``ParameterSet.flat``. ``lr_runs`` holds
+    the (start, stop, group) offset runs of each learning-rate group and
+    ``decay_runs`` those of the weight-decayed tensors, both fixed by the
+    layout.
+    """
+
+    m: np.ndarray
+    v: np.ndarray
+    lr_runs: tuple[tuple[int, int, str], ...]
+    decay_runs: tuple[tuple[int, int, str], ...]
     t: int
     total_steps: int
     warmup_prop: float
@@ -70,9 +111,13 @@ class OptimState:
              lr_head: float, warmup_prop: float = 0.1, beta1: float = 0.9,
              beta2: float = 0.999, eps: float = 1e-8,
              weight_decay: float = 0.01) -> "OptimState":
+        decayed = _runs(params,
+                        lambda s: s.group if decay_applies(s.name) else None)
         return cls(
-            m={n: np.zeros_like(t.data) for n, t in params.items()},
-            v={n: np.zeros_like(t.data) for n, t in params.items()},
+            m=np.zeros_like(params.flat),
+            v=np.zeros_like(params.flat),
+            lr_runs=tuple(_runs(params, lambda s: s.group)),
+            decay_runs=tuple(run for run in decayed if run[2] is not None),
             t=0,
             total_steps=total_steps,
             warmup_prop=warmup_prop,
@@ -88,57 +133,50 @@ class OptimState:
         return self.lr_head if group == GROUP_HEAD else self.lr_encoder
 
 
-def adamw_step(params: ParameterSet, grads: GradMap, state: OptimState) -> float:
-    """One decoupled-weight-decay Adam update, in place.
+def adamw_step(params: ParameterSet, grads: np.ndarray, state: OptimState) -> float:
+    """One decoupled-weight-decay Adam update of ``params.flat``, in place.
 
-    Group learning rate is ``lr_at`` of the post-increment step counter, so
-    the first step trains at a nonzero (partially warmed) rate. Returns the
+    ``grads`` is a flat gradient vector (see ``flatten_grads``). Group
+    learning rate is ``lr_at`` of the post-increment step counter, so the
+    first step trains at a nonzero (partially warmed) rate. Returns the
     encoder-group learning rate used, for metrics.
     """
-    if set(grads) != set(params.names()):
-        missing = set(params.names()) - set(grads)
-        extra = set(grads) - set(params.names())
-        raise ContractError(
-            f"gradient names do not match parameters: missing={sorted(missing)}, "
-            f"extra={sorted(extra)}"
-        )
+    if grads.shape != params.flat.shape:
+        raise ContractError(f"gradient vector of shape {grads.shape} does not "
+                            f"match parameters of shape {params.flat.shape}")
     state.t += 1
     t = state.t
     bc1 = 1.0 - state.beta1 ** t
     bc2 = 1.0 - state.beta2 ** t
-    lr_used = {}
-    for name, tensor in params.items():
-        g = grads[name]
-        lr = lr_at(t, state.total_steps, state.base_lr(params.group(name)),
-                   state.warmup_prop)
-        lr_used[params.group(name)] = lr
-        m = state.m[name]
-        v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        update = (m / bc1) / (np.sqrt(v / bc2) + state.eps)
-        tensor.data -= lr * update
-        if state.weight_decay > 0.0 and decay_applies(name):
-            tensor.data -= lr * state.weight_decay * tensor.data
-    return lr_used.get("encoder", 0.0)
+    lr = {group: lr_at(t, state.total_steps, state.base_lr(group),
+                       state.warmup_prop)
+          for _, _, group in state.lr_runs}
+    m, v = state.m, state.v
+    m *= state.beta1
+    m += (1.0 - state.beta1) * grads
+    v *= state.beta2
+    v += (1.0 - state.beta2) * (grads * grads)
+    update = (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+    for start, stop, group in state.lr_runs:
+        update[start:stop] *= lr[group]
+    flat = params.flat
+    flat -= update
+    if state.weight_decay > 0.0:
+        for start, stop, group in state.decay_runs:
+            seg = flat[start:stop]
+            seg -= lr[group] * state.weight_decay * seg
+    return lr.get(GROUP_ENCODER, 0.0)
 
 
-def accumulate(micro_grads: list[GradMap], n_accum: int | None = None) -> GradMap:
-    """Elementwise mean of micro-batch gradient maps."""
+def accumulate(micro_grads: list[np.ndarray], n_accum: int | None = None) -> np.ndarray:
+    """Elementwise mean of flat micro-batch gradient vectors."""
     if not micro_grads:
-        raise ContractError("accumulate: no gradient maps given")
+        raise ContractError("accumulate: no gradient vectors given")
     if n_accum is not None and len(micro_grads) != n_accum:
         raise ContractError(
-            f"accumulate: expected {n_accum} gradient maps, got {len(micro_grads)}"
+            f"accumulate: expected {n_accum} gradient vectors, got {len(micro_grads)}"
         )
-    names = set(micro_grads[0])
-    for g in micro_grads[1:]:
-        if set(g) != names:
-            raise ContractError("accumulate: gradient maps have different name sets")
-    k = len(micro_grads)
-    return {
-        name: sum(g[name] for g in micro_grads) / k
-        for name in micro_grads[0]
-    }
+    shape = micro_grads[0].shape
+    if any(g.shape != shape for g in micro_grads[1:]):
+        raise ContractError("accumulate: gradient vectors have different shapes")
+    return sum(micro_grads) / len(micro_grads)

@@ -1,15 +1,17 @@
 """Encoder contracts: shapes, determinism, masking, gradients, checkpoints."""
 
+import json
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from selfdistill import autodiff as ad
-from selfdistill.autodiff import grad_check
+from selfdistill.autodiff import Tensor, grad_check
 from selfdistill.data import Batch
 from selfdistill.encoder import (
     ModelConfig,
+    ParameterSet,
     classify,
     encode,
     init_params,
@@ -17,7 +19,7 @@ from selfdistill.encoder import (
     predict_proba,
     save_params,
 )
-from selfdistill.errors import ConfigError, InputError
+from selfdistill.errors import ConfigError, InputError, ShapeError
 
 TINY = ModelConfig(vocab_size=50, max_len=10, dim=8, n_layers=1, n_heads=2,
                    ffn_dim=16, n_classes=4, dropout_p=0.0)
@@ -86,6 +88,36 @@ class TestInitParams:
         np.testing.assert_array_equal(params["enc0.ln1.g"].data, np.ones(TINY.dim))
         np.testing.assert_array_equal(params["enc0.ffn.b1"].data,
                                       np.zeros(TINY.ffn_dim))
+
+
+class TestFlatStorage:
+    def test_named_tensors_view_the_flat_vector(self):
+        params = init_params(TINY, seed=0)
+        assert params.flat.ndim == 1 and params.flat.flags.c_contiguous
+        assert params.flat.size == sum(t.data.size for _, t in params.items())
+        for slot in params.layout:
+            data = params[slot.name].data
+            assert np.shares_memory(data, params.flat)
+            np.testing.assert_array_equal(data.ravel(),
+                                          params.flat[slot.offset:slot.stop])
+        params["head.W"].data[0, 0] = 123.0
+        assert params.flat[params.layout[-1].offset] == 123.0
+
+    def test_copy_shares_no_memory(self):
+        params = init_params(TINY, seed=0)
+        clone = params.copy()
+        assert clone.layout == params.layout
+        assert not np.shares_memory(clone.flat, params.flat)
+        for name in params:
+            assert np.shares_memory(clone[name].data, clone.flat)
+            assert not np.shares_memory(clone[name].data, params.flat)
+        np.testing.assert_array_equal(clone.flat, params.flat)
+
+    def test_mixed_dtypes_are_rejected(self):
+        tensors = {"a.W": Tensor(np.zeros(2, dtype=np.float64)),
+                   "b.W": Tensor(np.zeros(2, dtype=np.float32))}
+        with pytest.raises(ShapeError, match="one dtype"):
+            ParameterSet(tensors, {"a.W": "encoder", "b.W": "encoder"})
 
 
 class TestEncode:
@@ -357,7 +389,7 @@ class TestGradients:
 
     def test_one_step_changes_logits(self):
         from selfdistill.autodiff import Tape, backward
-        from selfdistill.optim import OptimState, adamw_step
+        from selfdistill.optim import OptimState, adamw_step, flatten_grads
 
         rng = np.random.default_rng(10)
         params = init_params(TINY, seed=0)
@@ -370,7 +402,9 @@ class TestGradients:
         grads = backward(loss, tape)
         state = OptimState.init(params, total_steps=10, lr_encoder=1e-3,
                                 lr_head=5e-2)
-        adamw_step(params, {n: grads[t] for n, t in params.items()}, state)
+        adamw_step(params,
+                   flatten_grads(params, {n: grads[t] for n, t in params.items()}),
+                   state)
         after = classify(params, batch, TINY).data
         assert not np.allclose(before, after)
 
@@ -406,4 +440,14 @@ class TestCheckpoint:
         body = path.read_bytes().split(b"\n", 1)[1]
         path.write_bytes(b"not json\n" + body)
         with pytest.raises(InputError, match="malformed checkpoint header"):
+            load_params(path)
+
+    def test_rejects_mixed_dtypes(self, tmp_path):
+        entries = [{"name": "a.W", "shape": [2], "dtype": "<f8", "group": "encoder"},
+                   {"name": "b.W", "shape": [2], "dtype": "<f4", "group": "encoder"}]
+        header = json.dumps({"format": "selfdistill-params-v1", "entries": entries})
+        body = np.zeros(2, "<f8").tobytes() + np.zeros(2, "<f4").tobytes()
+        path = tmp_path / "mixed.ckpt"
+        path.write_bytes(header.encode() + b"\n" + body)
+        with pytest.raises(InputError, match="one dtype"):
             load_params(path)

@@ -1,7 +1,8 @@
 """Averaging, voting, ring buffer, and running-mean tests.
 
 Streaming teacher states are checked against materialized brute-force
-means at every step.
+means at every step, and the flat-vector averages against the per-tensor
+loops they replaced, bit for bit.
 """
 
 import numpy as np
@@ -21,6 +22,8 @@ from selfdistill.ensemble import (
     window_mean,
 )
 from selfdistill.errors import ShapeError, UsageError
+
+from test_acceptance import STABILITY_MODEL
 
 CFG = ModelConfig(vocab_size=60, max_len=8, dim=8, n_layers=1, n_heads=2,
                   ffn_dim=16, n_classes=2, dropout_p=0.0)
@@ -245,3 +248,40 @@ class TestRunningMean:
             np.testing.assert_allclose(rm.mean[name].data, oracle, rtol=1e-6,
                                        atol=1e-9)
 
+
+class TestFlatMatchesPerTensorLoops:
+    """200 snapshots on the acceptance layout (31 tensors, two groups)."""
+
+    @staticmethod
+    def stream(n=200):
+        rng = np.random.default_rng(21)
+        base = init_params(STABILITY_MODEL, seed=0)
+        for _ in range(n):
+            snap = base.copy()
+            for _, t in snap.items():
+                t.data[...] = rng.normal(0, 1, t.data.shape)
+            yield snap
+
+    def test_window_mean_equals_per_tensor_np_mean(self):
+        ring, recent = CheckpointRing(5), []
+        for snap in self.stream():
+            ring_push(ring, snap)
+            recent = (recent + [snap])[-5:]
+            mean = window_mean(ring)
+            for name in mean:
+                reference = np.mean(
+                    np.stack([s[name].data for s in recent], axis=0), axis=0)
+                np.testing.assert_array_equal(mean[name].data, reference)
+
+    def test_running_mean_update_equals_per_tensor_update(self):
+        rm, reference, count = RunningMean(), None, 0
+        for snap in self.stream():
+            running_mean_update(rm, snap)
+            count += 1
+            if reference is None:
+                reference = {n: t.data.copy() for n, t in snap.items()}
+            else:
+                for name, m in reference.items():
+                    m += (snap[name].data - m) / count
+            for name, m in reference.items():
+                np.testing.assert_array_equal(rm.mean[name].data, m)

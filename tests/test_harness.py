@@ -381,6 +381,38 @@ class TestCli:
         assert "bogus" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("spec,message", [
+        ({"n_classes": "4"}, "'n_classes' must be an integer, got '4'"),
+        ({"signal": "0.4"}, "'signal' must be a number, got '0.4'"),
+        ({"n_train": 2.5}, "'n_train' must be an integer, got 2.5"),
+        ({"n_test": True}, "'n_test' must be an integer, got True"),
+        ({"label_noise": None}, "'label_noise' must be a number, got None"),
+    ])
+    def test_wrongly_typed_spec_value_is_config_error(self, tmp_path, capsys,
+                                                      spec, message):
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps(spec))
+        out = tmp_path / "run"
+        code = cli_main(["train", *SMALL_CLI_ARGS, "--dataset", str(spec_file),
+                         "--out", str(out)])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_spec_accepts_int_for_float_and_null_test_noise(self, tmp_path):
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps({
+            "n_classes": 2, "vocab_span": 40, "tokens_per_example": 6,
+            "signal": 1, "label_noise": 0, "test_label_noise": None,
+            "n_train": 40, "n_test": 20,
+        }))
+        out = tmp_path / "run"
+        code = cli_main(["train", *SMALL_CLI_ARGS, "--dataset", str(spec_file),
+                         "--n-classes", "2", "--out", str(out)])
+        assert code == 0
+        spec = json.loads((out / "report.json").read_text())["config"]["dataset"]
+        assert spec["synthetic"]["signal"] == 1
+
     @pytest.mark.parametrize("command,flag,value", [
         ("sweep", "--seeds", "1,x"),
         ("sweep", "--grid", "0,x"),

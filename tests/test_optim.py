@@ -1,7 +1,8 @@
 """Schedule, AdamW update, and gradient accumulation tests.
 
 The AdamW trajectory is checked against an independent scripted reference
-implementation on a 1-D quadratic.
+implementation on a 1-D quadratic, and the flat update against the
+per-tensor loop it replaced, bit for bit.
 """
 
 import numpy as np
@@ -10,7 +11,16 @@ import pytest
 from selfdistill.autodiff import Tensor
 from selfdistill.encoder import ModelConfig, ParameterSet, init_params
 from selfdistill.errors import ConfigError, ContractError
-from selfdistill.optim import OptimState, accumulate, adamw_step, decay_applies, lr_at
+from selfdistill.optim import (
+    OptimState,
+    accumulate,
+    adamw_step,
+    decay_applies,
+    flatten_grads,
+    lr_at,
+)
+
+from test_acceptance import STABILITY_MODEL
 
 
 class TestLrSchedule:
@@ -53,7 +63,7 @@ class TestAdamW:
         params = single_param([2.0, -4.0])
         state = OptimState.init(params, total_steps=10, lr_encoder=0.1,
                                 lr_head=0.1, weight_decay=0.5)
-        lr = adamw_step(params, {"w.W": np.zeros(2)}, state)
+        lr = adamw_step(params, np.zeros(2), state)
         np.testing.assert_allclose(params["w.W"].data,
                                    np.array([2.0, -4.0]) * (1 - lr * 0.5),
                                    rtol=1e-15)
@@ -64,7 +74,7 @@ class TestAdamW:
         state = OptimState.init(params, total_steps=10, lr_encoder=0.01,
                                 lr_head=0.01, weight_decay=0.0)
         g = np.array([3.0, -0.25])
-        lr = adamw_step(params, {"w.W": g}, state)
+        lr = adamw_step(params, g, state)
         np.testing.assert_allclose(np.abs(params["w.W"].data), lr, rtol=1e-6)
         assert np.all(np.sign(params["w.W"].data) == -np.sign(g))
 
@@ -91,31 +101,30 @@ class TestAdamW:
                                 beta2=beta2, eps=eps, weight_decay=wd)
         for _ in range(total):
             g = params["w.W"].data - 3.0
-            adamw_step(params, {"w.W": g.copy()}, state)
+            adamw_step(params, g.copy(), state)
         assert params["w.W"].data[0] == pytest.approx(w_ref, abs=1e-10)
 
     def test_zero_lr_zero_decay_is_noop(self):
         params = single_param([1.0, 2.0])
         state = OptimState.init(params, total_steps=10, lr_encoder=0.0,
                                 lr_head=0.0, weight_decay=0.0)
-        adamw_step(params, {"w.W": np.array([5.0, -5.0])}, state)
+        adamw_step(params, np.array([5.0, -5.0]), state)
         np.testing.assert_array_equal(params["w.W"].data, [1.0, 2.0])
 
-    def test_name_set_contract(self):
+    def test_gradient_vector_shape_contract(self):
         params = single_param([1.0])
         state = OptimState.init(params, total_steps=10, lr_encoder=0.1,
                                 lr_head=0.1)
-        with pytest.raises(ContractError, match="missing"):
-            adamw_step(params, {}, state)
-        with pytest.raises(ContractError, match="extra"):
-            adamw_step(params, {"w.W": np.zeros(1), "other": np.zeros(1)}, state)
+        with pytest.raises(ContractError, match="does not match"):
+            adamw_step(params, np.zeros(2), state)
+        assert state.t == 0
 
     def test_step_counter_increments_by_one(self):
         params = single_param([1.0])
         state = OptimState.init(params, total_steps=10, lr_encoder=0.1,
                                 lr_head=0.1)
         for expected in (1, 2, 3):
-            adamw_step(params, {"w.W": np.ones(1)}, state)
+            adamw_step(params, np.ones(1), state)
             assert state.t == expected
 
     def test_head_group_uses_head_lr(self):
@@ -126,7 +135,7 @@ class TestAdamW:
                                 lr_head=1.0, weight_decay=0.0)
         before = params["tok_emb"].data.copy()
         grads = {n: np.ones_like(t.data) for n, t in params.items()}
-        adamw_step(params, grads, state)
+        adamw_step(params, flatten_grads(params, grads), state)
         np.testing.assert_array_equal(params["tok_emb"].data, before)
         assert not np.allclose(params["head.W"].data,
                                init_params(cfg, seed=0)["head.W"].data)
@@ -143,27 +152,112 @@ class TestDecayMask:
         assert not decay_applies("enc0.ffn.b1")
 
 
+class TestFlattenGrads:
+    def test_name_set_contract(self):
+        params = single_param([1.0])
+        with pytest.raises(ContractError, match="missing"):
+            flatten_grads(params, {})
+        with pytest.raises(ContractError, match="extra"):
+            flatten_grads(params, {"w.W": np.zeros(1), "other": np.zeros(1)})
+
+    def test_shape_contract(self):
+        params = single_param([1.0, 2.0])
+        with pytest.raises(ContractError, match="w.W"):
+            flatten_grads(params, {"w.W": np.zeros((2, 1))})
+
+    def test_layout_order(self):
+        params = init_params(ModelConfig(vocab_size=20, max_len=4, dim=4,
+                                         n_layers=1, n_heads=1, ffn_dim=8,
+                                         n_classes=2, dropout_p=0.0), seed=0)
+        grads = {n: np.full(t.data.shape, float(i))
+                 for i, (n, t) in enumerate(params.items())}
+        flat = flatten_grads(params, dict(reversed(list(grads.items()))))
+        for slot in params.layout:
+            np.testing.assert_array_equal(flat[slot.offset:slot.stop],
+                                          grads[slot.name].ravel())
+
+
+class ReferenceAdamW:
+    """The per-tensor AdamW loop that the flat update replaced."""
+
+    def __init__(self, params: ParameterSet, state: OptimState):
+        self.p = {n: t.data.copy() for n, t in params.items()}
+        self.group = {n: params.group(n) for n in params}
+        self.m = {n: np.zeros_like(a) for n, a in self.p.items()}
+        self.v = {n: np.zeros_like(a) for n, a in self.p.items()}
+        self.t = 0
+        self.hp = state
+
+    def step(self, grads) -> float:
+        s = self.hp
+        self.t += 1
+        t = self.t
+        bc1 = 1.0 - s.beta1 ** t
+        bc2 = 1.0 - s.beta2 ** t
+        lr_used = {}
+        for name, p in self.p.items():
+            g = grads[name]
+            lr = lr_at(t, s.total_steps, s.base_lr(self.group[name]),
+                       s.warmup_prop)
+            lr_used[self.group[name]] = lr
+            m, v = self.m[name], self.v[name]
+            m *= s.beta1
+            m += (1.0 - s.beta1) * g
+            v *= s.beta2
+            v += (1.0 - s.beta2) * (g * g)
+            update = (m / bc1) / (np.sqrt(v / bc2) + s.eps)
+            p -= lr * update
+            if s.weight_decay > 0.0 and decay_applies(name):
+                p -= lr * s.weight_decay * p
+        return lr_used.get("encoder", 0.0)
+
+
+class TestFlatAdamWMatchesPerTensorLoop:
+    def test_200_steps_bit_identical_on_stability_layout(self):
+        """Both groups, decayed and exempt tensors, warmup and decay."""
+        params = init_params(STABILITY_MODEL, seed=0)
+        groups = {params.group(n) for n in params}
+        decays = {decay_applies(n) for n in params}
+        assert groups == {"encoder", "head"} and decays == {True, False}
+        state = OptimState.init(params, total_steps=200, lr_encoder=1e-3,
+                                lr_head=5e-2, weight_decay=0.01)
+        ref = ReferenceAdamW(params, state)
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            grads = {n: rng.normal(0.0, 1.0, t.data.shape)
+                     for n, t in params.items()}
+            lr = adamw_step(params, flatten_grads(params, grads), state)
+            assert lr == ref.step(grads)
+            for name, t in params.items():
+                np.testing.assert_array_equal(t.data, ref.p[name])
+        for slot in params.layout:
+            np.testing.assert_array_equal(state.m[slot.offset:slot.stop],
+                                          ref.m[slot.name].ravel())
+            np.testing.assert_array_equal(state.v[slot.offset:slot.stop],
+                                          ref.v[slot.name].ravel())
+
+
 class TestAccumulate:
     def test_single_map_is_identity(self):
-        g = {"a": np.array([1.0, 2.0])}
-        out = accumulate([g], 1)
-        np.testing.assert_array_equal(out["a"], g["a"])
+        g = np.array([1.0, 2.0])
+        np.testing.assert_array_equal(accumulate([g], 1), g)
 
     def test_mean_of_equal_maps(self):
-        g = {"a": np.array([1.0, -2.0])}
-        out = accumulate([g, g, g, g], 4)
-        np.testing.assert_array_equal(out["a"], g["a"])
+        g = np.array([1.0, -2.0])
+        np.testing.assert_array_equal(accumulate([g, g, g, g], 4), g)
 
     def test_cancellation(self):
-        g = {"a": np.array([3.0])}
-        neg = {"a": np.array([-3.0])}
-        out = accumulate([g, neg])
-        np.testing.assert_array_equal(out["a"], np.zeros(1))
+        out = accumulate([np.array([3.0]), np.array([-3.0])])
+        np.testing.assert_array_equal(out, np.zeros(1))
 
-    def test_name_set_mismatch(self):
+    def test_shape_mismatch(self):
         with pytest.raises(ContractError):
-            accumulate([{"a": np.zeros(1)}, {"b": np.zeros(1)}])
+            accumulate([np.zeros(1), np.zeros(2)])
 
     def test_count_mismatch(self):
         with pytest.raises(ContractError):
-            accumulate([{"a": np.zeros(1)}], 2)
+            accumulate([np.zeros(1)], 2)
+
+    def test_empty(self):
+        with pytest.raises(ContractError):
+            accumulate([])
