@@ -46,7 +46,7 @@ for value in table.grid:
     print(f"  K={value}: test error {cell['mean_test_error']:.3f}")
 
 print("\nvoted vs averaged ensemble over 3 seeds:")
-report = ensemble_experiment(config, 3, seeds=[0, 1, 2])
+report = ensemble_experiment(config, seeds=[0, 1, 2])
 for i, metrics in enumerate(report.individual):
     print(f"  member {i}: test error {metrics['test_error']:.3f}")
 print(f"  voted   : test error {report.voted['test_error']:.3f}")

@@ -55,7 +55,7 @@ from .errors import (
     ShapeError,
     UsageError,
 )
-from .optim import OptimState, accumulate, adamw_step, flatten_grads, lr_at
+from .optim import OptimState, accumulate, adamw_step, lr_at
 from .reporting import RunReport, StabilityResult, SweepTable
 
 __version__ = "0.1.0"

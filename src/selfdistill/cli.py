@@ -248,7 +248,8 @@ def build_parser() -> _Parser:
     p_train = sub.add_parser("train", help="one fine-tuning run")
     _add_train_flags(p_train)
 
-    p_sweep = sub.add_parser("sweep", help="grid sweep over lambda or K")
+    p_sweep = sub.add_parser("sweep",
+                             help="grid sweep over lambda or K (--mode sda|sdv)")
     _add_train_flags(p_sweep)
     _add(p_sweep, "axis", choices=["lambda", "k"], default="lambda")
     _add(p_sweep, "grid", default=None,
@@ -257,7 +258,6 @@ def build_parser() -> _Parser:
 
     p_ens = sub.add_parser("ensemble", help="voted + averaged ensembles")
     _add_train_flags(p_ens)
-    _add(p_ens, "n-models", type=int, default=4)
     _add(p_ens, "seeds", default="0,1,2,3", help="comma-separated seeds")
 
     p_stab = sub.add_parser("stability", help="data-order stability study")
@@ -307,8 +307,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_ensemble(args) -> int:
     config = _experiment_config(args)
-    report = ensemble_experiment(config, args.n_models,
-                                 _parse_int_list("--seeds", args.seeds))
+    report = ensemble_experiment(config, _parse_int_list("--seeds", args.seeds))
     paths = emit_report(report, args.out)
     print(f"wrote {', '.join(str(p) for p in paths)}")
     print(render_summary(args.out))

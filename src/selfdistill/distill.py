@@ -51,7 +51,7 @@ from .ensemble import (
     window_mean,
 )
 from .errors import ConfigError, DivergenceError, InputError, UsageError
-from .optim import OptimState, accumulate, adamw_step, flatten_grads, lr_at
+from .optim import OptimState, accumulate, adamw_step, lr_at
 from .reporting import EpochPoint, RunReport, StepPoint
 
 TEACHER_ALL = "all"
@@ -106,6 +106,19 @@ class TrainConfig:
             raise ConfigError("micro_batch and accum_steps must be >= 1")
         if self.select_by not in ("final", "best_dev"):
             raise ConfigError(f"select_by {self.select_by!r} not understood")
+        for name in ("lr_encoder", "lr_head", "weight_decay"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ConfigError(f"{name} must be finite and >= 0, got {value}")
+        if not 0.0 < self.warmup_prop < 1.0:
+            raise ConfigError(f"warmup_prop must be in (0, 1), got {self.warmup_prop}")
+        if self.eval_batch_size < 1:
+            raise ConfigError("eval_batch_size must be >= 1")
+        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
+            raise ConfigError(f"beta1 and beta2 must be in [0, 1), got "
+                              f"{self.beta1} and {self.beta2}")
+        if not self.eps > 0.0:
+            raise ConfigError(f"eps must be > 0, got {self.eps}")
 
 
 @dataclass
@@ -118,10 +131,11 @@ class TrainState:
     params: ParameterSet
     opt: OptimState
     dropout_rng: np.random.Generator
+    grad_sum: np.ndarray               # flat, lines up with params.flat
     step: int = 0                      # optimizer steps completed
     ring: CheckpointRing | None = None
     rmean: RunningMean | None = None
-    pending: list = field(default_factory=list)   # flat micro-batch gradients
+    pending: int = 0                   # micro-batches summed in grad_sum
     # the last window_mean(ring), valid while ring.insertions == teacher_at
     teacher: ParameterSet | None = None
     teacher_at: int = -1
@@ -135,7 +149,6 @@ class StepMetrics:
     ce: float
     mse: float
     lr: float
-    stepped: bool
 
 
 @dataclass
@@ -169,6 +182,7 @@ def make_train_state(model_config: ModelConfig, distill_config: DistillConfig,
         params=params,
         opt=opt,
         dropout_rng=np.random.default_rng([seed, 1]),
+        grad_sum=np.zeros_like(params.flat),
     )
     if distill_config.mode == "sda" and distill_config.teacher_size == TEACHER_ALL:
         state.rmean = running_mean_update(RunningMean(), params)
@@ -264,26 +278,23 @@ def train_step(state: TrainState, batch, force_flush: bool = False) -> StepMetri
             f"(ce={ce_val}, mse={mse_val})"
         )
 
-    grads = ad.backward(total, tape)
-    state.pending.append(flatten_grads(
-        state.params, {name: grads[t] for name, t in state.params.items()}))
+    accumulate(state.params, ad.backward(total, tape), state.grad_sum)
+    state.pending += 1
 
-    stepped = False
     lr = lr_at(min(state.opt.t + 1, state.opt.total_steps), state.opt.total_steps,
                state.opt.lr_encoder, state.opt.warmup_prop)
-    if len(state.pending) >= state.train_config.accum_steps or force_flush:
-        mean_grads = accumulate(state.pending, len(state.pending))
-        lr = adamw_step(state.params, mean_grads, state.opt)
-        state.pending.clear()
+    if state.pending >= state.train_config.accum_steps or force_flush:
+        lr = adamw_step(state.params, state.grad_sum / state.pending, state.opt)
+        state.grad_sum.fill(0.0)
+        state.pending = 0
         state.step += 1
-        stepped = True
         if cfg.mode in ("sda", "sdv") and state.step % cfg.snapshot_every == 0:
             snapshot = state.params.copy()
             if cfg.mode == "sda" and cfg.teacher_size == TEACHER_ALL:
                 running_mean_update(state.rmean, snapshot)
             else:
                 ring_push(state.ring, snapshot)
-    return StepMetrics(ce=ce_val, mse=mse_val, lr=lr, stepped=stepped)
+    return StepMetrics(ce=ce_val, mse=mse_val, lr=lr)
 
 
 def evaluate_params(params: ParameterSet, config: ModelConfig, split, vocab,

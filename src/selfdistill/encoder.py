@@ -229,7 +229,7 @@ def encode(params: ParameterSet, batch, config: ModelConfig,
     dh = d // n_heads
 
     x = ad.add(ad.embedding(params["tok_emb"], ids),
-               ad.narrow_rows(params["pos_emb"], length))
+               ad.take(params["pos_emb"], slice(length)))
     if p > 0.0:
         x = ad.dropout(x, p, rng)
 
@@ -246,7 +246,7 @@ def encode(params: ParameterSet, batch, config: ModelConfig,
         # the head reads position 0 only, so the last layer's queries and
         # everything after attention run on that position as [B, d] rows
         last = i == config.n_layers - 1
-        xq = ad.select_position(x, 0) if last else x
+        xq = ad.take(x, (slice(None), 0)) if last else x
         q = ad.linear(xq, w("attn.wq"), w("attn.bq"))
         q = ad.reshape(q, (b, n_heads, 1, dh)) if last else heads(q)
         k = heads(ad.linear(x, w("attn.wk")))

@@ -8,7 +8,7 @@ report from flat CSV curve files so external plotting never parses JSON.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -148,13 +148,11 @@ class EnsembleReport:
         }
 
 
-def ensemble_experiment(config: ExperimentConfig, n_models: int,
+def ensemble_experiment(config: ExperimentConfig,
                         seeds: list[int]) -> EnsembleReport:
-    """Fine-tune n models from different seeds; evaluate voting and averaging."""
-    if n_models < 1:
-        raise ConfigError("n_models must be >= 1")
-    if len(seeds) != n_models:
-        raise ConfigError(f"need {n_models} seeds, got {len(seeds)}")
+    """Fine-tune one model per seed; evaluate voting and averaging."""
+    if not seeds:
+        raise ConfigError("an ensemble needs at least one seed")
     task = build_task(config)
     members: list[ParameterSet] = []
     reports: list[RunReport] = []
@@ -188,6 +186,7 @@ def sweep(base_config: ExperimentConfig, axis: str, grid: list,
           seeds: list[int]) -> SweepTable:
     """One run per (grid cell, seed); cell metric is the mean over seeds.
 
+    Each cell replaces one field of the sda or sdv ``base_config.distill``.
     A diverged run marks its cell entry failed with a diagnostic and the
     sweep continues.
     """
@@ -195,21 +194,19 @@ def sweep(base_config: ExperimentConfig, axis: str, grid: list,
         raise ConfigError(f"sweep axis must be 'lambda' or 'k', got {axis!r}")
     if not grid or not seeds:
         raise ConfigError("sweep needs a non-empty grid and seed list")
+    dc = base_config.distill
+    if dc.mode == "baseline":
+        raise ConfigError("sweep varies the teacher's lambda or K, so it needs "
+                          "mode sda or sdv, not baseline")
     task = build_task(base_config)
     table = SweepTable(axis=axis, grid=list(grid), seeds=list(seeds))
     for value in grid:
-        dc = base_config.distill
-        mode = dc.mode if dc.mode != "baseline" else "sda"
         try:
             if axis == "lambda":
-                distill = DistillConfig(mode=mode, lam=float(value),
-                                        teacher_size=dc.teacher_size,
-                                        snapshot_every=dc.snapshot_every)
+                distill = replace(dc, lam=float(value))
             else:
-                size = value if value == "all" else int(value)
-                distill = DistillConfig(mode=mode, lam=dc.lam,
-                                        teacher_size=size,
-                                        snapshot_every=dc.snapshot_every)
+                distill = replace(dc, teacher_size=value if value == "all"
+                                  else int(value))
         except SelfDistillError as exc:
             table.cells[str(value)] = {"failed": str(exc), "per_seed": {}}
             continue

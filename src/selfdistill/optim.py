@@ -14,10 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .autodiff import Tensor
 from .encoder import GROUP_ENCODER, GROUP_HEAD, ParameterSet
 from .errors import ConfigError, ContractError
-
-GradMap = dict[str, np.ndarray]
 
 
 def lr_at(step: int, total_steps: int, base_lr: float, warmup_prop: float) -> float:
@@ -47,27 +46,6 @@ _NO_DECAY_SUFFIXES = {"b", "g", "bq", "bk", "bv", "bo", "b1", "b2"}
 def decay_applies(name: str) -> bool:
     """Weight matrices decay; biases and layer-norm gains/offsets do not."""
     return name.rsplit(".", 1)[-1] not in _NO_DECAY_SUFFIXES
-
-
-def flatten_grads(params: ParameterSet, grads: GradMap) -> np.ndarray:
-    """Concatenate a name -> gradient map in the layout order of ``params``.
-
-    The names and the shape of every gradient must match the parameters.
-    """
-    if set(grads) != set(params.names()):
-        missing = set(params.names()) - set(grads)
-        extra = set(grads) - set(params.names())
-        raise ContractError(
-            f"gradient names do not match parameters: missing={sorted(missing)}, "
-            f"extra={sorted(extra)}"
-        )
-    for slot in params.layout:
-        if grads[slot.name].shape != slot.shape:
-            raise ContractError(
-                f"gradient of {slot.name} has shape {grads[slot.name].shape}, "
-                f"the parameter {slot.shape}"
-            )
-    return np.concatenate([grads[slot.name].ravel() for slot in params.layout])
 
 
 def _runs(params: ParameterSet, key) -> list[tuple[int, int, object]]:
@@ -136,7 +114,7 @@ class OptimState:
 def adamw_step(params: ParameterSet, grads: np.ndarray, state: OptimState) -> float:
     """One decoupled-weight-decay Adam update of ``params.flat``, in place.
 
-    ``grads`` is a flat gradient vector (see ``flatten_grads``). Group
+    ``grads`` is a flat gradient vector (see ``accumulate``). Group
     learning rate is ``lr_at`` of the post-increment step counter, so the
     first step trains at a nonzero (partially warmed) rate. Returns the
     encoder-group learning rate used, for metrics.
@@ -168,15 +146,23 @@ def adamw_step(params: ParameterSet, grads: np.ndarray, state: OptimState) -> fl
     return lr.get(GROUP_ENCODER, 0.0)
 
 
-def accumulate(micro_grads: list[np.ndarray], n_accum: int | None = None) -> np.ndarray:
-    """Elementwise mean of flat micro-batch gradient vectors."""
-    if not micro_grads:
-        raise ContractError("accumulate: no gradient vectors given")
-    if n_accum is not None and len(micro_grads) != n_accum:
-        raise ContractError(
-            f"accumulate: expected {n_accum} gradient vectors, got {len(micro_grads)}"
-        )
-    shape = micro_grads[0].shape
-    if any(g.shape != shape for g in micro_grads[1:]):
-        raise ContractError("accumulate: gradient vectors have different shapes")
-    return sum(micro_grads) / len(micro_grads)
+def accumulate(params: ParameterSet, grads: dict[Tensor, np.ndarray],
+               into: np.ndarray) -> None:
+    """Add one micro-batch's gradients to the flat vector ``into``, in place.
+
+    ``grads`` maps each tensor of ``params`` to its gradient, as ``backward``
+    returns them; they are concatenated in layout order, so ``into`` lines
+    up with ``params.flat``. Every shape must match its parameter.
+    """
+    if into.shape != params.flat.shape:
+        raise ContractError(f"gradient buffer of shape {into.shape} does not "
+                            f"match parameters of shape {params.flat.shape}")
+    parts = []
+    for slot in params.layout:
+        g = grads.get(params[slot.name])
+        shape = None if g is None else g.shape
+        if shape != slot.shape:
+            raise ContractError(f"gradient of {slot.name} has shape {shape}, "
+                                f"the parameter {slot.shape}")
+        parts.append(g.ravel())
+    into += np.concatenate(parts)

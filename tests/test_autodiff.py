@@ -6,6 +6,7 @@ and central finite differences.
 """
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -258,6 +259,19 @@ class TestBackward:
         grads = backward(ad.mse(x, Tensor(np.zeros(3))), tape)
         np.testing.assert_array_equal(grads[unused], np.zeros(4))
 
+    def test_backward_releases_the_graph(self):
+        """Intermediates die with their last reference, not at the next
+        cyclic garbage collection."""
+        tape = Tape()
+        x = tape.watch(Tensor(np.ones(3), is_param=True))
+        hidden = ad.mul(x, x)
+        alive = weakref.ref(hidden.data)
+        loss = ad.mse(hidden, Tensor(np.zeros(3)))
+        del hidden
+        backward(loss, tape)
+        assert len(tape) == 0
+        assert alive() is None
+
     def test_closed_tape_ops_are_constants(self):
         """After backward, forwards with the same tensors record nothing."""
         tape = Tape()
@@ -325,3 +339,64 @@ class TestDropout:
         grads = backward(ad.mse(out, Tensor(np.zeros((4, 4)))), tape)
         # gradient is zero exactly where the activation was dropped
         np.testing.assert_array_equal(grads[x] == 0.0, out.data == 0.0)
+
+
+class TestTake:
+    def test_forward_is_the_basic_index(self):
+        a = Tensor(np.arange(24.0).reshape(2, 4, 3))
+        np.testing.assert_array_equal(ad.take(a, (slice(None), 1)).data,
+                                      a.data[:, 1, :])
+        np.testing.assert_array_equal(ad.take(a, slice(1)).data, a.data[:1])
+
+    def test_row_slice_of_a_2d_tensor_matches_fd(self):
+        rng = np.random.default_rng(11)
+        a = Tensor(rng.normal(0, 1, (5, 4)), is_param=True)
+        target = Tensor(rng.normal(0, 1, (3, 4)))
+        err = grad_check(lambda: ad.mse(ad.take(a, slice(3)), target), [a])
+        assert err < 1e-6
+
+    def test_position_of_a_3d_tensor_matches_fd(self):
+        rng = np.random.default_rng(12)
+        a = Tensor(rng.normal(0, 1, (2, 4, 3)), is_param=True)
+        target = Tensor(rng.normal(0, 1, (2, 3)))
+        err = grad_check(
+            lambda: ad.mse(ad.take(a, (slice(None), 1)), target), [a])
+        assert err < 1e-6
+
+
+class TestRecord:
+    """A node keeps a (tensor, vjp) pair only for inputs its tape tracks."""
+
+    @staticmethod
+    def _inputs_of_last_node(tape):
+        _, pairs = tape._nodes[-1]
+        return [t for t, _ in pairs]
+
+    def test_add_with_a_constant(self):
+        tape = Tape()
+        x = tape.watch(Tensor(np.ones(3), is_param=True))
+        c = Tensor(np.full(3, 2.0))
+        ad.add(x, c)
+        assert self._inputs_of_last_node(tape) == [x]
+        ad.add(c, x)
+        assert self._inputs_of_last_node(tape) == [x]
+
+    def test_linear_without_bias(self):
+        rng = np.random.default_rng(13)
+        tape = Tape()
+        x = Tensor(rng.normal(0, 1, (2, 4)))
+        w = tape.watch(Tensor(rng.normal(0, 1, (4, 3)), is_param=True))
+        ad.linear(x, w)
+        assert self._inputs_of_last_node(tape) == [w]
+
+    def test_mse_against_a_constant_teacher(self):
+        rng = np.random.default_rng(14)
+        old = Tape()
+        teacher = ad.mul(old.watch(Tensor(rng.normal(0, 1, (2, 3)))), 1.0)
+        backward(ad.mse(teacher, Tensor(np.zeros((2, 3)))), old)
+        tape = Tape()
+        x = tape.watch(Tensor(rng.normal(0, 1, (2, 3)), is_param=True))
+        student = ad.mul(x, 2.0)
+        for constant in (teacher, Tensor(rng.normal(0, 1, (2, 3)))):
+            ad.mse(student, constant)
+            assert self._inputs_of_last_node(tape) == [student]

@@ -5,6 +5,8 @@ The weight-off (lambda=0) and K=1 equivalences are exact-trajectory
 properties checked bit-for-bit over real multi-step runs.
 """
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,7 @@ from selfdistill.distill import (
 )
 from selfdistill.encoder import ModelConfig, classify, init_params
 from selfdistill.ensemble import average_parameters, ring_push
+from selfdistill.optim import adamw_step
 from selfdistill.errors import ConfigError, InputError, UsageError
 
 MODEL = ModelConfig(vocab_size=120, max_len=12, dim=16, n_layers=1, n_heads=2,
@@ -69,6 +72,22 @@ class TestDistillConfig:
     def test_unknown_mode(self):
         with pytest.raises(ConfigError):
             DistillConfig(mode="distill-harder")
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("field,value", [
+        ("lr_encoder", -1e-3), ("lr_head", float("nan")),
+        ("weight_decay", -5.0), ("weight_decay", float("inf")),
+        ("warmup_prop", 0.0), ("warmup_prop", 1.0), ("eval_batch_size", 0),
+        ("beta1", 1.0), ("beta2", -0.1), ("eps", 0.0),
+    ])
+    def test_out_of_range_optimizer_setting_is_config_error(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            TrainConfig(**{field: value})
+
+    def test_zero_learning_rates_and_decay_are_valid(self):
+        TrainConfig(lr_encoder=0.0, lr_head=0.0, weight_decay=0.0, beta1=0.0,
+                    beta2=0.0)
 
 
 class TestSdaTeacher:
@@ -440,6 +459,47 @@ class TestTrainStep:
         from selfdistill.errors import DivergenceError
         with pytest.raises(DivergenceError):
             train_step(state, batch)
+
+
+class TestGradientAccumulation:
+    """train_step's flat gradient buffer against adamw_step on gradients
+    flattened and averaged by hand, bit for bit."""
+
+    @staticmethod
+    def _hand_grads(params, batch, rng):
+        tape = Tape()
+        logits = classify(params, batch, MODEL, train_mode=True, tape=tape,
+                          rng=rng)
+        grads = ad.backward(ad.cross_entropy(logits, batch.labels), tape)
+        return np.concatenate([grads[params[slot.name]].ravel()
+                               for slot in params.layout])
+
+    @pytest.mark.parametrize("n_micro,force_flush", [(2, False), (1, True)])
+    def test_one_optimizer_step_matches_hand_averaged_gradients(
+            self, n_micro, force_flush):
+        task = small_task()
+        state = make_train_state(MODEL, DistillConfig(),
+                                 TrainConfig(epochs=1, micro_batch=4,
+                                             accum_steps=2),
+                                 n_train=len(task.train), seed=3)
+        params = state.params.copy()
+        opt = copy.deepcopy(state.opt)
+        rng = copy.deepcopy(state.dropout_rng)
+        batches = [make_batch(task.train.examples[4 * i:4 * i + 4], task.vocab,
+                              MODEL.max_len) for i in range(n_micro)]
+        hand = [self._hand_grads(params, batch, rng) for batch in batches]
+        lr = adamw_step(params, sum(hand[1:], hand[0]) / n_micro, opt)
+
+        for i, batch in enumerate(batches):
+            assert state.step == 0
+            metrics = train_step(state, batch,
+                                 force_flush=force_flush and i == n_micro - 1)
+        assert state.step == 1 and state.pending == 0
+        assert metrics.lr == lr
+        assert state.params.flat.tobytes() == params.flat.tobytes()
+        assert state.opt.m.tobytes() == opt.m.tobytes()
+        assert state.opt.v.tobytes() == opt.v.tobytes()
+        assert not state.grad_sum.any()
 
 
 class TestFineTune:

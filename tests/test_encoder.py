@@ -217,8 +217,8 @@ class TestClassify:
         The first layer records 25 nodes (q 3, k 3, v 3, scores 3, mask add
         and softmax 2, context 3, output 1, two residual adds and two layer
         norms 4, ffn 3). The last layer records 24: it computes position 0
-        only, so q is select, linear and reshape (3) and the context needs
-        no transpose (2), and its select is the pooling. Plus 3 for the
+        only, so q is take, linear and reshape (3) and the context needs
+        no transpose (2), and its take is the pooling. Plus 3 for the
         embeddings and 2 for the head.
         """
         from selfdistill.autodiff import Tape
@@ -389,7 +389,7 @@ class TestGradients:
 
     def test_one_step_changes_logits(self):
         from selfdistill.autodiff import Tape, backward
-        from selfdistill.optim import OptimState, adamw_step, flatten_grads
+        from selfdistill.optim import OptimState, accumulate, adamw_step
 
         rng = np.random.default_rng(10)
         params = init_params(TINY, seed=0)
@@ -399,12 +399,11 @@ class TestGradients:
         loss = ad.cross_entropy(
             classify(params, batch, TINY, train_mode=True, tape=tape),
             batch.labels)
-        grads = backward(loss, tape)
+        flat_grads = np.zeros_like(params.flat)
+        accumulate(params, backward(loss, tape), flat_grads)
         state = OptimState.init(params, total_steps=10, lr_encoder=1e-3,
                                 lr_head=5e-2)
-        adamw_step(params,
-                   flatten_grads(params, {n: grads[t] for n, t in params.items()}),
-                   state)
+        adamw_step(params, flat_grads, state)
         after = classify(params, batch, TINY).data
         assert not np.allclose(before, after)
 

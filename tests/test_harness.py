@@ -17,6 +17,7 @@ from selfdistill.data import (
 )
 from selfdistill.distill import DistillConfig, TrainConfig, evaluate_params
 from selfdistill.encoder import ModelConfig, init_params
+from selfdistill.errors import ConfigError
 from selfdistill.harness import (
     DatasetConfig,
     ExperimentConfig,
@@ -132,12 +133,12 @@ class TestRunExperiment:
 
 class TestEnsembleExperiment:
     def test_single_model_degenerates(self):
-        report = ensemble_experiment(fast_config(), 1, [3])
+        report = ensemble_experiment(fast_config(), [3])
         assert report.voted == report.individual[0]
         assert report.averaged == report.individual[0]
 
     def test_equal_seeds_collapse_to_single_model(self):
-        report = ensemble_experiment(fast_config(), 3, [5, 5, 5])
+        report = ensemble_experiment(fast_config(), [5, 5, 5])
         assert report.voted == report.individual[0]
         assert report.averaged == report.individual[0]
         assert report.individual[0] == report.individual[1] == report.individual[2]
@@ -155,7 +156,7 @@ class TestEnsembleExperiment:
                       seed=s, data_seed=s).student
             for s in (0, 1)
         ]
-        report = ensemble_experiment(config, 2, [0, 1])
+        report = ensemble_experiment(config, [0, 1])
 
         correct = 0
         for batch in iter_batches(task.test, task.vocab, MODEL.max_len, 64):
@@ -167,12 +168,24 @@ class TestEnsembleExperiment:
         assert report.voted["test_accuracy"] == pytest.approx(oracle_acc,
                                                               abs=1e-12)
 
-    def test_seed_count_mismatch(self):
-        with pytest.raises(Exception, match="seeds"):
-            ensemble_experiment(fast_config(), 3, [0, 1])
+    def test_empty_seed_list(self):
+        with pytest.raises(ConfigError, match="at least one seed"):
+            ensemble_experiment(fast_config(), [])
 
 
 class TestSweep:
+    def test_baseline_mode_is_config_error_before_any_run(self, monkeypatch):
+        import selfdistill.harness as harness
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("sweep started work on a baseline config")
+
+        monkeypatch.setattr(harness, "build_task", no_work)
+        monkeypatch.setattr(harness, "fine_tune", no_work)
+        for axis, grid in (("lambda", [1.0]), ("k", [1])):
+            with pytest.raises(ConfigError, match="baseline"):
+                sweep(fast_config(), axis, grid, [0])
+
     def test_grid_of_one(self):
         config = fast_config(distill=DistillConfig(mode="sda", teacher_size=2))
         table = sweep(config, "lambda", [1.0], [4])
@@ -520,12 +533,40 @@ class TestCli:
 
     def test_ensemble_subcommand(self, tmp_path, capsys):
         out = tmp_path / "ens"
-        code = cli_main(["ensemble", *SMALL_CLI_ARGS, "--n-models", "2",
+        code = cli_main(["ensemble", *SMALL_CLI_ARGS,
                          "--seeds", "0,1", "--out", str(out)])
         assert code == 0
         doc = json.loads((out / "ensemble.json").read_text())
         assert "voted" in doc and "averaged" in doc
         assert len(doc["members"]) == 2
+
+    def test_ensemble_has_no_member_count_flag(self, tmp_path, capsys):
+        out = tmp_path / "ens"
+        code = cli_main(["ensemble", *SMALL_CLI_ARGS, "--n-models", "2",
+                         "--seeds", "0,1", "--out", str(out)])
+        assert code == 1
+        assert "--n-models" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sweep_in_baseline_mode_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        code = cli_main(["sweep", *SMALL_CLI_ARGS, "--axis", "lambda",
+                         "--grid", "0,1.0", "--out", str(out)])
+        assert code == 1
+        assert "baseline" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--lr-encoder", "-0.001"), ("--lr-head", "nan"),
+        ("--weight-decay", "-5"), ("--warmup-prop", "0"),
+    ])
+    def test_bad_optimizer_setting_exits_1(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "run"
+        code = cli_main(["train", *SMALL_CLI_ARGS, flag, value,
+                         "--out", str(out)])
+        assert code == 1
+        assert flag[2:].replace("-", "_") in capsys.readouterr().err
+        assert not out.exists()
 
     def test_stability_subcommand(self, tmp_path, capsys):
         out = tmp_path / "stab"
