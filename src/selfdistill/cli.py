@@ -86,43 +86,49 @@ def _add(parser, flag: str, **kwargs):
     parser.add_argument(f"--{flag}", **kwargs)
 
 
+# The flags that set a config field, one tuple of field names per config.
+# Each flag is the field name with dashes, or its entry in _FLAG_NAMES, and
+# takes its default and type from the field.
+_CONFIG_FLAGS = {
+    ModelConfig: ("vocab_size", "max_len", "dim", "n_layers", "n_heads",
+                  "ffn_dim", "dropout_p"),
+    DistillConfig: ("mode", "lam", "teacher_size", "snapshot_every"),
+    TrainConfig: ("epochs", "micro_batch", "accum_steps", "lr_encoder",
+                  "lr_head", "warmup_prop", "weight_decay", "select_by"),
+}
+_FLAG_NAMES = {"lam": "lambda", "dropout_p": "dropout"}
+_FLAG_OPTIONS = {
+    "mode": {"choices": ["baseline", "sda", "sdv"]},
+    "lam": {"help": "distillation weight"},
+    "teacher_size": {"help": "teacher window size K, or 'all' (sda only)"},
+    "select_by": {"choices": ["final", "best_dev"]},
+}
+
+
 def _add_train_flags(p: _Parser) -> None:
-    _add(p, "mode", choices=["baseline", "sda", "sdv"], default="baseline")
-    _add(p, "lambda", dest="lam", type=float, default=1.0,
-         help="distillation weight")
-    _add(p, "teacher-size", default="1",
-         help="teacher window size K, or 'all' (sda only)")
-    _add(p, "snapshot-every", type=int, default=1)
-    _add(p, "seed", type=int, default=0)
+    for config, names in _CONFIG_FLAGS.items():
+        hints = get_type_hints(config)
+        defaults = {f.name: f.default for f in fields(config)}
+        for name in names:
+            # teacher_size (int | str) is read as text and parsed after
+            cast = hints[name] if hints[name] in (int, float) else str
+            _add(p, _FLAG_NAMES.get(name, name.replace("_", "-")), dest=name,
+                 type=cast, default=defaults[name], **_FLAG_OPTIONS.get(name, {}))
+    _add(p, "seed", type=int, default=ExperimentConfig.seed)
     _add(p, "data-seed", type=int, default=None,
          help="data-order seed (defaults to --seed)")
     _add(p, "dataset", default="synthetic",
          help="'synthetic', a synthetic-spec .json file, or a train .csv/.tsv")
     _add(p, "eval-dataset", default=None, help="test csv (csv datasets only)")
-    _add(p, "dev-dataset", default=None, help="optional dev csv")
-    _add(p, "dataset-seed", type=int, default=1234,
+    _add(p, "dev-dataset", default=None, help="optional dev csv (csv datasets only)")
+    _add(p, "dataset-seed", type=int, default=DatasetConfig.dataset_seed,
          help="generation seed for synthetic data")
     _add(p, "label-col", type=int, default=0)
     _add(p, "text-cols", default="1", help="comma-separated text column indices")
-    _add(p, "n-classes", type=int, default=4)
+    _add(p, "n-classes", type=int, default=SyntheticSpec.n_classes)
     _add(p, "delimiter", default=",")
     _add(p, "label-base", type=int, default=0,
          help="smallest label value in the csv; labels are rebased to 0")
-    _add(p, "epochs", type=int, default=4)
-    _add(p, "micro-batch", type=int, default=8)
-    _add(p, "accum-steps", type=int, default=2)
-    _add(p, "lr-encoder", type=float, default=1e-3)
-    _add(p, "lr-head", type=float, default=5e-2)
-    _add(p, "warmup-prop", type=float, default=0.1)
-    _add(p, "weight-decay", type=float, default=0.01)
-    _add(p, "dropout", type=float, default=0.1)
-    _add(p, "vocab-size", type=int, default=2000)
-    _add(p, "max-len", type=int, default=64)
-    _add(p, "dim", type=int, default=32)
-    _add(p, "n-layers", type=int, default=2)
-    _add(p, "n-heads", type=int, default=2)
-    _add(p, "ffn-dim", type=int, default=128)
-    _add(p, "select-by", choices=["final", "best_dev"], default="final")
     _add(p, "out", default="runs/out", help="output directory for reports")
     p.add_argument("--save-checkpoints", action="store_true",
                    default=_env_bool("save-checkpoints"),
@@ -163,15 +169,11 @@ def _check_spec_types(path, raw: dict) -> None:
 
 def _dataset_config(args) -> DatasetConfig:
     name = args.dataset
-    if name == "synthetic":
-        return DatasetConfig(
-            source="synthetic",
-            synthetic=SyntheticSpec(n_classes=args.n_classes),
-            dataset_seed=args.dataset_seed,
-        )
     path = Path(name)
-    _require_file("--dataset", name)
-    if path.suffix == ".json":
+    if name == "synthetic":
+        spec = SyntheticSpec(n_classes=args.n_classes)
+    elif path.suffix == ".json":
+        _require_file("--dataset", name)
         try:
             raw = json.loads(path.read_text())
         except ValueError as exc:  # not JSON, or not UTF-8
@@ -183,57 +185,44 @@ def _dataset_config(args) -> DatasetConfig:
             raise ConfigError(f"{path}: unknown synthetic-spec key(s): "
                               f"{', '.join(unknown)}")
         _check_spec_types(path, raw)
-        return DatasetConfig(source="synthetic", synthetic=SyntheticSpec(**raw),
+        spec = SyntheticSpec(**raw)
+    else:
+        _require_file("--dataset", name)
+        _require_file("--eval-dataset", args.eval_dataset)
+        _require_file("--dev-dataset", args.dev_dataset)
+        schema = CsvSchema(
+            label_col=args.label_col,
+            text_cols=tuple(_parse_int_list("--text-cols", args.text_cols)),
+            n_classes=args.n_classes,
+            delimiter=args.delimiter,
+            label_base=args.label_base,
+        )
+        return DatasetConfig(source="csv", train_path=str(path),
+                             eval_path=args.eval_dataset,
+                             dev_path=args.dev_dataset, schema=schema,
                              dataset_seed=args.dataset_seed)
-    _require_file("--eval-dataset", args.eval_dataset)
-    _require_file("--dev-dataset", args.dev_dataset)
-    schema = CsvSchema(
-        label_col=args.label_col,
-        text_cols=tuple(_parse_int_list("--text-cols", args.text_cols)),
-        n_classes=args.n_classes,
-        delimiter=args.delimiter,
-        label_base=args.label_base,
-    )
-    return DatasetConfig(
-        source="csv",
-        train_path=str(path),
-        eval_path=args.eval_dataset,
-        dev_path=args.dev_dataset,
-        schema=schema,
-        dataset_seed=args.dataset_seed,
-    )
+    for flag, value in (("--eval-dataset", args.eval_dataset),
+                        ("--dev-dataset", args.dev_dataset)):
+        if value is not None:
+            raise ConfigError(f"{flag} needs a csv --dataset, got {name!r}")
+    return DatasetConfig(source="synthetic", synthetic=spec,
+                         dataset_seed=args.dataset_seed)
+
+
+def _build(config, args, **overrides):
+    """``config`` from its flags in ``args``; ``overrides`` replace some."""
+    values = {name: getattr(args, name) for name in _CONFIG_FLAGS[config]}
+    return config(**{**values, **overrides})
 
 
 def _experiment_config(args) -> ExperimentConfig:
     dataset = _dataset_config(args)
     n_classes = (dataset.synthetic.n_classes if dataset.source == "synthetic"
                  else dataset.schema.n_classes)
-    model = ModelConfig(
-        vocab_size=args.vocab_size,
-        max_len=args.max_len,
-        dim=args.dim,
-        n_layers=args.n_layers,
-        n_heads=args.n_heads,
-        ffn_dim=args.ffn_dim,
-        n_classes=n_classes,
-        dropout_p=args.dropout,
-    )
-    distill = DistillConfig(
-        mode=args.mode,
-        lam=args.lam,
-        teacher_size=_parse_teacher_size("--teacher-size", args.teacher_size),
-        snapshot_every=args.snapshot_every,
-    )
-    train = TrainConfig(
-        epochs=args.epochs,
-        micro_batch=args.micro_batch,
-        accum_steps=args.accum_steps,
-        lr_encoder=args.lr_encoder,
-        lr_head=args.lr_head,
-        warmup_prop=args.warmup_prop,
-        weight_decay=args.weight_decay,
-        select_by=args.select_by,
-    )
+    model = _build(ModelConfig, args, n_classes=n_classes)
+    distill = _build(DistillConfig, args, teacher_size=_parse_teacher_size(
+        "--teacher-size", args.teacher_size))
+    train = _build(TrainConfig, args)
     return ExperimentConfig(model=model, distill=distill, train=train,
                             dataset=dataset, seed=args.seed,
                             data_seed=args.data_seed)

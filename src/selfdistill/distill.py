@@ -164,17 +164,7 @@ def make_train_state(model_config: ModelConfig, distill_config: DistillConfig,
     micro_per_epoch = math.ceil(n_train / train_config.micro_batch) if n_train else 0
     steps_per_epoch = math.ceil(micro_per_epoch / train_config.accum_steps)
     total_steps = max(1, steps_per_epoch * train_config.epochs)
-    opt = OptimState.init(
-        params,
-        total_steps=total_steps,
-        lr_encoder=train_config.lr_encoder,
-        lr_head=train_config.lr_head,
-        warmup_prop=train_config.warmup_prop,
-        beta1=train_config.beta1,
-        beta2=train_config.beta2,
-        eps=train_config.eps,
-        weight_decay=train_config.weight_decay,
-    )
+    opt = OptimState.init(params, total_steps, train_config)
     state = TrainState(
         model_config=model_config,
         distill_config=distill_config,
@@ -282,7 +272,7 @@ def train_step(state: TrainState, batch, force_flush: bool = False) -> StepMetri
     state.pending += 1
 
     lr = lr_at(min(state.opt.t + 1, state.opt.total_steps), state.opt.total_steps,
-               state.opt.lr_encoder, state.opt.warmup_prop)
+               state.train_config.lr_encoder, state.train_config.warmup_prop)
     if state.pending >= state.train_config.accum_steps or force_flush:
         lr = adamw_step(state.params, state.grad_sum / state.pending, state.opt)
         state.grad_sum.fill(0.0)
@@ -324,6 +314,9 @@ def fine_tune(model_config: ModelConfig, distill_config: DistillConfig,
     """
     if len(task.train) == 0:
         raise InputError("fine_tune: empty train split")
+    if model_config.n_classes != task.train.n_classes:
+        raise ConfigError(f"model n_classes {model_config.n_classes} does not "
+                          f"match the task's {task.train.n_classes} classes")
     if train_config.epochs > 0 and ("test" not in task.splits
                                     or len(task.test) == 0):
         raise InputError("fine_tune: empty test split")
@@ -367,8 +360,8 @@ def fine_tune(model_config: ModelConfig, distill_config: DistillConfig,
             mean_ce=ce_sum / max(n_micro, 1),
             mean_mse=mse_sum / max(n_micro, 1),
             lr=lr_at(min(state.opt.t, state.opt.total_steps),
-                     state.opt.total_steps, state.opt.lr_encoder,
-                     state.opt.warmup_prop),
+                     state.opt.total_steps, train_config.lr_encoder,
+                     train_config.warmup_prop),
         ))
         if select_best_dev:
             dev_acc, _ = evaluate_params(state.params, model_config, task.dev,

@@ -11,12 +11,16 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .autodiff import Tensor
 from .encoder import GROUP_ENCODER, GROUP_HEAD, ParameterSet
 from .errors import ConfigError, ContractError
+
+if TYPE_CHECKING:  # distill imports this module
+    from .distill import TrainConfig
 
 
 def lr_at(step: int, total_steps: int, base_lr: float, warmup_prop: float) -> float:
@@ -62,12 +66,13 @@ def _runs(params: ParameterSet, key) -> list[tuple[int, int, object]]:
 
 @dataclass
 class OptimState:
-    """Moments, step counter and hyperparameters for one training run.
+    """Moments, step counter and settings for one training run.
 
     ``m`` and ``v`` are flat like ``ParameterSet.flat``. ``lr_runs`` holds
     the (start, stop, group) offset runs of each learning-rate group and
     ``decay_runs`` those of the weight-decayed tensors, both fixed by the
-    layout.
+    layout. Learning rates, schedule, betas, eps and weight decay are read
+    from the run's ``config``.
     """
 
     m: np.ndarray
@@ -76,19 +81,11 @@ class OptimState:
     decay_runs: tuple[tuple[int, int, str], ...]
     t: int
     total_steps: int
-    warmup_prop: float
-    lr_encoder: float
-    lr_head: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    weight_decay: float = 0.01
+    config: TrainConfig
 
     @classmethod
-    def init(cls, params: ParameterSet, total_steps: int, lr_encoder: float,
-             lr_head: float, warmup_prop: float = 0.1, beta1: float = 0.9,
-             beta2: float = 0.999, eps: float = 1e-8,
-             weight_decay: float = 0.01) -> "OptimState":
+    def init(cls, params: ParameterSet, total_steps: int,
+             config: TrainConfig) -> "OptimState":
         decayed = _runs(params,
                         lambda s: s.group if decay_applies(s.name) else None)
         return cls(
@@ -98,17 +95,12 @@ class OptimState:
             decay_runs=tuple(run for run in decayed if run[2] is not None),
             t=0,
             total_steps=total_steps,
-            warmup_prop=warmup_prop,
-            lr_encoder=lr_encoder,
-            lr_head=lr_head,
-            beta1=beta1,
-            beta2=beta2,
-            eps=eps,
-            weight_decay=weight_decay,
+            config=config,
         )
 
     def base_lr(self, group: str) -> float:
-        return self.lr_head if group == GROUP_HEAD else self.lr_encoder
+        return (self.config.lr_head if group == GROUP_HEAD
+                else self.config.lr_encoder)
 
 
 def adamw_step(params: ParameterSet, grads: np.ndarray, state: OptimState) -> float:
@@ -124,25 +116,26 @@ def adamw_step(params: ParameterSet, grads: np.ndarray, state: OptimState) -> fl
                             f"match parameters of shape {params.flat.shape}")
     state.t += 1
     t = state.t
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
+    cfg = state.config
+    bc1 = 1.0 - cfg.beta1 ** t
+    bc2 = 1.0 - cfg.beta2 ** t
     lr = {group: lr_at(t, state.total_steps, state.base_lr(group),
-                       state.warmup_prop)
+                       cfg.warmup_prop)
           for _, _, group in state.lr_runs}
     m, v = state.m, state.v
-    m *= state.beta1
-    m += (1.0 - state.beta1) * grads
-    v *= state.beta2
-    v += (1.0 - state.beta2) * (grads * grads)
-    update = (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+    m *= cfg.beta1
+    m += (1.0 - cfg.beta1) * grads
+    v *= cfg.beta2
+    v += (1.0 - cfg.beta2) * (grads * grads)
+    update = (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
     for start, stop, group in state.lr_runs:
         update[start:stop] *= lr[group]
     flat = params.flat
     flat -= update
-    if state.weight_decay > 0.0:
+    if cfg.weight_decay > 0.0:
         for start, stop, group in state.decay_runs:
             seg = flat[start:stop]
-            seg -= lr[group] * state.weight_decay * seg
+            seg -= lr[group] * cfg.weight_decay * seg
     return lr.get(GROUP_ENCODER, 0.0)
 
 

@@ -400,3 +400,16 @@ class TestRecord:
         for constant in (teacher, Tensor(rng.normal(0, 1, (2, 3)))):
             ad.mse(student, constant)
             assert self._inputs_of_last_node(tape) == [student]
+
+    def test_inputs_on_two_open_tapes_are_a_usage_error(self):
+        """The second tape would record nothing, so its gradient is lost."""
+        t1, t2 = Tape(), Tape()
+        x = t1.watch(Tensor(np.ones(3), is_param=True))
+        y = t2.watch(Tensor(np.full(3, 2.0), is_param=True))
+        for a, b in ((x, y), (y, x)):
+            with pytest.raises(UsageError, match="two different open tapes"):
+                ad.add(a, b)
+        assert len(t1) == 0 and len(t2) == 0
+        backward(ad.mse(x, Tensor(np.zeros(3))), t1)
+        ad.add(x, y)  # x's tape is closed: x is a constant now
+        assert self._inputs_of_last_node(t2) == [y]

@@ -525,6 +525,20 @@ class TestFineTune:
                                        task.vocab)
         assert train_err <= 0.02
 
+    @pytest.mark.parametrize("n_classes", [1, 5])
+    def test_class_count_mismatch_is_config_error_before_any_work(
+            self, n_classes, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("fine_tune started work")
+
+        monkeypatch.setattr(distill, "make_train_state", no_work)
+        model = ModelConfig(vocab_size=120, max_len=12, dim=16, n_layers=1,
+                            n_heads=2, ffn_dim=32, n_classes=n_classes)
+        with pytest.raises(ConfigError, match="n_classes"):
+            fine_tune(model, DistillConfig(mode="baseline"),
+                      TrainConfig(epochs=1), small_task(n_train=16, n_test=8),
+                      seed=0)
+
     def test_best_dev_without_dev_split_is_config_error(self):
         with pytest.raises(ConfigError, match="dev split"):
             fine_tune(MODEL, DistillConfig(mode="baseline"),

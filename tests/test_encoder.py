@@ -56,6 +56,11 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ModelConfig(dropout_p=1.0)
 
+    def test_max_len_leaves_room_for_cls_and_two_seps(self):
+        with pytest.raises(ConfigError, match="max_len must be >= 3"):
+            ModelConfig(max_len=2)
+        assert ModelConfig(max_len=3).max_len == 3
+
     def test_roundtrip(self):
         assert ModelConfig(**asdict(TINY)) == TINY
 
@@ -389,6 +394,7 @@ class TestGradients:
 
     def test_one_step_changes_logits(self):
         from selfdistill.autodiff import Tape, backward
+        from selfdistill.distill import TrainConfig
         from selfdistill.optim import OptimState, accumulate, adamw_step
 
         rng = np.random.default_rng(10)
@@ -401,8 +407,8 @@ class TestGradients:
             batch.labels)
         flat_grads = np.zeros_like(params.flat)
         accumulate(params, backward(loss, tape), flat_grads)
-        state = OptimState.init(params, total_steps=10, lr_encoder=1e-3,
-                                lr_head=5e-2)
+        state = OptimState.init(params, 10, TrainConfig(lr_encoder=1e-3,
+                                                        lr_head=5e-2))
         adamw_step(params, flat_grads, state)
         after = classify(params, batch, TINY).data
         assert not np.allclose(before, after)

@@ -3,10 +3,12 @@ and the CLI surface (flags, env overrides, exit codes, determinism)."""
 
 import dataclasses
 import json
+import os
 
 import numpy as np
 import pytest
 
+from selfdistill import cli
 from selfdistill.cli import main as cli_main
 from selfdistill.data import (
     CsvSchema,
@@ -384,6 +386,22 @@ class TestCli:
         assert f"{flag}: no such file: {missing}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("dataset", ["synthetic", "spec.json"])
+    @pytest.mark.parametrize("flag", ["--eval-dataset", "--dev-dataset"])
+    def test_csv_only_flag_with_synthetic_data_is_config_error(
+            self, tmp_path, capsys, dataset, flag):
+        test_csv = tmp_path / "test.csv"
+        test_csv.write_text('0,"aaa"\n')
+        if dataset == "spec.json":
+            dataset = tmp_path / "spec.json"
+            dataset.write_text(json.dumps({"n_classes": 4}))
+        out = tmp_path / "run"
+        code = cli_main(["train", *SMALL_CLI_ARGS, "--dataset", str(dataset),
+                         flag, str(test_csv), "--out", str(out)])
+        assert code == 1
+        assert f"{flag} needs a csv --dataset" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_spec_key_is_config_error(self, tmp_path, capsys):
         spec_file = tmp_path / "spec.json"
         spec_file.write_text(json.dumps({"n_classes": 2, "bogus": 1}))
@@ -594,3 +612,36 @@ class TestCli:
         assert code == 0
         doc = json.loads((out / "report.json").read_text())
         assert doc["config"]["dataset"]["synthetic"]["n_train"] == 80
+
+
+class TestCliFlagsFromConfigs:
+    """The train flags are built from the config dataclasses."""
+
+    TRAIN_OPTIONS = {
+        "-h", "--help", "--mode", "--lambda", "--teacher-size",
+        "--snapshot-every", "--seed", "--data-seed", "--dataset",
+        "--eval-dataset", "--dev-dataset", "--dataset-seed", "--label-col",
+        "--text-cols", "--n-classes", "--delimiter", "--label-base",
+        "--epochs", "--micro-batch", "--accum-steps", "--lr-encoder",
+        "--lr-head", "--warmup-prop", "--weight-decay", "--dropout",
+        "--vocab-size", "--max-len", "--dim", "--n-layers", "--n-heads",
+        "--ffn-dim", "--select-by", "--out", "--save-checkpoints",
+    }
+
+    @staticmethod
+    def _clear_env(monkeypatch):
+        for name in list(os.environ):
+            if name.startswith("SELFDISTILL_"):
+                monkeypatch.delenv(name)
+
+    def test_defaults_equal_the_dataclass_defaults(self, monkeypatch):
+        self._clear_env(monkeypatch)
+        args = cli.build_parser().parse_args(["train"])
+        assert cli._experiment_config(args) == ExperimentConfig()
+
+    def test_train_option_strings(self, monkeypatch):
+        self._clear_env(monkeypatch)
+        parser = cli.build_parser()
+        train = parser._subparsers._group_actions[0].choices["train"]
+        assert len(self.TRAIN_OPTIONS) == 34
+        assert set(train._option_string_actions) == self.TRAIN_OPTIONS

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from selfdistill.autodiff import Tensor
+from selfdistill.distill import TrainConfig
 from selfdistill.encoder import ModelConfig, ParameterSet, init_params
 from selfdistill.errors import ConfigError, ContractError
 from selfdistill.optim import (
@@ -67,8 +68,8 @@ def flat_grads(params: ParameterSet, by_name: dict) -> np.ndarray:
 class TestAdamW:
     def test_zero_grads_decay_shrinks_multiplicatively(self):
         params = single_param([2.0, -4.0])
-        state = OptimState.init(params, total_steps=10, lr_encoder=0.1,
-                                lr_head=0.1, weight_decay=0.5)
+        state = OptimState.init(params, 10, TrainConfig(
+            lr_encoder=0.1, lr_head=0.1, weight_decay=0.5))
         lr = adamw_step(params, np.zeros(2), state)
         np.testing.assert_allclose(params["w.W"].data,
                                    np.array([2.0, -4.0]) * (1 - lr * 0.5),
@@ -77,8 +78,8 @@ class TestAdamW:
     def test_first_step_magnitude_is_about_lr(self):
         """Bias correction makes the first update ~lr*sign(g) per coordinate."""
         params = single_param([0.0, 0.0])
-        state = OptimState.init(params, total_steps=10, lr_encoder=0.01,
-                                lr_head=0.01, weight_decay=0.0)
+        state = OptimState.init(params, 10, TrainConfig(
+            lr_encoder=0.01, lr_head=0.01, weight_decay=0.0))
         g = np.array([3.0, -0.25])
         lr = adamw_step(params, g, state)
         np.testing.assert_allclose(np.abs(params["w.W"].data), lr, rtol=1e-6)
@@ -102,9 +103,9 @@ class TestAdamW:
             w_ref -= lr * wd * w_ref
 
         params = single_param([10.0])
-        state = OptimState.init(params, total_steps=total, lr_encoder=base_lr,
-                                lr_head=base_lr, warmup_prop=warm, beta1=beta1,
-                                beta2=beta2, eps=eps, weight_decay=wd)
+        state = OptimState.init(params, total, TrainConfig(
+            lr_encoder=base_lr, lr_head=base_lr, warmup_prop=warm, beta1=beta1,
+            beta2=beta2, eps=eps, weight_decay=wd))
         for _ in range(total):
             g = params["w.W"].data - 3.0
             adamw_step(params, g.copy(), state)
@@ -112,23 +113,23 @@ class TestAdamW:
 
     def test_zero_lr_zero_decay_is_noop(self):
         params = single_param([1.0, 2.0])
-        state = OptimState.init(params, total_steps=10, lr_encoder=0.0,
-                                lr_head=0.0, weight_decay=0.0)
+        state = OptimState.init(params, 10, TrainConfig(
+            lr_encoder=0.0, lr_head=0.0, weight_decay=0.0))
         adamw_step(params, np.array([5.0, -5.0]), state)
         np.testing.assert_array_equal(params["w.W"].data, [1.0, 2.0])
 
     def test_gradient_vector_shape_contract(self):
         params = single_param([1.0])
-        state = OptimState.init(params, total_steps=10, lr_encoder=0.1,
-                                lr_head=0.1)
+        state = OptimState.init(params, 10, TrainConfig(lr_encoder=0.1,
+                                                        lr_head=0.1))
         with pytest.raises(ContractError, match="does not match"):
             adamw_step(params, np.zeros(2), state)
         assert state.t == 0
 
     def test_step_counter_increments_by_one(self):
         params = single_param([1.0])
-        state = OptimState.init(params, total_steps=10, lr_encoder=0.1,
-                                lr_head=0.1)
+        state = OptimState.init(params, 10, TrainConfig(lr_encoder=0.1,
+                                                        lr_head=0.1))
         for expected in (1, 2, 3):
             adamw_step(params, np.ones(1), state)
             assert state.t == expected
@@ -137,8 +138,8 @@ class TestAdamW:
         cfg = ModelConfig(vocab_size=20, max_len=4, dim=4, n_layers=1,
                           n_heads=1, ffn_dim=8, n_classes=2, dropout_p=0.0)
         params = init_params(cfg, seed=0)
-        state = OptimState.init(params, total_steps=10, lr_encoder=0.0,
-                                lr_head=1.0, weight_decay=0.0)
+        state = OptimState.init(params, 10, TrainConfig(
+            lr_encoder=0.0, lr_head=1.0, weight_decay=0.0))
         before = params["tok_emb"].data.copy()
         grads = {n: np.ones_like(t.data) for n, t in params.items()}
         adamw_step(params, flat_grads(params, grads), state)
@@ -171,25 +172,26 @@ class ReferenceAdamW:
 
     def step(self, grads) -> float:
         s = self.hp
+        c = s.config
         self.t += 1
         t = self.t
-        bc1 = 1.0 - s.beta1 ** t
-        bc2 = 1.0 - s.beta2 ** t
+        bc1 = 1.0 - c.beta1 ** t
+        bc2 = 1.0 - c.beta2 ** t
         lr_used = {}
         for name, p in self.p.items():
             g = grads[name]
             lr = lr_at(t, s.total_steps, s.base_lr(self.group[name]),
-                       s.warmup_prop)
+                       c.warmup_prop)
             lr_used[self.group[name]] = lr
             m, v = self.m[name], self.v[name]
-            m *= s.beta1
-            m += (1.0 - s.beta1) * g
-            v *= s.beta2
-            v += (1.0 - s.beta2) * (g * g)
-            update = (m / bc1) / (np.sqrt(v / bc2) + s.eps)
+            m *= c.beta1
+            m += (1.0 - c.beta1) * g
+            v *= c.beta2
+            v += (1.0 - c.beta2) * (g * g)
+            update = (m / bc1) / (np.sqrt(v / bc2) + c.eps)
             p -= lr * update
-            if s.weight_decay > 0.0 and decay_applies(name):
-                p -= lr * s.weight_decay * p
+            if c.weight_decay > 0.0 and decay_applies(name):
+                p -= lr * c.weight_decay * p
         return lr_used.get("encoder", 0.0)
 
 
@@ -200,8 +202,8 @@ class TestFlatAdamWMatchesPerTensorLoop:
         groups = {params.group(n) for n in params}
         decays = {decay_applies(n) for n in params}
         assert groups == {"encoder", "head"} and decays == {True, False}
-        state = OptimState.init(params, total_steps=200, lr_encoder=1e-3,
-                                lr_head=5e-2, weight_decay=0.01)
+        state = OptimState.init(params, 200, TrainConfig(
+            lr_encoder=1e-3, lr_head=5e-2, weight_decay=0.01))
         ref = ReferenceAdamW(params, state)
         rng = np.random.default_rng(0)
         for _ in range(200):
