@@ -16,6 +16,7 @@ import json
 import os
 import sys
 from dataclasses import fields
+from functools import partial
 from pathlib import Path
 from typing import get_args, get_type_hints
 
@@ -46,7 +47,11 @@ ENV_PREFIX = "SELFDISTILL_"
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that reports usage problems as ConfigError (exit code 1)."""
+    """argparse that reports usage problems as ConfigError (exit code 1) and
+    matches flags by full name only (``--seed`` is never read as ``--seeds``)."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
 
     def error(self, message):
         raise ConfigError(message)
@@ -86,9 +91,13 @@ def _add(parser, flag: str, **kwargs):
     parser.add_argument(f"--{flag}", **kwargs)
 
 
+def _parse_teacher_size(flag: str, raw: str):
+    return "all" if raw == "all" else _parse_token(flag, raw, int)
+
+
 # The flags that set a config field, one tuple of field names per config.
 # Each flag is the field name with dashes, or its entry in _FLAG_NAMES, and
-# takes its default and type from the field.
+# takes its default and type from the field unless _FLAG_OPTIONS sets them.
 _CONFIG_FLAGS = {
     ModelConfig: ("vocab_size", "max_len", "dim", "n_layers", "n_heads",
                   "ffn_dim", "dropout_p"),
@@ -100,23 +109,23 @@ _FLAG_NAMES = {"lam": "lambda", "dropout_p": "dropout"}
 _FLAG_OPTIONS = {
     "mode": {"choices": ["baseline", "sda", "sdv"]},
     "lam": {"help": "distillation weight"},
-    "teacher_size": {"help": "teacher window size K, or 'all' (sda only)"},
+    "teacher_size": {"type": partial(_parse_teacher_size, "--teacher-size"),
+                     "help": "teacher window size K, or 'all' (sda only)"},
     "select_by": {"choices": ["final", "best_dev"]},
 }
 
 
-def _add_train_flags(p: _Parser) -> None:
+def _add_config_flags(p: _Parser, omit=()) -> None:
+    """The config, dataset and output flags, less the fields in ``omit``."""
     for config, names in _CONFIG_FLAGS.items():
         hints = get_type_hints(config)
         defaults = {f.name: f.default for f in fields(config)}
         for name in names:
-            # teacher_size (int | str) is read as text and parsed after
-            cast = hints[name] if hints[name] in (int, float) else str
+            if name in omit:
+                continue
             _add(p, _FLAG_NAMES.get(name, name.replace("_", "-")), dest=name,
-                 type=cast, default=defaults[name], **_FLAG_OPTIONS.get(name, {}))
-    _add(p, "seed", type=int, default=ExperimentConfig.seed)
-    _add(p, "data-seed", type=int, default=None,
-         help="data-order seed (defaults to --seed)")
+                 **{"type": hints[name], "default": defaults[name],
+                    **_FLAG_OPTIONS.get(name, {})})
     _add(p, "dataset", default="synthetic",
          help="'synthetic', a synthetic-spec .json file, or a train .csv/.tsv")
     _add(p, "eval-dataset", default=None, help="test csv (csv datasets only)")
@@ -130,13 +139,6 @@ def _add_train_flags(p: _Parser) -> None:
     _add(p, "label-base", type=int, default=0,
          help="smallest label value in the csv; labels are rebased to 0")
     _add(p, "out", default="runs/out", help="output directory for reports")
-    p.add_argument("--save-checkpoints", action="store_true",
-                   default=_env_bool("save-checkpoints"),
-                   help="write a parameter checkpoint at every epoch boundary")
-
-
-def _parse_teacher_size(flag: str, raw: str):
-    return "all" if raw == "all" else _parse_token(flag, raw, int)
 
 
 def _parse_int_list(flag: str, raw: str) -> list[int]:
@@ -210,8 +212,10 @@ def _dataset_config(args) -> DatasetConfig:
 
 
 def _build(config, args, **overrides):
-    """``config`` from its flags in ``args``; ``overrides`` replace some."""
-    values = {name: getattr(args, name) for name in _CONFIG_FLAGS[config]}
+    """``config`` from its flags in ``args``, where a field with no flag keeps
+    its default; ``overrides`` replace some."""
+    values = {name: getattr(args, name) for name in _CONFIG_FLAGS[config]
+              if hasattr(args, name)}
     return config(**{**values, **overrides})
 
 
@@ -219,13 +223,34 @@ def _experiment_config(args) -> ExperimentConfig:
     dataset = _dataset_config(args)
     n_classes = (dataset.synthetic.n_classes if dataset.source == "synthetic"
                  else dataset.schema.n_classes)
-    model = _build(ModelConfig, args, n_classes=n_classes)
-    distill = _build(DistillConfig, args, teacher_size=_parse_teacher_size(
-        "--teacher-size", args.teacher_size))
-    train = _build(TrainConfig, args)
-    return ExperimentConfig(model=model, distill=distill, train=train,
-                            dataset=dataset, seed=args.seed,
-                            data_seed=args.data_seed)
+    # only train takes --seed and --data-seed; the studies set their own
+    seeds = {name: getattr(args, name) for name in ("seed", "data_seed")
+             if hasattr(args, name)}
+    return ExperimentConfig(model=_build(ModelConfig, args, n_classes=n_classes),
+                            distill=_build(DistillConfig, args),
+                            train=_build(TrainConfig, args), dataset=dataset,
+                            **seeds)
+
+
+def _parse_grid(axis: str, raw: str | None) -> list:
+    if raw is None:
+        return DEFAULT_LAMBDA_GRID if axis == "lambda" else DEFAULT_K_GRID
+    parse = (partial(_parse_token, cast=float) if axis == "lambda"
+             else _parse_teacher_size)
+    return [parse("--grid", tok) for tok in raw.split(",") if tok != ""]
+
+
+# Each study's run from the shared config and its own flags.
+_STUDIES = {
+    "sweep": lambda config, args: sweep(
+        config, args.axis, _parse_grid(args.axis, args.grid),
+        _parse_int_list("--seeds", args.seeds)),
+    "ensemble": lambda config, args: ensemble_experiment(
+        config, _parse_int_list("--seeds", args.seeds)),
+    "stability": lambda config, args: stability_study(
+        config, _parse_int_list("--data-seeds", args.data_seeds),
+        args.init_seed),
+}
 
 
 def build_parser() -> _Parser:
@@ -235,22 +260,30 @@ def build_parser() -> _Parser:
                                 parser_class=_Parser)
 
     p_train = sub.add_parser("train", help="one fine-tuning run")
-    _add_train_flags(p_train)
+    _add_config_flags(p_train)
+    _add(p_train, "seed", type=int, default=ExperimentConfig.seed)
+    _add(p_train, "data-seed", type=int, default=None,
+         help="data-order seed (defaults to --seed)")
+    p_train.add_argument(
+        "--save-checkpoints", action="store_true",
+        default=_env_bool("save-checkpoints"),
+        help="write a parameter checkpoint at every epoch boundary")
 
     p_sweep = sub.add_parser("sweep",
                              help="grid sweep over lambda or K (--mode sda|sdv)")
-    _add_train_flags(p_sweep)
+    _add_config_flags(p_sweep)
     _add(p_sweep, "axis", choices=["lambda", "k"], default="lambda")
     _add(p_sweep, "grid", default=None,
          help="comma-separated grid values (defaults per axis)")
     _add(p_sweep, "seeds", default="0", help="comma-separated seeds")
 
     p_ens = sub.add_parser("ensemble", help="voted + averaged ensembles")
-    _add_train_flags(p_ens)
+    _add_config_flags(p_ens)
     _add(p_ens, "seeds", default="0,1,2,3", help="comma-separated seeds")
 
     p_stab = sub.add_parser("stability", help="data-order stability study")
-    _add_train_flags(p_stab)
+    # stability_study builds its four strategies from lambda alone
+    _add_config_flags(p_stab, omit=("mode", "teacher_size", "snapshot_every"))
     _add(p_stab, "data-seeds", default="0,1,2,3,4,5,6,7,8,9",
          help="comma-separated data-order seeds")
     _add(p_stab, "init-seed", type=int, default=0)
@@ -277,38 +310,9 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _cmd_sweep(args) -> int:
-    config = _experiment_config(args)
-    if args.grid is None:
-        grid = DEFAULT_LAMBDA_GRID if args.axis == "lambda" else DEFAULT_K_GRID
-    elif args.axis == "lambda":
-        grid = [_parse_token("--grid", tok, float)
-                for tok in args.grid.split(",") if tok != ""]
-    else:
-        grid = [_parse_teacher_size("--grid", tok) for tok in args.grid.split(",")
-                if tok != ""]
-    table = sweep(config, args.axis, grid, _parse_int_list("--seeds", args.seeds))
-    paths = emit_report(table, args.out)
-    print(f"wrote {', '.join(str(p) for p in paths)}")
-    print(render_summary(args.out))
-    return 0
-
-
-def _cmd_ensemble(args) -> int:
-    config = _experiment_config(args)
-    report = ensemble_experiment(config, _parse_int_list("--seeds", args.seeds))
-    paths = emit_report(report, args.out)
-    print(f"wrote {', '.join(str(p) for p in paths)}")
-    print(render_summary(args.out))
-    return 0
-
-
-def _cmd_stability(args) -> int:
-    config = _experiment_config(args)
-    results = stability_study(config,
-                              _parse_int_list("--data-seeds", args.data_seeds),
-                              args.init_seed)
-    paths = emit_report(results, args.out)
+def _cmd_study(args) -> int:
+    result = _STUDIES[args.command](_experiment_config(args), args)
+    paths = emit_report(result, args.out)
     print(f"wrote {', '.join(str(p) for p in paths)}")
     print(render_summary(args.out))
     return 0
@@ -322,9 +326,9 @@ def _cmd_report(args) -> int:
 
 _COMMANDS = {
     "train": _cmd_train,
-    "sweep": _cmd_sweep,
-    "ensemble": _cmd_ensemble,
-    "stability": _cmd_stability,
+    "sweep": _cmd_study,
+    "ensemble": _cmd_study,
+    "stability": _cmd_study,
     "report": _cmd_report,
 }
 

@@ -145,13 +145,6 @@ class TrainState:
 
 
 @dataclass
-class StepMetrics:
-    ce: float
-    mse: float
-    lr: float
-
-
-@dataclass
 class TrainResult:
     student: ParameterSet
     teacher: ParameterSet | None
@@ -231,12 +224,13 @@ def sda_loss(student_logits: Tensor, teacher_logits: Tensor, labels,
     return total, ce, m
 
 
-def train_step(state: TrainState, batch, force_flush: bool = False) -> StepMetrics:
+def train_step(state: TrainState, batch, force_flush: bool = False) -> StepPoint:
     """One micro-batch: teacher signal, forward, loss, backward, accumulate.
 
     On an accumulation boundary (or ``force_flush`` at epoch end) the
     averaged gradients feed one AdamW step and the fresh parameters are
-    absorbed into the teacher state.
+    absorbed into the teacher state. Returns the micro-batch's step-curve
+    row; its ``step`` counts the run's micro-batches from 0.
     """
     cfg = state.distill_config
     tape = Tape()
@@ -250,6 +244,7 @@ def train_step(state: TrainState, batch, force_flush: bool = False) -> StepMetri
     elif cfg.mode == "sdv":
         teacher_logits = sdv_teacher_logits(state, batch)
 
+    micro = state.counters["student_forwards"]   # micro-batches run so far
     student_logits = classify(state.params, batch, state.model_config,
                               train_mode=True, tape=tape, rng=state.dropout_rng)
     state.counters["student_forwards"] += 1
@@ -271,8 +266,6 @@ def train_step(state: TrainState, batch, force_flush: bool = False) -> StepMetri
     accumulate(state.params, ad.backward(total, tape), state.grad_sum)
     state.pending += 1
 
-    lr = lr_at(min(state.opt.t + 1, state.opt.total_steps), state.opt.total_steps,
-               state.train_config.lr_encoder, state.train_config.warmup_prop)
     if state.pending >= state.train_config.accum_steps or force_flush:
         lr = adamw_step(state.params, state.grad_sum / state.pending, state.opt)
         state.grad_sum.fill(0.0)
@@ -284,7 +277,11 @@ def train_step(state: TrainState, batch, force_flush: bool = False) -> StepMetri
                 running_mean_update(state.rmean, snapshot)
             else:
                 ring_push(state.ring, snapshot)
-    return StepMetrics(ce=ce_val, mse=mse_val, lr=lr)
+    else:
+        lr = lr_at(min(state.opt.t + 1, state.opt.total_steps),
+                   state.opt.total_steps, state.train_config.lr_encoder,
+                   state.train_config.warmup_prop)
+    return StepPoint(step=micro, ce=ce_val, mse=mse_val, lr=lr)
 
 
 def evaluate_params(params: ParameterSet, config: ModelConfig, split, vocab,
@@ -331,25 +328,21 @@ def fine_tune(model_config: ModelConfig, distill_config: DistillConfig,
     vocab = task.vocab
     epoch_curve: list[EpochPoint] = []
     step_curve: list[StepPoint] = []
-    micro_index = 0
     best_dev_acc, best_params, best_epoch = -1.0, None, None
 
     n_train = len(task.train)
     micro_per_epoch = math.ceil(n_train / train_config.micro_batch)
     for epoch in range(train_config.epochs):
         order = permutation_with_seed(n_train, [data_seed, epoch])
-        ce_sum, mse_sum, n_micro = 0.0, 0.0, 0
+        ce_sum, mse_sum = 0.0, 0.0
         for i, batch in enumerate(iter_batches(task.train, vocab,
                                                model_config.max_len,
                                                train_config.micro_batch, order)):
-            metrics = train_step(state, batch,
-                                 force_flush=(i == micro_per_epoch - 1))
-            step_curve.append(StepPoint(step=micro_index, ce=metrics.ce,
-                                        mse=metrics.mse, lr=metrics.lr))
-            ce_sum += metrics.ce
-            mse_sum += metrics.mse
-            n_micro += 1
-            micro_index += 1
+            point = train_step(state, batch,
+                               force_flush=(i == micro_per_epoch - 1))
+            step_curve.append(point)
+            ce_sum += point.ce
+            mse_sum += point.mse
         test_acc, test_err = evaluate_params(state.params, model_config,
                                              task.test, vocab,
                                              train_config.eval_batch_size)
@@ -357,11 +350,9 @@ def fine_tune(model_config: ModelConfig, distill_config: DistillConfig,
             epoch=epoch,
             test_error=test_err,
             test_accuracy=test_acc,
-            mean_ce=ce_sum / max(n_micro, 1),
-            mean_mse=mse_sum / max(n_micro, 1),
-            lr=lr_at(min(state.opt.t, state.opt.total_steps),
-                     state.opt.total_steps, train_config.lr_encoder,
-                     train_config.warmup_prop),
+            mean_ce=ce_sum / micro_per_epoch,
+            mean_mse=mse_sum / micro_per_epoch,
+            lr=point.lr,     # the epoch's last step always flushes
         ))
         if select_best_dev:
             dev_acc, _ = evaluate_params(state.params, model_config, task.dev,

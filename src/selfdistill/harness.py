@@ -8,7 +8,7 @@ report from flat CSV curve files so external plotting never parses JSON.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -29,12 +29,14 @@ from .distill import (
     evaluate_params,
     fine_tune,
 )
-from .encoder import ModelConfig, ParameterSet
+from .encoder import ModelConfig
 from .ensemble import EnsembleSet, average_parameters, voted_predict
-from .errors import ConfigError, InputError, SelfDistillError
+from .errors import ConfigError, DivergenceError, InputError
 from .reporting import (
+    EpochPoint,
     RunReport,
     StabilityResult,
+    StepPoint,
     SweepTable,
     load_json,
     save_json,
@@ -148,21 +150,24 @@ class EnsembleReport:
         }
 
 
+def _study_task(config: ExperimentConfig) -> TaskData:
+    """The task every cell of a study shares; a study compares final test
+    metrics, so it needs at least one epoch, checked before any work."""
+    if config.train.epochs < 1:
+        raise ConfigError(f"a study compares final test metrics, so it needs "
+                          f"epochs >= 1, got {config.train.epochs}")
+    return build_task(config)
+
+
 def ensemble_experiment(config: ExperimentConfig,
                         seeds: list[int]) -> EnsembleReport:
     """Fine-tune one model per seed; evaluate voting and averaging."""
     if not seeds:
         raise ConfigError("an ensemble needs at least one seed")
-    task = build_task(config)
-    members: list[ParameterSet] = []
-    reports: list[RunReport] = []
-    individual: list[dict] = []
-    for s in seeds:
-        result = fine_tune(config.model, config.distill, config.train, task,
-                           seed=s, data_seed=s)
-        members.append(result.student)
-        reports.append(result.report)
-        individual.append(result.report.final_student)
+    task = _study_task(config)
+    results = [fine_tune(config.model, config.distill, config.train, task,
+                         seed=s, data_seed=s) for s in seeds]
+    members = [r.student for r in results]
 
     ens = EnsembleSet(members)
     correct = 0
@@ -178,8 +183,9 @@ def ensemble_experiment(config: ExperimentConfig,
     avg_acc, avg_err = evaluate_params(avg_params, config.model, test,
                                        task.vocab, config.train.eval_batch_size)
     averaged = {"test_accuracy": avg_acc, "test_error": avg_err}
-    return EnsembleReport(member_reports=reports, voted=voted,
-                          averaged=averaged, individual=individual)
+    return EnsembleReport(member_reports=[r.report for r in results],
+                          voted=voted, averaged=averaged,
+                          individual=[r.report.final_student for r in results])
 
 
 def sweep(base_config: ExperimentConfig, axis: str, grid: list,
@@ -187,8 +193,9 @@ def sweep(base_config: ExperimentConfig, axis: str, grid: list,
     """One run per (grid cell, seed); cell metric is the mean over seeds.
 
     Each cell replaces one field of the sda or sdv ``base_config.distill``.
-    A diverged run marks its cell entry failed with a diagnostic and the
-    sweep continues.
+    A cell value the config rejects marks that cell failed, and a diverged
+    run marks its seed failed; the sweep continues. Any other error is
+    shared by every cell and propagates.
     """
     if axis not in ("lambda", "k"):
         raise ConfigError(f"sweep axis must be 'lambda' or 'k', got {axis!r}")
@@ -198,7 +205,7 @@ def sweep(base_config: ExperimentConfig, axis: str, grid: list,
     if dc.mode == "baseline":
         raise ConfigError("sweep varies the teacher's lambda or K, so it needs "
                           "mode sda or sdv, not baseline")
-    task = build_task(base_config)
+    task = _study_task(base_config)
     table = SweepTable(axis=axis, grid=list(grid), seeds=list(seeds))
     for value in grid:
         try:
@@ -207,7 +214,7 @@ def sweep(base_config: ExperimentConfig, axis: str, grid: list,
             else:
                 distill = replace(dc, teacher_size=value if value == "all"
                                   else int(value))
-        except SelfDistillError as exc:
+        except ConfigError as exc:
             table.cells[str(value)] = {"failed": str(exc), "per_seed": {}}
             continue
         per_seed: dict = {}
@@ -221,7 +228,7 @@ def sweep(base_config: ExperimentConfig, axis: str, grid: list,
                 per_seed[str(s)] = final
                 errors.append(final["test_error"])
                 accuracies.append(final["test_accuracy"])
-            except SelfDistillError as exc:
+            except DivergenceError as exc:
                 per_seed[str(s)] = {"failed": str(exc)}
         cell = {"per_seed": per_seed}
         if errors:
@@ -239,7 +246,7 @@ def stability_study(config: ExperimentConfig, data_order_seeds: list[int],
     """Vary only the data order over a fixed initialization, per strategy."""
     if len(data_order_seeds) < 2:
         raise ConfigError("stability study needs at least 2 data-order seeds")
-    task = build_task(config)
+    task = _study_task(config)
     results = []
     if strategies is None:
         strategies = stability_strategies(config.distill.lam)
@@ -259,11 +266,16 @@ def stability_study(config: ExperimentConfig, data_order_seeds: list[int],
 # ---------------------------------------------------------------------------
 
 
-def _write_lines(path: Path, lines: list[str]) -> None:
+def _write_curve(path: Path, points: list, point_type) -> Path:
+    """A CSV with one column per field of ``point_type``, one row per point."""
+    names = [f.name for f in fields(point_type)]
+    rows = [names] + [[repr(getattr(p, n)) for n in names] for p in points]
     try:
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        path.write_text("".join(",".join(r) + "\n" for r in rows),
+                        encoding="utf-8")
     except OSError as exc:
         raise InputError(f"cannot write {path}: {exc}") from exc
+    return path
 
 
 def emit_report(obj, out_dir) -> list[Path]:
@@ -283,21 +295,10 @@ def emit_report(obj, out_dir) -> list[Path]:
         path = out / "report.json"
         save_json(obj.to_dict(), path)
         written.append(path)
-        epoch_lines = ["epoch,test_error,test_accuracy,mean_ce,mean_mse,lr"]
-        epoch_lines += [
-            f"{p.epoch},{p.test_error!r},{p.test_accuracy!r},"
-            f"{p.mean_ce!r},{p.mean_mse!r},{p.lr!r}"
-            for p in obj.epoch_curve
+        written += [
+            _write_curve(out / "curves_epoch.csv", obj.epoch_curve, EpochPoint),
+            _write_curve(out / "curves_step.csv", obj.step_curve, StepPoint),
         ]
-        step_lines = ["step,ce,mse,lr"]
-        step_lines += [
-            f"{p.step},{p.ce!r},{p.mse!r},{p.lr!r}" for p in obj.step_curve
-        ]
-        epoch_path = out / "curves_epoch.csv"
-        step_path = out / "curves_step.csv"
-        _write_lines(epoch_path, epoch_lines)
-        _write_lines(step_path, step_lines)
-        written += [epoch_path, step_path]
     elif isinstance(obj, SweepTable):
         path = out / "sweep.json"
         save_json(asdict(obj), path)

@@ -645,3 +645,130 @@ class TestCliFlagsFromConfigs:
         train = parser._subparsers._group_actions[0].choices["train"]
         assert len(self.TRAIN_OPTIONS) == 34
         assert set(train._option_string_actions) == self.TRAIN_OPTIONS
+
+
+class TestStudyCli:
+    """sweep, ensemble and stability take only the flags they read and fail
+    before any work on a config no study can run."""
+
+    CONFIG_OPTIONS = TestCliFlagsFromConfigs.TRAIN_OPTIONS - {
+        "--seed", "--data-seed", "--save-checkpoints"}
+    STUDY_OPTIONS = {
+        "sweep": CONFIG_OPTIONS | {"--axis", "--grid", "--seeds"},
+        "ensemble": CONFIG_OPTIONS | {"--seeds"},
+        "stability": (CONFIG_OPTIONS - {"--mode", "--teacher-size",
+                                        "--snapshot-every"})
+        | {"--data-seeds", "--init-seed"},
+    }
+
+    @staticmethod
+    def _no_fine_tune(monkeypatch):
+        import selfdistill.harness as harness
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("a study called fine_tune")
+
+        monkeypatch.setattr(harness, "fine_tune", no_work)
+
+    @pytest.mark.parametrize("command,count", [
+        ("sweep", 32), ("ensemble", 30), ("stability", 28)])
+    def test_study_option_strings(self, monkeypatch, command, count):
+        TestCliFlagsFromConfigs._clear_env(monkeypatch)
+        parser = cli.build_parser()
+        study = parser._subparsers._group_actions[0].choices[command]
+        options = self.STUDY_OPTIONS[command]
+        assert len(options - {"-h", "--help"}) == count
+        assert set(study._option_string_actions) == options
+
+    @pytest.mark.parametrize("command", ["sweep", "ensemble", "stability"])
+    def test_defaults_equal_the_dataclass_defaults(self, monkeypatch, command):
+        TestCliFlagsFromConfigs._clear_env(monkeypatch)
+        args = cli.build_parser().parse_args([command])
+        assert cli._experiment_config(args) == ExperimentConfig()
+
+    def test_train_seed_defaults(self, monkeypatch):
+        TestCliFlagsFromConfigs._clear_env(monkeypatch)
+        args = cli.build_parser().parse_args(["train"])
+        assert args.seed == ExperimentConfig.seed
+        assert args.data_seed == ExperimentConfig.data_seed
+
+    @pytest.mark.parametrize("command,flags", [
+        ("sweep", ["--seed", "3"]),
+        ("sweep", ["--data-seed", "3"]),
+        ("sweep", ["--save-checkpoints"]),
+        ("ensemble", ["--seed", "3"]),
+        ("ensemble", ["--data-seed", "1"]),
+        ("ensemble", ["--save-checkpoints"]),
+        ("stability", ["--seed", "3"]),
+        ("stability", ["--data-seed", "1"]),
+        ("stability", ["--save-checkpoints"]),
+        ("stability", ["--mode", "sda"]),
+        ("stability", ["--teacher-size", "3"]),
+        ("stability", ["--snapshot-every", "7"]),
+    ])
+    def test_flag_a_study_does_not_read_exits_1(self, tmp_path, capsys,
+                                                monkeypatch, command, flags):
+        self._no_fine_tune(monkeypatch)
+        out = tmp_path / "study"
+        code = cli_main([command, *SMALL_CLI_ARGS, *flags, "--out", str(out)])
+        assert code == 1
+        assert flags[0] in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_flags_match_by_full_name_only(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        code = cli_main(["train", *SMALL_CLI_ARGS, "--lambd", "0.5",
+                         "--out", str(out)])
+        assert code == 1
+        assert "--lambd" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("call", [
+        lambda config: sweep(config, "lambda", [1.0], [0]),
+        lambda config: ensemble_experiment(config, [0, 1]),
+        lambda config: stability_study(config, [0, 1], 0),
+    ], ids=["sweep", "ensemble", "stability"])
+    def test_zero_epochs_is_config_error_before_any_work(self, monkeypatch,
+                                                         call):
+        import selfdistill.harness as harness
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("a study started work with zero epochs")
+
+        monkeypatch.setattr(harness, "build_task", no_work)
+        monkeypatch.setattr(harness, "fine_tune", no_work)
+        config = fast_config(distill=DistillConfig(mode="sda", teacher_size=2),
+                             train=dataclasses.replace(FAST_TRAIN, epochs=0))
+        with pytest.raises(ConfigError, match="epochs"):
+            call(config)
+
+    @pytest.mark.parametrize("command,flags", [
+        ("sweep", ["--mode", "sda", "--grid", "1.0"]),
+        ("ensemble", ["--seeds", "0,1"]),
+        ("stability", ["--data-seeds", "0,1"]),
+    ])
+    def test_zero_epochs_exits_1(self, tmp_path, capsys, monkeypatch,
+                                 command, flags):
+        self._no_fine_tune(monkeypatch)
+        out = tmp_path / "study"
+        code = cli_main([command, *SMALL_CLI_ARGS, *flags, "--epochs", "0",
+                         "--out", str(out)])
+        assert code == 1
+        assert "epochs" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sweep_best_dev_without_dev_split_is_config_error(self):
+        config = fast_config(distill=DistillConfig(mode="sda", teacher_size=2),
+                             train=dataclasses.replace(FAST_TRAIN,
+                                                       select_by="best_dev"))
+        with pytest.raises(ConfigError, match="dev split"):
+            sweep(config, "lambda", [0.0, 1.0], [0, 1])
+
+    def test_sweep_best_dev_without_dev_split_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        code = cli_main(["sweep", *SMALL_CLI_ARGS, "--mode", "sda",
+                         "--select-by", "best_dev", "--grid", "0,1.0",
+                         "--out", str(out)])
+        assert code == 1
+        assert "dev split" in capsys.readouterr().err
+        assert not out.exists()
