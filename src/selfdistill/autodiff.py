@@ -1,19 +1,22 @@
 """Dense tensors with reverse-mode automatic differentiation on an explicit tape.
 
 The design is a Wengert list: every differentiable primitive executes its
-forward pass eagerly in numpy and, when any input is tracked on an open
-``Tape``, appends an entry holding vector-Jacobian closures for the tracked
+forward pass eagerly in numpy and hands its output, with one vector-Jacobian
+closure per input, to ``_record``. When any input is tracked on an open
+``Tape``, ``_record`` appends an entry holding the closures of the tracked
 inputs. ``backward`` replays those entries in reverse execution order, so no
 topological sort is needed.
 
-Tracking rules:
+Tracking rules, all applied in ``_record``:
 
 * A ``Tensor`` becomes tracked by ``tape.watch(t)`` (parameters) or by being
   produced by a primitive whose inputs were tracked (intermediates).
 * Tensors never watched, or watched only on a tape that has since been
-  closed by ``backward``, behave as constants: primitives fall through to
-  plain numpy and no gradient ever reaches them. This is how teacher logits
-  stay frozen without any special flag at the call site.
+  closed by ``backward``, behave as constants: their closures are dropped
+  and no gradient ever reaches them. This is how teacher logits stay frozen
+  without any special flag at the call site.
+* Inputs tracked on two different open tapes are a ``UsageError``: one
+  tape's gradient would be lost.
 """
 
 from __future__ import annotations
@@ -84,40 +87,20 @@ class Tape:
 
     def __init__(self):
         self._nodes: list[tuple[Tensor, list[tuple[Tensor, Callable]]]] = []
-        self._watched: list[Tensor] = []
-        self._watched_ids: set[int] = set()
+        self._watched: dict[int, Tensor] = {}  # by id, in watch order
         self._open = True
 
     def watch(self, tensor: Tensor) -> Tensor:
         """Mark ``tensor`` as a gradient source for this tape."""
         if not self._open:
             raise UsageError("cannot watch a tensor on a closed tape")
-        if id(tensor) not in self._watched_ids:
-            self._watched.append(tensor)
-            self._watched_ids.add(id(tensor))
+        self._watched[id(tensor)] = tensor
         tensor.tape = self
         return tensor
 
     def watch_all(self, tensors: Iterable[Tensor]) -> None:
         for t in tensors:
             self.watch(t)
-
-    def _record(self, out: Tensor, *pairs: tuple[Tensor | None, Callable]) -> None:
-        """Append ``out`` with the (input, vjp) pairs whose input this tape
-        tracks; untracked inputs and a ``None`` input are dropped. An input
-        tracked on another open tape is a UsageError: its gradient would be
-        lost."""
-        # a loop: on CPython 3.11 a comprehension's frame costs ~0.3 us a node
-        kept = []
-        for pair in pairs:
-            tape = None if pair[0] is None else pair[0].tape
-            if tape is self:
-                kept.append(pair)
-            elif tape is not None and tape._open:
-                raise UsageError("a primitive's inputs are tracked on two "
-                                 "different open tapes")
-        out.tape = self
-        self._nodes.append((out, kept))
 
     def __len__(self) -> int:
         return len(self._nodes)
@@ -127,11 +110,28 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _live_tape(*tensors) -> Tape | None:
-    for t in tensors:
-        if isinstance(t, Tensor) and t.tape is not None and t.tape._open:
-            return t.tape
-    return None
+def _record(out: Tensor, *pairs: tuple[Tensor | None, Callable]) -> Tensor:
+    """``out``, recorded with the (input, vjp) pairs whose input is tracked
+    on an open tape; untracked inputs and a ``None`` input are dropped. With
+    no tracked input ``out`` is returned untouched, a constant. Inputs on
+    two different open tapes are a UsageError."""
+    # a loop: on CPython 3.11 a comprehension's frame costs ~0.3 us a node
+    tape = None
+    kept = []
+    for pair in pairs:
+        owner = None if pair[0] is None else pair[0].tape
+        if owner is None or not owner._open:
+            continue
+        if tape is None:
+            tape = owner
+        elif owner is not tape:
+            raise UsageError("a primitive's inputs are tracked on two "
+                             "different open tapes")
+        kept.append(pair)
+    if tape is not None:
+        tape._nodes.append((out, kept))
+        out.tape = tape
+    return out
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -151,31 +151,21 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    out = Tensor(a.data + b.data)
-    tape = _live_tape(a, b)
-    if tape is not None:
-        tape._record(out, (a, lambda g: _unbroadcast(g, a.data.shape)),
-                     (b, lambda g: _unbroadcast(g, b.data.shape)))
-    return out
+    return _record(Tensor(a.data + b.data),
+                   (a, lambda g: _unbroadcast(g, a.data.shape)),
+                   (b, lambda g: _unbroadcast(g, b.data.shape)))
 
 
 def mul(a, b) -> Tensor:
     """Elementwise product; either side may be a plain python scalar."""
     if isinstance(b, (int, float)) and isinstance(a, Tensor):
-        out = Tensor(a.data * b)
-        tape = _live_tape(a)
-        if tape is not None:
-            tape._record(out, (a, lambda g: g * b))
-        return out
+        return _record(Tensor(a.data * b), (a, lambda g: g * b))
     if isinstance(a, (int, float)) and isinstance(b, Tensor):
         return mul(b, a)
     a, b = _as_tensor(a), _as_tensor(b)
-    out = Tensor(a.data * b.data)
-    tape = _live_tape(a, b)
-    if tape is not None:
-        tape._record(out, (a, lambda g: _unbroadcast(g * b.data, a.data.shape)),
-                     (b, lambda g: _unbroadcast(g * a.data, b.data.shape)))
-    return out
+    return _record(Tensor(a.data * b.data),
+                   (a, lambda g: _unbroadcast(g * b.data, a.data.shape)),
+                   (b, lambda g: _unbroadcast(g * a.data, b.data.shape)))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -189,14 +179,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(
             f"matmul: inner dimensions disagree: {a.data.shape} x {b.data.shape}"
         )
-    out = Tensor(np.matmul(a.data, b.data))
-    tape = _live_tape(a, b)
-    if tape is not None:
-        tape._record(out, (a, lambda g: _unbroadcast(
-                         np.matmul(g, np.swapaxes(b.data, -1, -2)), a.data.shape)),
-                     (b, lambda g: _unbroadcast(
-                         np.matmul(np.swapaxes(a.data, -1, -2), g), b.data.shape)))
-    return out
+    return _record(Tensor(np.matmul(a.data, b.data)),
+                   (a, lambda g: _unbroadcast(
+                       np.matmul(g, np.swapaxes(b.data, -1, -2)), a.data.shape)),
+                   (b, lambda g: _unbroadcast(
+                       np.matmul(np.swapaxes(a.data, -1, -2), g), b.data.shape)))
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
@@ -222,30 +209,20 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     y = np.matmul(x.data, w.data)
     if b is not None:
         y += b.data
-    out = Tensor(y)
-    tape = _live_tape(x, w, b)
-    if tape is not None:
-        tape._record(out, (x, lambda g: np.matmul(g, w.data.T)),
-                     (w, lambda g: x.data.reshape(-1, n_in).T @ g.reshape(-1, n_out)),
-                     (b, lambda g: g.reshape(-1, n_out).sum(axis=0)))
-    return out
+    return _record(Tensor(y),
+                   (x, lambda g: np.matmul(g, w.data.T)),
+                   (w, lambda g: x.data.reshape(-1, n_in).T @ g.reshape(-1, n_out)),
+                   (b, lambda g: g.reshape(-1, n_out).sum(axis=0)))
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
-    out = Tensor(a.data.reshape(shape))
-    tape = _live_tape(a)
-    if tape is not None:
-        tape._record(out, (a, lambda g: g.reshape(a.data.shape)))
-    return out
+    return _record(Tensor(a.data.reshape(shape)),
+                   (a, lambda g: g.reshape(a.data.shape)))
 
 
 def transpose(a: Tensor, axes: tuple[int, ...]) -> Tensor:
-    out = Tensor(a.data.transpose(axes))
-    tape = _live_tape(a)
-    if tape is not None:
-        inverse = tuple(np.argsort(axes))
-        tape._record(out, (a, lambda g: g.transpose(inverse)))
-    return out
+    return _record(Tensor(a.data.transpose(axes)),
+                   (a, lambda g: g.transpose(tuple(np.argsort(axes)))))
 
 
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
@@ -256,15 +233,12 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
             f"embedding ids out of range [0, {table.data.shape[0]}): "
             f"min={ids.min()}, max={ids.max()}"
         )
-    out = Tensor(table.data[ids])
-    tape = _live_tape(table)
-    if tape is not None:
-        def vjp(g, ids=ids):
-            acc = np.zeros_like(table.data)
-            np.add.at(acc, ids.reshape(-1), g.reshape(-1, g.shape[-1]))
-            return acc
-        tape._record(out, (table, vjp))
-    return out
+
+    def vjp(g):
+        acc = np.zeros_like(table.data)
+        np.add.at(acc, ids.reshape(-1), g.reshape(-1, g.shape[-1]))
+        return acc
+    return _record(Tensor(table.data[ids]), (table, vjp))
 
 
 def take(a: Tensor, index) -> Tensor:
@@ -273,15 +247,11 @@ def take(a: Tensor, index) -> Tensor:
     The gradient scatters into zeros of ``a``'s shape, which is exact only
     because a basic index never selects an element twice.
     """
-    out = Tensor(a.data[index])
-    tape = _live_tape(a)
-    if tape is not None:
-        def vjp(g):
-            acc = np.zeros_like(a.data)
-            acc[index] = g
-            return acc
-        tape._record(out, (a, vjp))
-    return out
+    def vjp(g):
+        acc = np.zeros_like(a.data)
+        acc[index] = g
+        return acc
+    return _record(Tensor(a.data[index]), (a, vjp))
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
@@ -294,14 +264,11 @@ def gelu(a: Tensor) -> Tensor:
     x2 = x * x
     inner = _GELU_C * (x + 0.044715 * (x2 * x))
     t = np.tanh(inner)
-    out = Tensor(0.5 * x * (1.0 + t))
-    tape = _live_tape(a)
-    if tape is not None:
-        def vjp(g, x=x, x2=x2, t=t):
-            dinner = _GELU_C * (1.0 + 3 * 0.044715 * x2)
-            return g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner)
-        tape._record(out, (a, vjp))
-    return out
+
+    def vjp(g):
+        dinner = _GELU_C * (1.0 + 3 * 0.044715 * x2)
+        return g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner)
+    return _record(Tensor(0.5 * x * (1.0 + t)), (a, vjp))
 
 
 def softmax(a: Tensor) -> Tensor:
@@ -310,13 +277,8 @@ def softmax(a: Tensor) -> Tensor:
     shifted = x - x.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     s = e / e.sum(axis=-1, keepdims=True)
-    out = Tensor(s)
-    tape = _live_tape(a)
-    if tape is not None:
-        def vjp(g, s=s):
-            return (g - (g * s).sum(axis=-1, keepdims=True)) * s
-        tape._record(out, (a, vjp))
-    return out
+    return _record(Tensor(s),
+                   (a, lambda g: (g - (g * s).sum(axis=-1, keepdims=True)) * s))
 
 
 def dropout(a: Tensor, p: float, rng: np.random.Generator) -> Tensor:
@@ -327,11 +289,8 @@ def dropout(a: Tensor, p: float, rng: np.random.Generator) -> Tensor:
         raise UsageError(f"dropout probability must be in [0, 1), got {p}")
     keep = (rng.random(a.data.shape) >= p).astype(a.data.dtype)
     scale = 1.0 / (1.0 - p)
-    out = Tensor(a.data * keep * scale)
-    tape = _live_tape(a)
-    if tape is not None:
-        tape._record(out, (a, lambda g: g * keep * scale))
-    return out
+    return _record(Tensor(a.data * keep * scale),
+                   (a, lambda g: g * keep * scale))
 
 
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -342,21 +301,18 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     var = (xc ** 2).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
-    out = Tensor(gain.data * xhat + bias.data)
-    tape = _live_tape(a, gain, bias)
-    if tape is not None:
-        def vjp_x(g, xhat=xhat, inv=inv):
-            d = x.shape[-1]
-            dxhat = g * gain.data
-            return (inv / d) * (
-                d * dxhat
-                - dxhat.sum(axis=-1, keepdims=True)
-                - xhat * (dxhat * xhat).sum(axis=-1, keepdims=True)
-            )
-        tape._record(out, (a, vjp_x),
-                     (gain, lambda g: _unbroadcast(g * xhat, gain.data.shape)),
-                     (bias, lambda g: _unbroadcast(g, bias.data.shape)))
-    return out
+
+    def vjp_x(g):
+        d = x.shape[-1]
+        dxhat = g * gain.data
+        return (inv / d) * (
+            d * dxhat
+            - dxhat.sum(axis=-1, keepdims=True)
+            - xhat * (dxhat * xhat).sum(axis=-1, keepdims=True)
+        )
+    return _record(Tensor(gain.data * xhat + bias.data), (a, vjp_x),
+                   (gain, lambda g: _unbroadcast(g * xhat, gain.data.shape)),
+                   (bias, lambda g: _unbroadcast(g, bias.data.shape)))
 
 
 def cross_entropy(logits: Tensor, labels) -> Tensor:
@@ -377,16 +333,13 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     m = x.max(axis=-1, keepdims=True)
     lse = m[:, 0] + np.log(np.exp(x - m).sum(axis=-1))
     loss = (lse - x[np.arange(b), labels]).mean()
-    out = Tensor(np.asarray(loss, dtype=x.dtype))
-    tape = _live_tape(logits)
-    if tape is not None:
-        def vjp(g, x=x, labels=labels):
-            e = np.exp(x - x.max(axis=-1, keepdims=True))
-            probs = e / e.sum(axis=-1, keepdims=True)
-            probs[np.arange(b), labels] -= 1.0
-            return probs * (g / b)
-        tape._record(out, (logits, vjp))
-    return out
+
+    def vjp(g):
+        e = np.exp(x - x.max(axis=-1, keepdims=True))
+        probs = e / e.sum(axis=-1, keepdims=True)
+        probs[np.arange(b), labels] -= 1.0
+        return probs * (g / b)
+    return _record(Tensor(np.asarray(loss, dtype=x.dtype)), (logits, vjp))
 
 
 def mse(a: Tensor, b: Tensor) -> Tensor:
@@ -396,12 +349,9 @@ def mse(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"mse: shapes differ: {a.data.shape} vs {b.data.shape}")
     diff = a.data - b.data
     n = diff.size
-    out = Tensor(np.asarray((diff ** 2).mean(), dtype=diff.dtype))
-    tape = _live_tape(a, b)
-    if tape is not None:
-        tape._record(out, (a, lambda g: g * (2.0 / n) * diff),
-                     (b, lambda g: g * (-2.0 / n) * diff))
-    return out
+    return _record(Tensor(np.asarray((diff ** 2).mean(), dtype=diff.dtype)),
+                   (a, lambda g: g * (2.0 / n) * diff),
+                   (b, lambda g: g * (-2.0 / n) * diff))
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +385,7 @@ def backward(loss: Tensor, tape: Tape) -> dict[Tensor, np.ndarray]:
     # would wait for the cyclic garbage collector
     tape._nodes.clear()
     grads: dict[Tensor, np.ndarray] = {}
-    for t in tape._watched:
+    for t in tape._watched.values():
         g = adjoints.get(id(t))
         grads[t] = np.zeros_like(t.data) if g is None else g
     return grads

@@ -1,9 +1,10 @@
 """Command-line entry points.
 
-Subcommands: train, sweep, ensemble, stability, report. Every flag can be
-defaulted through an environment variable with the ``SELFDISTILL_`` prefix
-(flag ``--teacher-size`` -> ``SELFDISTILL_TEACHER_SIZE``); explicit flags
-win over the environment.
+Subcommands: train, sweep, ensemble, stability, report. Every flag of the
+subcommand that runs can be defaulted through an environment variable with
+the ``SELFDISTILL_`` prefix (flag ``--teacher-size`` ->
+``SELFDISTILL_TEACHER_SIZE``); explicit flags win over the environment. A
+``SELFDISTILL_`` variable that names no flag of that subcommand is an error.
 
 Exit codes: 0 success; 1 a bad flag, environment value, config or input
 file; 2 an error raised while running (divergence, or any ``ValueError``).
@@ -57,6 +58,29 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+class _CommandParser(_Parser):
+    """A subcommand's parser, which takes the defaults of its own flags from
+    the ``SELFDISTILL_*`` variables."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace = argparse.Namespace() if namespace is None else namespace
+        flags = {_env_name(option[2:]): action for action in self._actions
+                 for option in action.option_strings
+                 if option.startswith("--") and action.dest != "help"}
+        for name in sorted(os.environ):
+            if not name.startswith(ENV_PREFIX):
+                continue
+            action = flags.get(name)
+            if action is None:
+                raise ConfigError(f"{name} names no flag of {self.prog!r}")
+            raw = os.environ[name]
+            # a switch (nargs 0) such as --save-checkpoints takes 1/0
+            value = (_env_bool(name, raw) if action.nargs == 0
+                     else _parse_token(name, raw, action.type or str))
+            setattr(namespace, action.dest, value)
+        return super().parse_known_args(args, namespace)
+
+
 def _env_name(flag: str) -> str:
     return ENV_PREFIX + flag.upper().replace("-", "_")
 
@@ -70,25 +94,14 @@ def _parse_token(source: str, token: str, cast):
                           f"{cast.__name__}") from None
 
 
-def _env_bool(flag: str) -> bool:
-    """1/true/yes -> True; unset, empty, 0/false/no -> False."""
-    name = _env_name(flag)
-    raw = os.environ.get(name, "")
+def _env_bool(name: str, raw: str) -> bool:
+    """1/true/yes -> True; empty, 0/false/no -> False."""
     value = raw.strip().lower()
     if value in ("1", "true", "yes"):
         return True
     if value in ("", "0", "false", "no"):
         return False
     raise ConfigError(f"{name}={raw!r} is not a boolean (use 1/0, true/false, yes/no)")
-
-
-def _add(parser, flag: str, **kwargs):
-    """add_argument with an environment-variable default."""
-    name = _env_name(flag)
-    raw = os.environ.get(name)
-    if raw is not None:
-        kwargs["default"] = _parse_token(name, raw, kwargs.get("type", str))
-    parser.add_argument(f"--{flag}", **kwargs)
 
 
 def _parse_teacher_size(flag: str, raw: str):
@@ -123,22 +136,31 @@ def _add_config_flags(p: _Parser, omit=()) -> None:
         for name in names:
             if name in omit:
                 continue
-            _add(p, _FLAG_NAMES.get(name, name.replace("_", "-")), dest=name,
-                 **{"type": hints[name], "default": defaults[name],
-                    **_FLAG_OPTIONS.get(name, {})})
-    _add(p, "dataset", default="synthetic",
-         help="'synthetic', a synthetic-spec .json file, or a train .csv/.tsv")
-    _add(p, "eval-dataset", default=None, help="test csv (csv datasets only)")
-    _add(p, "dev-dataset", default=None, help="optional dev csv (csv datasets only)")
-    _add(p, "dataset-seed", type=int, default=DatasetConfig.dataset_seed,
-         help="generation seed for synthetic data")
-    _add(p, "label-col", type=int, default=0)
-    _add(p, "text-cols", default="1", help="comma-separated text column indices")
-    _add(p, "n-classes", type=int, default=SyntheticSpec.n_classes)
-    _add(p, "delimiter", default=",")
-    _add(p, "label-base", type=int, default=0,
-         help="smallest label value in the csv; labels are rebased to 0")
-    _add(p, "out", default="runs/out", help="output directory for reports")
+            flag = _FLAG_NAMES.get(name, name.replace("_", "-"))
+            p.add_argument(f"--{flag}", dest=name,
+                           **{"type": hints[name], "default": defaults[name],
+                              **_FLAG_OPTIONS.get(name, {})})
+    p.add_argument("--dataset", default="synthetic",
+                   help="'synthetic', a synthetic-spec .json file, "
+                        "or a train .csv/.tsv")
+    p.add_argument("--dataset-seed", type=int,
+                   default=DatasetConfig.dataset_seed,
+                   help="generation seed for synthetic data")
+    # a dataset flag left at None keeps the dataset's own default, and one
+    # given with a dataset that does not read it is an error
+    p.add_argument("--n-classes", type=int,
+                   help="synthetic and csv datasets; a .json spec sets its own")
+    p.add_argument("--eval-dataset", help="test csv (csv datasets only)")
+    p.add_argument("--dev-dataset", help="optional dev csv (csv datasets only)")
+    p.add_argument("--label-col", type=int, help="csv datasets only")
+    p.add_argument("--text-cols",
+                   help="comma-separated text column indices (csv datasets only)")
+    p.add_argument("--delimiter", help="csv datasets only")
+    p.add_argument("--label-base", type=int,
+                   help="smallest label value in the csv; labels are rebased "
+                        "to 0 (csv datasets only)")
+    p.add_argument("--out", default="runs/out",
+                   help="output directory for reports")
 
 
 def _parse_int_list(flag: str, raw: str) -> list[int]:
@@ -169,12 +191,30 @@ def _check_spec_types(path, raw: dict) -> None:
                               f"{expected}, got {value!r}")
 
 
+# The dataset flags only a csv --dataset reads, by dest.
+_CSV_FLAGS = ("eval_dataset", "dev_dataset", "label_col", "text_cols",
+              "delimiter", "label_base")
+
+
+def _given(args, dests) -> dict:
+    """The flags among ``dests`` that were given, by dest."""
+    return {dest: getattr(args, dest) for dest in dests
+            if getattr(args, dest) is not None}
+
+
 def _dataset_config(args) -> DatasetConfig:
     name = args.dataset
     path = Path(name)
+    is_spec = path.suffix == ".json"
+    csv_only = list(_given(args, _CSV_FLAGS))
+    if csv_only and (name == "synthetic" or is_spec):
+        flag = "--" + csv_only[0].replace("_", "-")
+        raise ConfigError(f"{flag} needs a csv --dataset, got {name!r}")
+    if is_spec and args.n_classes is not None:
+        raise ConfigError(f"--n-classes: the spec {name} sets n_classes")
     if name == "synthetic":
-        spec = SyntheticSpec(n_classes=args.n_classes)
-    elif path.suffix == ".json":
+        spec = SyntheticSpec(**_given(args, ("n_classes",)))
+    elif is_spec:
         _require_file("--dataset", name)
         try:
             raw = json.loads(path.read_text())
@@ -192,21 +232,17 @@ def _dataset_config(args) -> DatasetConfig:
         _require_file("--dataset", name)
         _require_file("--eval-dataset", args.eval_dataset)
         _require_file("--dev-dataset", args.dev_dataset)
-        schema = CsvSchema(
-            label_col=args.label_col,
-            text_cols=tuple(_parse_int_list("--text-cols", args.text_cols)),
-            n_classes=args.n_classes,
-            delimiter=args.delimiter,
-            label_base=args.label_base,
-        )
+        given = _given(args, ("n_classes", "label_col", "delimiter",
+                              "label_base"))
+        if args.text_cols is not None:
+            given["text_cols"] = tuple(_parse_int_list("--text-cols",
+                                                       args.text_cols))
+        # without --n-classes a csv takes the synthetic default class count
+        schema = CsvSchema(**{"n_classes": SyntheticSpec.n_classes, **given})
         return DatasetConfig(source="csv", train_path=str(path),
                              eval_path=args.eval_dataset,
                              dev_path=args.dev_dataset, schema=schema,
                              dataset_seed=args.dataset_seed)
-    for flag, value in (("--eval-dataset", args.eval_dataset),
-                        ("--dev-dataset", args.dev_dataset)):
-        if value is not None:
-            raise ConfigError(f"{flag} needs a csv --dataset, got {name!r}")
     return DatasetConfig(source="synthetic", synthetic=spec,
                          dataset_seed=args.dataset_seed)
 
@@ -257,41 +293,41 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="selfdistill",
                      description="self-ensemble / self-distillation experiments")
     sub = parser.add_subparsers(dest="command", required=True,
-                                parser_class=_Parser)
+                                parser_class=_CommandParser)
 
     p_train = sub.add_parser("train", help="one fine-tuning run")
     _add_config_flags(p_train)
-    _add(p_train, "seed", type=int, default=ExperimentConfig.seed)
-    _add(p_train, "data-seed", type=int, default=None,
-         help="data-order seed (defaults to --seed)")
+    p_train.add_argument("--seed", type=int, default=ExperimentConfig.seed)
+    p_train.add_argument("--data-seed", type=int, default=None,
+                         help="data-order seed (defaults to --seed)")
     p_train.add_argument(
         "--save-checkpoints", action="store_true",
-        default=_env_bool("save-checkpoints"),
         help="write a parameter checkpoint at every epoch boundary")
 
     p_sweep = sub.add_parser("sweep",
                              help="grid sweep over lambda or K (--mode sda|sdv)")
     _add_config_flags(p_sweep)
-    _add(p_sweep, "axis", choices=["lambda", "k"], default="lambda")
-    _add(p_sweep, "grid", default=None,
-         help="comma-separated grid values (defaults per axis)")
-    _add(p_sweep, "seeds", default="0", help="comma-separated seeds")
+    p_sweep.add_argument("--axis", choices=["lambda", "k"], default="lambda")
+    p_sweep.add_argument("--grid", default=None,
+                         help="comma-separated grid values (defaults per axis)")
+    p_sweep.add_argument("--seeds", default="0", help="comma-separated seeds")
 
     p_ens = sub.add_parser("ensemble", help="voted + averaged ensembles")
     _add_config_flags(p_ens)
-    _add(p_ens, "seeds", default="0,1,2,3", help="comma-separated seeds")
+    p_ens.add_argument("--seeds", default="0,1,2,3",
+                       help="comma-separated seeds")
 
     p_stab = sub.add_parser("stability", help="data-order stability study")
     # stability_study builds its four strategies from lambda alone
     _add_config_flags(p_stab, omit=("mode", "teacher_size", "snapshot_every"))
-    _add(p_stab, "data-seeds", default="0,1,2,3,4,5,6,7,8,9",
-         help="comma-separated data-order seeds")
-    _add(p_stab, "init-seed", type=int, default=0)
+    p_stab.add_argument("--data-seeds", default="0,1,2,3,4,5,6,7,8,9",
+                        help="comma-separated data-order seeds")
+    p_stab.add_argument("--init-seed", type=int, default=0)
 
     p_rep = sub.add_parser("report", help="re-render stored reports")
     p_rep.add_argument("paths", nargs="+", help="report files or directories")
-    _add(p_rep, "baseline", default=None,
-         help="baseline report for relative-change column")
+    p_rep.add_argument("--baseline", default=None,
+                       help="baseline report for relative-change column")
     return parser
 
 

@@ -162,9 +162,9 @@ def permutation_with_seed(n: int, seed) -> np.ndarray:
 class CsvSchema:
     """Column layout of a label+text CSV file."""
 
-    label_col: int
-    text_cols: tuple[int, ...]
     n_classes: int
+    label_col: int = 0
+    text_cols: tuple[int, ...] = (1,)
     delimiter: str = ","
     label_base: int = 0  # smallest label value in the file; rebased to 0
 

@@ -15,6 +15,33 @@ from selfdistill import autodiff as ad
 from selfdistill.autodiff import Tape, Tensor, backward, grad_check
 from selfdistill.errors import InputError, ShapeError, UsageError
 
+# Every recording call of the primitives: the shapes of its tensor inputs
+# and the call on them.
+PRIMITIVE_CALLS = {
+    "add": (((3, 4), (3, 4)), ad.add),
+    "mul": (((3, 4), (3, 4)), ad.mul),
+    "mul_scalar": (((3, 4),), lambda a: ad.mul(a, 2.0)),
+    "matmul": (((3, 4), (4, 2)), ad.matmul),
+    "linear": (((3, 4), (4, 2), (2,)), ad.linear),
+    "reshape": (((3, 4),), lambda a: ad.reshape(a, (4, 3))),
+    "transpose": (((2, 3, 4),), lambda a: ad.transpose(a, (0, 2, 1))),
+    "embedding": (((5, 3),),
+                  lambda table: ad.embedding(table, np.array([[0, 4], [2, 2]]))),
+    "take": (((3, 4),), lambda a: ad.take(a, (slice(None), 1))),
+    "gelu": (((3, 4),), ad.gelu),
+    "softmax": (((3, 4),), ad.softmax),
+    "dropout": (((3, 4),),
+                lambda a: ad.dropout(a, 0.5, np.random.default_rng(0))),
+    "layer_norm": (((3, 4), (4,), (4,)), ad.layer_norm),
+    "cross_entropy": (((3, 4),), lambda logits: ad.cross_entropy(logits, [0, 3, 1])),
+    "mse": (((3, 4), (3, 4)), ad.mse),
+}
+
+
+def _tensors(shapes):
+    rng = np.random.default_rng(0)
+    return [Tensor(rng.normal(0, 1, shape), is_param=True) for shape in shapes]
+
 
 class TestMatmul:
     def test_identity(self):
@@ -79,12 +106,6 @@ class TestLinear:
         with pytest.raises(ShapeError, match="2-d weight"):
             ad.linear(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3, 4))))
 
-    def test_untracked_inputs_record_no_node(self):
-        x, w, b, _ = self._inputs(3)
-        tape = Tape()
-        out = ad.linear(x, w, b)
-        assert len(tape) == 0
-        assert out.tape is None
 
 
 class TestGelu:
@@ -401,15 +422,34 @@ class TestRecord:
             ad.mse(student, constant)
             assert self._inputs_of_last_node(tape) == [student]
 
-    def test_inputs_on_two_open_tapes_are_a_usage_error(self):
+    @pytest.mark.parametrize("name", ["add", "mul", "matmul", "linear",
+                                      "layer_norm", "mse"])
+    def test_inputs_on_two_open_tapes_are_a_usage_error(self, name):
         """The second tape would record nothing, so its gradient is lost."""
-        t1, t2 = Tape(), Tape()
-        x = t1.watch(Tensor(np.ones(3), is_param=True))
-        y = t2.watch(Tensor(np.full(3, 2.0), is_param=True))
-        for a, b in ((x, y), (y, x)):
+        shapes, call = PRIMITIVE_CALLS[name]
+        for first, second in ((0, 1), (1, 0)):
+            inputs = _tensors(shapes)
+            t1, t2 = Tape(), Tape()
+            x, y = t1.watch(inputs[first]), t2.watch(inputs[second])
             with pytest.raises(UsageError, match="two different open tapes"):
-                ad.add(a, b)
-        assert len(t1) == 0 and len(t2) == 0
-        backward(ad.mse(x, Tensor(np.zeros(3))), t1)
-        ad.add(x, y)  # x's tape is closed: x is a constant now
-        assert self._inputs_of_last_node(t2) == [y]
+                call(*inputs)
+            assert len(t1) == 0 and len(t2) == 0
+            backward(ad.mse(x, Tensor(np.zeros(x.shape))), t1)
+            call(*inputs)  # x's tape is closed: x is a constant now
+            assert self._inputs_of_last_node(t2) == [y]
+
+    @pytest.mark.parametrize("closed", [False, True], ids=["constant", "closed"])
+    @pytest.mark.parametrize("name", sorted(PRIMITIVE_CALLS))
+    def test_untracked_inputs_record_no_node(self, name, closed):
+        """Constants, and tensors whose tape ``backward`` has closed, give
+        a constant output and grow no tape."""
+        shapes, call = PRIMITIVE_CALLS[name]
+        inputs = _tensors(shapes)
+        old = Tape()
+        if closed:
+            old.watch_all(inputs)
+            backward(ad.mse(inputs[0], Tensor(np.zeros(shapes[0]))), old)
+        tape = Tape()
+        out = call(*inputs)
+        assert out.tape is None
+        assert len(old) == 0 and len(tape) == 0

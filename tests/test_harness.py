@@ -402,6 +402,35 @@ class TestCli:
         assert f"{flag} needs a csv --dataset" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("dataset,flag,value", [
+        *[(dataset, flag, value) for dataset in ("synthetic", "spec.json")
+          for flag, value in (("--label-col", "3"), ("--text-cols", "1,2"),
+                              ("--delimiter", ";"), ("--label-base", "1"))],
+        ("spec.json", "--n-classes", "2"),
+    ])
+    def test_dataset_flag_the_source_does_not_read_is_config_error(
+            self, tmp_path, capsys, dataset, flag, value):
+        if dataset == "spec.json":
+            dataset = tmp_path / "spec.json"
+            dataset.write_text(json.dumps({"n_classes": 4}))
+        out = tmp_path / "run"
+        code = cli_main(["train", *SMALL_CLI_ARGS, "--dataset", str(dataset),
+                         flag, value, "--out", str(out)])
+        assert code == 1
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_csv_without_schema_flags_keeps_the_schema_defaults(self, tmp_path,
+                                                              monkeypatch):
+        TestCliFlagsFromConfigs._clear_env(monkeypatch)
+        csv_path = tmp_path / "rows.csv"
+        csv_path.write_text('0,"aaa"\n')
+        args = cli.build_parser().parse_args([
+            "train", "--dataset", str(csv_path), "--eval-dataset", str(csv_path)])
+        assert cli._dataset_config(args).schema == CsvSchema(
+            label_col=0, text_cols=(1,), n_classes=4, delimiter=",",
+            label_base=0)
+
     def test_unknown_spec_key_is_config_error(self, tmp_path, capsys):
         spec_file = tmp_path / "spec.json"
         spec_file.write_text(json.dumps({"n_classes": 2, "bogus": 1}))
@@ -439,7 +468,7 @@ class TestCli:
         }))
         out = tmp_path / "run"
         code = cli_main(["train", *SMALL_CLI_ARGS, "--dataset", str(spec_file),
-                         "--n-classes", "2", "--out", str(out)])
+                         "--out", str(out)])
         assert code == 0
         spec = json.loads((out / "report.json").read_text())["config"]["dataset"]
         assert spec["synthetic"]["signal"] == 1
@@ -607,8 +636,7 @@ class TestCli:
                          "--micro-batch", "8", "--accum-steps", "1",
                          "--vocab-size", "100", "--max-len", "10",
                          "--dim", "16", "--n-layers", "1", "--n-heads", "2",
-                         "--ffn-dim", "32", "--n-classes", "2",
-                         "--out", str(out)])
+                         "--ffn-dim", "32", "--out", str(out)])
         assert code == 0
         doc = json.loads((out / "report.json").read_text())
         assert doc["config"]["dataset"]["synthetic"]["n_train"] == 80
@@ -714,6 +742,35 @@ class TestStudyCli:
         assert code == 1
         assert flags[0] in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command,env", [
+        ("stability", {"SELFDISTILL_SEED": "5", "SELFDISTILL_MODE": "sdv"}),
+        ("stability", {"SELFDISTILL_TEACHER_SIZE": "x"}),
+        ("report", {"SELFDISTILL_TYPO": "1"}),
+    ], ids=["stability-seed-mode", "stability-teacher-size", "report-typo"])
+    def test_variable_for_no_flag_of_the_subcommand_exits_1(
+            self, tmp_path, capsys, monkeypatch, command, env):
+        TestCliFlagsFromConfigs._clear_env(monkeypatch)
+        self._no_fine_tune(monkeypatch)
+        monkeypatch.setattr(cli, "render_summary", lambda *a, **k: "")
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        out = tmp_path / "out"
+        argv = ([command, str(out)] if command == "report"
+                else [command, *SMALL_CLI_ARGS, "--out", str(out)])
+        assert cli_main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"{min(env)} names no flag of 'selfdistill {command}'" in err
+        assert not out.exists()
+
+    def test_variables_default_only_the_running_subcommand(self, monkeypatch):
+        TestCliFlagsFromConfigs._clear_env(monkeypatch)
+        monkeypatch.setenv("SELFDISTILL_INIT_SEED", "3")
+        parser = cli.build_parser()
+        assert parser.parse_args(["stability"]).init_seed == 3
+        assert parser.parse_args(["stability", "--init-seed", "4"]).init_seed == 4
+        with pytest.raises(ConfigError, match="SELFDISTILL_INIT_SEED"):
+            parser.parse_args(["train"])
 
     def test_flags_match_by_full_name_only(self, tmp_path, capsys):
         out = tmp_path / "run"
