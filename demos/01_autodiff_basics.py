@@ -30,14 +30,14 @@ print("=" * 60)
 
 # d/dx of x^2 at x=3
 tape = Tape()
-x = Tensor(3.0, is_param=True)
+x = Tensor(3.0)
 tape.watch(x)
 grads = backward(ad.mul(x, x), tape)
 print("d(x^2)/dx at 3:", grads[x])
 
 # the classic closed form: d CE/d logits = softmax - onehot
 tape = Tape()
-logits = Tensor([[2.0, -1.0, 0.5]], is_param=True)
+logits = Tensor([[2.0, -1.0, 0.5]])
 tape.watch(logits)
 grads = backward(ad.cross_entropy(logits, [0]), tape)
 sm = ad.softmax(Tensor([[2.0, -1.0, 0.5]])).data
@@ -50,8 +50,8 @@ print("3. Gradient checking against central finite differences")
 print("=" * 60)
 
 rng = np.random.default_rng(0)
-w1 = Tensor(rng.normal(0, 0.5, (6, 8)), is_param=True)
-w2 = Tensor(rng.normal(0, 0.5, (8, 3)), is_param=True)
+w1 = Tensor(rng.normal(0, 0.5, (6, 8)))
+w2 = Tensor(rng.normal(0, 0.5, (8, 3)))
 inputs = Tensor(rng.normal(0, 1, (10, 6)))
 labels = rng.integers(0, 3, 10)
 
@@ -66,7 +66,7 @@ print(f"two-layer network, max relative gradient error: {err:.2e}")
 
 # teacher logits as constants: they never receive gradients
 tape = Tape()
-student = Tensor(rng.normal(0, 1, (4, 3)), is_param=True)
+student = Tensor(rng.normal(0, 1, (4, 3)))
 teacher = Tensor(rng.normal(0, 1, (4, 3)))  # constant: never watched
 tape.watch(student)
 grads = backward(ad.mse(student, teacher), tape)

@@ -38,7 +38,6 @@ from .encoder import (
 )
 from .ensemble import (
     CheckpointRing,
-    EnsembleSet,
     RunningMean,
     average_parameters,
     ring_push,

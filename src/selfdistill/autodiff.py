@@ -45,9 +45,9 @@ class Tensor:
     tape the tensor was last recorded or watched on (None for constants).
     """
 
-    __slots__ = ("data", "tape", "is_param")
+    __slots__ = ("data", "tape")
 
-    def __init__(self, data, dtype=None, is_param: bool = False):
+    def __init__(self, data, dtype=None):
         arr = np.asarray(data)
         if dtype is not None:
             arr = arr.astype(dtype, copy=False)
@@ -55,7 +55,6 @@ class Tensor:
             arr = arr.astype(DEFAULT_DTYPE)
         self.data = arr
         self.tape: Tape | None = None
-        self.is_param = is_param
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -70,10 +69,10 @@ class Tensor:
 
     def copy(self) -> "Tensor":
         """Detached deep copy (constant, no tape)."""
-        return Tensor(self.data.copy(), is_param=self.is_param)
+        return Tensor(self.data.copy())
 
     def __repr__(self) -> str:
-        kind = "param" if self.is_param else ("tracked" if self.tape else "const")
+        kind = "tracked" if self.tape else "const"
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, {kind})"
 
 

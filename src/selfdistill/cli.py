@@ -74,9 +74,12 @@ class _CommandParser(_Parser):
             if action is None:
                 raise ConfigError(f"{name} names no flag of {self.prog!r}")
             raw = os.environ[name]
+            cast = action.type or str
+            if isinstance(cast, partial):   # bound to its flag's name
+                cast = partial(cast.func, name)
             # a switch (nargs 0) such as --save-checkpoints takes 1/0
             value = (_env_bool(name, raw) if action.nargs == 0
-                     else _parse_token(name, raw, action.type or str))
+                     else _parse_token(name, raw, cast))
             setattr(namespace, action.dest, value)
         return super().parse_known_args(args, namespace)
 
@@ -143,11 +146,10 @@ def _add_config_flags(p: _Parser, omit=()) -> None:
     p.add_argument("--dataset", default="synthetic",
                    help="'synthetic', a synthetic-spec .json file, "
                         "or a train .csv/.tsv")
-    p.add_argument("--dataset-seed", type=int,
-                   default=DatasetConfig.dataset_seed,
-                   help="generation seed for synthetic data")
     # a dataset flag left at None keeps the dataset's own default, and one
     # given with a dataset that does not read it is an error
+    p.add_argument("--dataset-seed", type=int,
+                   help="generation seed (synthetic and .json datasets only)")
     p.add_argument("--n-classes", type=int,
                    help="synthetic and csv datasets; a .json spec sets its own")
     p.add_argument("--eval-dataset", help="test csv (csv datasets only)")
@@ -229,6 +231,9 @@ def _dataset_config(args) -> DatasetConfig:
         _check_spec_types(path, raw)
         spec = SyntheticSpec(**raw)
     else:
+        if args.dataset_seed is not None:
+            raise ConfigError(f"--dataset-seed: a csv --dataset is not "
+                              f"generated, got {name!r}")
         _require_file("--dataset", name)
         _require_file("--eval-dataset", args.eval_dataset)
         _require_file("--dev-dataset", args.dev_dataset)
@@ -241,10 +246,9 @@ def _dataset_config(args) -> DatasetConfig:
         schema = CsvSchema(**{"n_classes": SyntheticSpec.n_classes, **given})
         return DatasetConfig(source="csv", train_path=str(path),
                              eval_path=args.eval_dataset,
-                             dev_path=args.dev_dataset, schema=schema,
-                             dataset_seed=args.dataset_seed)
+                             dev_path=args.dev_dataset, schema=schema)
     return DatasetConfig(source="synthetic", synthetic=spec,
-                         dataset_seed=args.dataset_seed)
+                         **_given(args, ("dataset_seed",)))
 
 
 def _build(config, args, **overrides):

@@ -136,9 +136,7 @@ class TrainState:
     ring: CheckpointRing | None = None
     rmean: RunningMean | None = None
     pending: int = 0                   # micro-batches summed in grad_sum
-    # the last window_mean(ring), valid while ring.insertions == teacher_at
-    teacher: ParameterSet | None = None
-    teacher_at: int = -1
+    teacher: ParameterSet | None = None  # the sda average, set by absorb
     counters: dict = field(default_factory=lambda: {
         "student_forwards": 0, "teacher_forwards": 0,
     })
@@ -167,27 +165,33 @@ def make_train_state(model_config: ModelConfig, distill_config: DistillConfig,
         dropout_rng=np.random.default_rng([seed, 1]),
         grad_sum=np.zeros_like(params.flat),
     )
-    if distill_config.mode == "sda" and distill_config.teacher_size == TEACHER_ALL:
-        state.rmean = running_mean_update(RunningMean(), params)
-    elif distill_config.mode in ("sda", "sdv"):
+    if distill_config.mode == "baseline":
+        return state
+    if distill_config.teacher_size == TEACHER_ALL:   # sda only
+        state.rmean = RunningMean()
+    else:
         state.ring = CheckpointRing(int(distill_config.teacher_size))
-        ring_push(state.ring, params.copy())
+    absorb(state, params)
     return state
 
 
-def sda_teacher(state: TrainState) -> ParameterSet:
-    """Parameter-averaged teacher over past snapshots (current step excluded).
+def absorb(state: TrainState, params: ParameterSet) -> None:
+    """Snapshot ``params`` into the teacher state; in sda mode the teacher
+    average is taken here, once per snapshot."""
+    if state.rmean is not None:
+        running_mean_update(state.rmean, params)
+        state.teacher = state.rmean.mean
+        return
+    ring_push(state.ring, params.copy())
+    if state.distill_config.mode == "sda":
+        state.teacher = window_mean(state.ring)
 
-    The window average is recomputed only after the ring gains a snapshot;
-    between insertions every call returns the same (shared, read-only) set.
-    """
+
+def sda_teacher(state: TrainState) -> ParameterSet:
+    """Parameter-averaged teacher over past snapshots (current step excluded);
+    shared and read-only."""
     if state.distill_config.mode != "sda":
         raise UsageError("sda_teacher is only defined in sda mode")
-    if state.distill_config.teacher_size == TEACHER_ALL:
-        return state.rmean.mean
-    if state.teacher_at != state.ring.insertions:
-        state.teacher = window_mean(state.ring)
-        state.teacher_at = state.ring.insertions
     return state.teacher
 
 
@@ -237,9 +241,8 @@ def train_step(state: TrainState, batch, force_flush: bool = False) -> StepPoint
 
     teacher_logits = None
     if cfg.mode == "sda":
-        teacher = sda_teacher(state)
-        teacher_logits = classify(teacher, batch, state.model_config,
-                                  train_mode=False)
+        teacher_logits = classify(sda_teacher(state), batch,
+                                  state.model_config, train_mode=False)
         state.counters["teacher_forwards"] += 1
     elif cfg.mode == "sdv":
         teacher_logits = sdv_teacher_logits(state, batch)
@@ -271,12 +274,8 @@ def train_step(state: TrainState, batch, force_flush: bool = False) -> StepPoint
         state.grad_sum.fill(0.0)
         state.pending = 0
         state.step += 1
-        if cfg.mode in ("sda", "sdv") and state.step % cfg.snapshot_every == 0:
-            snapshot = state.params.copy()
-            if cfg.mode == "sda" and cfg.teacher_size == TEACHER_ALL:
-                running_mean_update(state.rmean, snapshot)
-            else:
-                ring_push(state.ring, snapshot)
+        if cfg.mode != "baseline" and state.step % cfg.snapshot_every == 0:
+            absorb(state, state.params)
     else:
         lr = lr_at(min(state.opt.t + 1, state.opt.total_steps),
                    state.opt.total_steps, state.train_config.lr_encoder,
@@ -371,7 +370,7 @@ def fine_tune(model_config: ModelConfig, distill_config: DistillConfig,
 
     teacher = None
     if distill_config.mode == "sda" and train_config.epochs > 0:
-        teacher = sda_teacher(state).copy()
+        teacher = sda_teacher(state)
 
     final_student = {}
     final_teacher = None

@@ -98,13 +98,12 @@ class ParameterSet:
             layout.append(Slot(name, offset, t.data.shape, groups[name]))
             offset += t.data.size
         self.layout = tuple(layout)
-        self._slots = {s.name: s for s in self.layout}
         self._view(np.concatenate([t.data.ravel() for t in tensors.values()]))
 
     def _view(self, flat: np.ndarray) -> None:
         self.flat = flat
         self._tensors = {
-            s.name: Tensor(flat[s.offset:s.stop].reshape(s.shape), is_param=True)
+            s.name: Tensor(flat[s.offset:s.stop].reshape(s.shape))
             for s in self.layout
         }
 
@@ -114,7 +113,7 @@ class ParameterSet:
             raise ShapeError(f"flat vector of shape {flat.shape} does not fit "
                              f"a layout of size {self.flat.size}")
         out = ParameterSet.__new__(ParameterSet)
-        out.layout, out._slots = self.layout, self._slots
+        out.layout = self.layout
         out._view(flat)
         return out
 
@@ -133,18 +132,12 @@ class ParameterSet:
     def items(self):
         return self._tensors.items()
 
-    def group(self, name: str) -> str:
-        return self._slots[name].group
-
     def copy(self) -> "ParameterSet":
         """Deep copy detached from any tape (snapshots are constants)."""
         return self.with_flat(self.flat.copy())
 
-    def compatible_with(self, other: "ParameterSet") -> bool:
-        return self.layout == other.layout
-
     def require_compatible(self, other: "ParameterSet") -> None:
-        if not self.compatible_with(other):
+        if self.layout != other.layout:
             raise ShapeError("parameter sets have different layouts")
 
     def watch_on(self, tape: Tape) -> None:
@@ -159,7 +152,7 @@ def init_params(config: ModelConfig, seed: int) -> ParameterSet:
     groups: dict[str, str] = {}
 
     def param(name, array, group=GROUP_ENCODER):
-        tensors[name] = Tensor(np.asarray(array, dtype=np.float64), is_param=True)
+        tensors[name] = Tensor(np.asarray(array, dtype=np.float64))
         groups[name] = group
 
     d, f = config.dim, config.ffn_dim
@@ -332,8 +325,7 @@ def load_params(path) -> ParameterSet:
         if len(raw) != nbytes:
             raise InputError(f"{path}: truncated checkpoint at {name}")
         offset += nbytes
-        tensors[name] = Tensor(np.frombuffer(raw, dtype=dtype).reshape(shape),
-                               is_param=True)
+        tensors[name] = Tensor(np.frombuffer(raw, dtype=dtype).reshape(shape))
         groups[name] = group
     if offset != len(body):
         raise InputError(f"{path}: {len(body) - offset} bytes after the last tensor")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoder import ModelConfig, ParameterSet, predict_proba
-from .errors import ShapeError, UsageError
+from .errors import UsageError
 
 
 def average_parameters(sets: list[ParameterSet]) -> ParameterSet:
@@ -29,31 +29,18 @@ def average_parameters(sets: list[ParameterSet]) -> ParameterSet:
     return first.with_flat(np.mean(np.stack([s.flat for s in sets]), axis=0))
 
 
-@dataclass
-class EnsembleSet:
-    """K independently fine-tuned parameter sets sharing one ModelConfig."""
-
-    members: list[ParameterSet]
-
-    def __post_init__(self):
-        if not self.members:
-            raise UsageError("EnsembleSet needs at least one member")
-        for other in self.members[1:]:
-            if not self.members[0].compatible_with(other):
-                raise ShapeError("ensemble members disagree in names or shapes")
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-
-def voted_predict(models: EnsembleSet, batch, config: ModelConfig):
+def voted_predict(members: list[ParameterSet], batch, config: ModelConfig):
     """Sum each model's class probabilities; predict the argmax of the sum.
 
     Returns (summed probabilities [B, C], predicted labels [B]). Ties break
     toward the lowest class index.
     """
+    if not members:
+        raise UsageError("voted_predict: empty member list")
+    for other in members[1:]:
+        members[0].require_compatible(other)
     stacked = np.stack(
-        [predict_proba(member, batch, config) for member in models.members], axis=0
+        [predict_proba(member, batch, config) for member in members], axis=0
     )
     total = stacked.sum(axis=0)
     labels = np.argmax(total, axis=1)

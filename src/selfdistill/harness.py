@@ -30,7 +30,7 @@ from .distill import (
     fine_tune,
 )
 from .encoder import ModelConfig
-from .ensemble import EnsembleSet, average_parameters, voted_predict
+from .ensemble import average_parameters, voted_predict
 from .errors import ConfigError, DivergenceError, InputError
 from .reporting import (
     EpochPoint,
@@ -169,12 +169,11 @@ def ensemble_experiment(config: ExperimentConfig,
                          seed=s, data_seed=s) for s in seeds]
     members = [r.student for r in results]
 
-    ens = EnsembleSet(members)
     correct = 0
     test = task.test
     for batch in iter_batches(test, task.vocab, config.model.max_len,
                               config.train.eval_batch_size):
-        _, labels = voted_predict(ens, batch, config.model)
+        _, labels = voted_predict(members, batch, config.model)
         correct += int((labels == batch.labels).sum())
     voted_acc = correct / len(test)
     voted = {"test_accuracy": voted_acc, "test_error": 1.0 - voted_acc}

@@ -37,7 +37,6 @@ from selfdistill.encoder import (
 )
 from selfdistill.ensemble import (
     CheckpointRing,
-    EnsembleSet,
     RunningMean,
     average_parameters,
     ring_push,
@@ -63,8 +62,8 @@ STABILITY_TRAIN = TrainConfig(epochs=4, micro_batch=8, accum_steps=2)
 def small_param_set(rng) -> ParameterSet:
     return ParameterSet(
         {
-            "a.W": Tensor(rng.normal(0, 1, (4, 3)), is_param=True),
-            "b.b": Tensor(rng.normal(0, 1, 5), is_param=True),
+            "a.W": Tensor(rng.normal(0, 1, (4, 3))),
+            "b.b": Tensor(rng.normal(0, 1, 5)),
         },
         {"a.W": "encoder", "b.b": "encoder"},
     )
@@ -320,17 +319,16 @@ def test_criterion_6_ensemble_sanity():
         members.append(result.student)
         individual_errors.append(result.report.final_student["test_error"])
 
-    ens = EnsembleSet(members)
     correct = 0
     for batch in iter_batches(task.test, task.vocab, model.max_len, 64):
-        _, labels = voted_predict(ens, batch, model)
+        _, labels = voted_predict(members, batch, model)
         correct += int((labels == batch.labels).sum())
     voted_error = 1.0 - correct / len(task.test)
     vote_ok = voted_error <= max(individual_errors)
 
     # identical members reproduce the single model's predictions exactly
-    clones = EnsembleSet([members[0].copy() for _ in range(4)])
-    avg = average_parameters(clones.members)
+    clones = [members[0].copy() for _ in range(4)]
+    avg = average_parameters(clones)
     exact_ok = True
     for batch in iter_batches(task.test, task.vocab, model.max_len, 64):
         single = np.argmax(predict_proba(members[0], batch, model), axis=1)

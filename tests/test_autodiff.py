@@ -40,7 +40,7 @@ PRIMITIVE_CALLS = {
 
 def _tensors(shapes):
     rng = np.random.default_rng(0)
-    return [Tensor(rng.normal(0, 1, shape), is_param=True) for shape in shapes]
+    return [Tensor(rng.normal(0, 1, shape)) for shape in shapes]
 
 
 class TestMatmul:
@@ -63,8 +63,8 @@ class TestMatmul:
 
     def test_batched_gradients_match_fd(self):
         rng = np.random.default_rng(0)
-        a = Tensor(rng.normal(0, 1, (2, 3, 4)), is_param=True)
-        b = Tensor(rng.normal(0, 1, (4, 5)), is_param=True)
+        a = Tensor(rng.normal(0, 1, (2, 3, 4)))
+        b = Tensor(rng.normal(0, 1, (4, 5)))
         target = Tensor(rng.normal(0, 1, (2, 3, 5)))
         err = grad_check(lambda: ad.mse(ad.matmul(a, b), target), [a, b])
         assert err < 1e-7
@@ -73,9 +73,9 @@ class TestMatmul:
 class TestLinear:
     def _inputs(self, seed=0):
         rng = np.random.default_rng(seed)
-        x = Tensor(rng.normal(0, 1, (2, 3, 4)), is_param=True)
-        w = Tensor(rng.normal(0, 1, (4, 5)), is_param=True)
-        b = Tensor(rng.normal(0, 1, 5), is_param=True)
+        x = Tensor(rng.normal(0, 1, (2, 3, 4)))
+        w = Tensor(rng.normal(0, 1, (4, 5)))
+        b = Tensor(rng.normal(0, 1, 5))
         target = Tensor(rng.normal(0, 1, (2, 3, 5)))
         return x, w, b, target
 
@@ -124,7 +124,7 @@ class TestGelu:
         # the grid steps over gelu's stationary point near -0.75 and stops
         # short of the flat tails, where a relative error would measure only
         # finite-difference noise
-        x = Tensor(np.linspace(-3, 3, 19), is_param=True)
+        x = Tensor(np.linspace(-3, 3, 19))
         target = Tensor(np.full(19, 5.0))
         err = grad_check(lambda: ad.mse(ad.gelu(x), target), [x])
         assert err < 1e-6
@@ -223,7 +223,7 @@ class TestMse:
 class TestBackward:
     def test_square_function(self):
         tape = Tape()
-        x = Tensor(3.0, is_param=True)
+        x = Tensor(3.0)
         tape.watch(x)
         grads = backward(ad.mul(x, x), tape)
         assert grads[x] == pytest.approx(6.0, abs=1e-12)
@@ -232,7 +232,7 @@ class TestBackward:
         """d/dlogits CE == softmax(logits) - onehot(label) for one example."""
         logits = np.array([[0.7, -1.2, 0.4]])
         tape = Tape()
-        t = Tensor(logits, is_param=True)
+        t = Tensor(logits)
         tape.watch(t)
         grads = backward(ad.cross_entropy(t, [1]), tape)
         sm = ad.softmax(Tensor(logits)).data
@@ -241,9 +241,9 @@ class TestBackward:
 
     def test_two_layer_network_against_finite_differences(self):
         rng = np.random.default_rng(7)
-        w1 = Tensor(rng.normal(0, 0.5, (4, 6)), is_param=True)
-        b1 = Tensor(rng.normal(0, 0.1, 6), is_param=True)
-        w2 = Tensor(rng.normal(0, 0.5, (6, 3)), is_param=True)
+        w1 = Tensor(rng.normal(0, 0.5, (4, 6)))
+        b1 = Tensor(rng.normal(0, 0.1, 6))
+        w2 = Tensor(rng.normal(0, 0.5, (6, 3)))
         x = Tensor(rng.normal(0, 1, (5, 4)))
         labels = rng.integers(0, 3, 5)
 
@@ -255,7 +255,7 @@ class TestBackward:
 
     def test_loss_must_be_scalar(self):
         tape = Tape()
-        x = Tensor(np.ones((2, 2)), is_param=True)
+        x = Tensor(np.ones((2, 2)))
         tape.watch(x)
         y = ad.mul(x, 2.0)
         with pytest.raises(UsageError, match="scalar"):
@@ -263,7 +263,7 @@ class TestBackward:
 
     def test_constants_never_in_gradient_map(self):
         tape = Tape()
-        x = Tensor(np.ones(3), is_param=True)
+        x = Tensor(np.ones(3))
         c = Tensor(np.full(3, 2.0))  # constant
         tape.watch(x)
         grads = backward(ad.mse(ad.mul(x, c), Tensor(np.zeros(3))), tape)
@@ -273,8 +273,8 @@ class TestBackward:
 
     def test_unreached_parameter_gets_zeros(self):
         tape = Tape()
-        x = Tensor(np.ones(3), is_param=True)
-        unused = Tensor(np.ones(4), is_param=True)
+        x = Tensor(np.ones(3))
+        unused = Tensor(np.ones(4))
         tape.watch(x)
         tape.watch(unused)
         grads = backward(ad.mse(x, Tensor(np.zeros(3))), tape)
@@ -284,7 +284,7 @@ class TestBackward:
         """Intermediates die with their last reference, not at the next
         cyclic garbage collection."""
         tape = Tape()
-        x = tape.watch(Tensor(np.ones(3), is_param=True))
+        x = tape.watch(Tensor(np.ones(3)))
         hidden = ad.mul(x, x)
         alive = weakref.ref(hidden.data)
         loss = ad.mse(hidden, Tensor(np.zeros(3)))
@@ -296,7 +296,7 @@ class TestBackward:
     def test_closed_tape_ops_are_constants(self):
         """After backward, forwards with the same tensors record nothing."""
         tape = Tape()
-        x = Tensor(2.0, is_param=True)
+        x = Tensor(2.0)
         tape.watch(x)
         backward(ad.mul(x, x), tape)
         n_nodes = len(tape)
@@ -308,14 +308,14 @@ class TestBackward:
 class TestGradCheck:
     def test_linear_regression_is_nearly_exact(self):
         rng = np.random.default_rng(8)
-        w = Tensor(rng.normal(0, 1, (3, 1)), is_param=True)
+        w = Tensor(rng.normal(0, 1, (3, 1)))
         x = Tensor(rng.normal(0, 1, (10, 3)))
         y = Tensor(rng.normal(0, 1, (10, 1)))
         err = grad_check(lambda: ad.mse(ad.matmul(x, w), y), [w], eps=1e-5)
         assert err < 1e-8
 
     def test_constant_function_has_zero_error(self):
-        w = Tensor(np.ones(4), is_param=True)
+        w = Tensor(np.ones(4))
         err = grad_check(lambda: ad.mse(Tensor(np.ones(2)), Tensor(np.zeros(2))),
                          [w], eps=1e-5)
         assert err == 0.0
@@ -354,7 +354,7 @@ class TestDropout:
     def test_gradient_uses_same_mask(self):
         rng = np.random.default_rng(10)
         tape = Tape()
-        x = Tensor(np.ones((4, 4)), is_param=True)
+        x = Tensor(np.ones((4, 4)))
         tape.watch(x)
         out = ad.dropout(x, 0.5, rng)
         grads = backward(ad.mse(out, Tensor(np.zeros((4, 4)))), tape)
@@ -371,14 +371,14 @@ class TestTake:
 
     def test_row_slice_of_a_2d_tensor_matches_fd(self):
         rng = np.random.default_rng(11)
-        a = Tensor(rng.normal(0, 1, (5, 4)), is_param=True)
+        a = Tensor(rng.normal(0, 1, (5, 4)))
         target = Tensor(rng.normal(0, 1, (3, 4)))
         err = grad_check(lambda: ad.mse(ad.take(a, slice(3)), target), [a])
         assert err < 1e-6
 
     def test_position_of_a_3d_tensor_matches_fd(self):
         rng = np.random.default_rng(12)
-        a = Tensor(rng.normal(0, 1, (2, 4, 3)), is_param=True)
+        a = Tensor(rng.normal(0, 1, (2, 4, 3)))
         target = Tensor(rng.normal(0, 1, (2, 3)))
         err = grad_check(
             lambda: ad.mse(ad.take(a, (slice(None), 1)), target), [a])
@@ -395,7 +395,7 @@ class TestRecord:
 
     def test_add_with_a_constant(self):
         tape = Tape()
-        x = tape.watch(Tensor(np.ones(3), is_param=True))
+        x = tape.watch(Tensor(np.ones(3)))
         c = Tensor(np.full(3, 2.0))
         ad.add(x, c)
         assert self._inputs_of_last_node(tape) == [x]
@@ -406,7 +406,7 @@ class TestRecord:
         rng = np.random.default_rng(13)
         tape = Tape()
         x = Tensor(rng.normal(0, 1, (2, 4)))
-        w = tape.watch(Tensor(rng.normal(0, 1, (4, 3)), is_param=True))
+        w = tape.watch(Tensor(rng.normal(0, 1, (4, 3))))
         ad.linear(x, w)
         assert self._inputs_of_last_node(tape) == [w]
 
@@ -416,7 +416,7 @@ class TestRecord:
         teacher = ad.mul(old.watch(Tensor(rng.normal(0, 1, (2, 3)))), 1.0)
         backward(ad.mse(teacher, Tensor(np.zeros((2, 3)))), old)
         tape = Tape()
-        x = tape.watch(Tensor(rng.normal(0, 1, (2, 3)), is_param=True))
+        x = tape.watch(Tensor(rng.normal(0, 1, (2, 3))))
         student = ad.mul(x, 2.0)
         for constant in (teacher, Tensor(rng.normal(0, 1, (2, 3)))):
             ad.mse(student, constant)

@@ -25,6 +25,7 @@ from selfdistill.data import (
 from selfdistill.distill import (
     DistillConfig,
     TrainConfig,
+    absorb,
     evaluate_params,
     fine_tune,
     make_train_state,
@@ -104,8 +105,8 @@ class TestSdaTeacher:
                                  TrainConfig(epochs=1), n_train=32, seed=5)
         s1 = init_params(MODEL, seed=6)
         s2 = init_params(MODEL, seed=7)
-        ring_push(state.ring, s1)
-        ring_push(state.ring, s2)  # evicts the seeded theta_0
+        absorb(state, s1)
+        absorb(state, s2)  # evicts the seeded theta_0
         teacher = sda_teacher(state)
         for name in teacher:
             np.testing.assert_allclose(
@@ -117,9 +118,8 @@ class TestSdaTeacher:
                                                       teacher_size="all"),
                                  TrainConfig(epochs=1), n_train=32, seed=5)
         snaps = [init_params(MODEL, seed=s) for s in (5, 8, 9, 10)]
-        from selfdistill.ensemble import running_mean_update
         for s in snaps[1:]:
-            running_mean_update(state.rmean, s)
+            absorb(state, s)
         teacher = sda_teacher(state)
         for name in teacher:
             oracle = np.mean(np.stack([s[name].data for s in snaps]), axis=0)
@@ -173,12 +173,12 @@ class TestSdaTeacherCache:
         # the seeded theta_0 plus one per optimizer step
         assert len(calls) == 1 + 10
 
-    def test_direct_ring_push_is_seen_by_the_next_call(self):
+    def test_absorbed_snapshot_is_seen_by_the_next_call(self):
         state = make_train_state(MODEL, DistillConfig(mode="sda", teacher_size=2),
                                  TrainConfig(epochs=1), n_train=32, seed=5)
         before = sda_teacher(state)
         snap = init_params(MODEL, seed=6)
-        ring_push(state.ring, snap)
+        absorb(state, snap)
         after = sda_teacher(state)
         assert after is not before
         for name in after:
@@ -191,6 +191,20 @@ class TestSdaTeacherCache:
                                                       teacher_size="all"),
                                  TrainConfig(epochs=1), n_train=32, seed=5)
         assert sda_teacher(state) is state.rmean.mean
+
+    def test_all_mode_fine_tune_copies_the_parameters_once(self, monkeypatch):
+        """The running mean copies its first snapshot and no later one, and
+        the returned teacher is that mean itself."""
+        copies = []
+        original = distill.ParameterSet.copy
+        monkeypatch.setattr(distill.ParameterSet, "copy",
+                            lambda ps: copies.append(1) or original(ps))
+        task = small_task(n_train=40, n_test=20)
+        result = fine_tune(MODEL, DistillConfig(mode="sda", teacher_size="all"),
+                           TrainConfig(epochs=2, micro_batch=4, accum_steps=2),
+                           task, seed=2)
+        assert len(result.report.step_curve) == 20   # 10 optimizer steps
+        assert len(copies) == 1
 
 
 class TestSdaLoss:
@@ -240,7 +254,7 @@ class TestSdaLoss:
     def test_open_tape_teacher_rejected(self):
         tape = Tape()
         student = Tensor([[0.0, 1.0]])
-        leaky = Tensor([[0.5, 0.5]], is_param=True)
+        leaky = Tensor([[0.5, 0.5]])
         tape.watch(leaky)
         with pytest.raises(UsageError, match="constant"):
             sda_loss(student, leaky, [0], lam=1.0)
@@ -253,7 +267,7 @@ class TestSdaLoss:
         t_data = rng.normal(0, 2, (b, c))
         labels = rng.integers(0, c, b)
         tape = Tape()
-        s = Tensor(s_data, is_param=True)
+        s = Tensor(s_data)
         tape.watch(s)
         total, _, _ = sda_loss(s, Tensor(t_data), labels, lam)
         grads = ad.backward(total, tape)
@@ -265,7 +279,7 @@ class TestSdaLoss:
 
     def test_teacher_never_in_gradient_map(self):
         tape = Tape()
-        s = Tensor([[1.0, 2.0]], is_param=True)
+        s = Tensor([[1.0, 2.0]])
         t = Tensor([[0.5, 0.5]])
         tape.watch(s)
         total, _, _ = sda_loss(s, t, [1], lam=1.0)
@@ -409,20 +423,19 @@ class TestTrainStep:
         assert metrics.ce > 0.0
 
     def test_frozen_teacher_keeps_gradient_name_set(self):
-        """Perturbing ring contents changes the loss but not who gets gradients."""
+        """Perturbing the teacher changes the loss but not who gets gradients."""
         task = small_task()
         batch = make_batch(task.train.examples[:4], task.vocab, MODEL.max_len)
 
-        def loss_and_gradnames(ring_offset):
+        def loss_and_gradnames(teacher_offset):
             state = make_train_state(MODEL_NODROP,
                                      DistillConfig(mode="sda", teacher_size=1),
                                      TrainConfig(epochs=1, micro_batch=4,
                                                  accum_steps=2),
                                      n_train=len(task.train), seed=9)
-            for _, t in state.ring.snapshots()[0].items():
-                t.data += ring_offset
-            tape = Tape()
             teacher = sda_teacher(state)
+            teacher.flat += teacher_offset
+            tape = Tape()
             t_logits = classify(teacher, batch, MODEL_NODROP)
             s_logits = classify(state.params, batch, MODEL_NODROP, tape=tape)
             total, _, _ = sda_loss(s_logits, t_logits, batch.labels, 1.0)

@@ -83,10 +83,10 @@ class TestInitParams:
 
     def test_group_tags(self):
         params = init_params(TINY, seed=0)
-        assert params.group("head.W") == "head"
-        assert params.group("tok_emb") == "encoder"
-        assert all(params.group(n) == "head" or params.group(n) == "encoder"
-                   for n in params)
+        group = {s.name: s.group for s in params.layout}
+        assert group["head.W"] == "head"
+        assert group["tok_emb"] == "encoder"
+        assert set(group.values()) == {"head", "encoder"}
 
     def test_biases_zero_gains_one(self):
         params = init_params(TINY, seed=0)
@@ -424,7 +424,7 @@ class TestCheckpoint:
         for name in params:
             np.testing.assert_array_equal(loaded[name].data, params[name].data)
             assert loaded[name].data.dtype == params[name].data.dtype
-            assert loaded.group(name) == params.group(name)
+        assert loaded.layout == params.layout   # names, shapes and groups
 
     def test_rejects_non_checkpoint(self, tmp_path):
         path = tmp_path / "junk.ckpt"

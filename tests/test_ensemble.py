@@ -13,7 +13,6 @@ from selfdistill.data import Batch
 from selfdistill.encoder import ModelConfig, ParameterSet, init_params
 from selfdistill.ensemble import (
     CheckpointRing,
-    EnsembleSet,
     RunningMean,
     average_parameters,
     ring_push,
@@ -110,7 +109,7 @@ class TestVotedPredict:
         rng = np.random.default_rng(6)
         ps = random_set(rng)
         batch = self.batch(rng)
-        summed, labels = voted_predict(EnsembleSet([ps]), batch, CFG)
+        summed, labels = voted_predict([ps], batch, CFG)
         probs = predict_proba(ps, batch, CFG)
         np.testing.assert_array_equal(summed, probs)
         np.testing.assert_array_equal(labels, np.argmax(probs, axis=1))
@@ -126,7 +125,7 @@ class TestVotedPredict:
         rng = np.random.default_rng(7)
         members = [random_set(rng) for _ in range(3)]
         batch = self.batch(rng, b=12)
-        summed, labels = voted_predict(EnsembleSet(members), batch, CFG)
+        summed, labels = voted_predict(members, batch, CFG)
         materialized = np.stack(
             [predict_proba(m, batch, CFG) for m in members], axis=0)
         np.testing.assert_array_equal(summed, materialized.sum(axis=0))
@@ -138,8 +137,7 @@ class TestVotedPredict:
         rng = np.random.default_rng(8)
         ps = random_set(rng)
         batch = self.batch(rng, b=16)
-        _, labels = voted_predict(EnsembleSet([ps.copy() for _ in range(4)]),
-                                  batch, CFG)
+        _, labels = voted_predict([ps.copy() for _ in range(4)], batch, CFG)
         single = np.argmax(predict_proba(ps, batch, CFG), axis=1)
         np.testing.assert_array_equal(labels, single)
 
@@ -152,7 +150,13 @@ class TestVotedPredict:
                                 n_heads=2, ffn_dim=16, n_classes=2,
                                 dropout_p=0.0)
         with pytest.raises(ShapeError):
-            EnsembleSet([random_set(rng), init_params(other_cfg, 0)])
+            voted_predict([random_set(rng), init_params(other_cfg, 0)],
+                          self.batch(rng), CFG)
+
+    def test_empty_member_list_rejected(self):
+        batch = self.batch(np.random.default_rng(21))
+        with pytest.raises(UsageError, match="empty"):
+            voted_predict([], batch, CFG)
 
 
 class TestCheckpointRing:
@@ -226,7 +230,7 @@ class TestRunningMean:
 
     def test_scalar_stream_1_2_3(self):
         def const_set(v):
-            t = Tensor(np.array([v]), is_param=True)
+            t = Tensor(np.array([v]))
             return ParameterSet({"x": t}, {"x": "encoder"})
 
         rm = RunningMean()

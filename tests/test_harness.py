@@ -431,6 +431,45 @@ class TestCli:
             label_col=0, text_cols=(1,), n_classes=4, delimiter=",",
             label_base=0)
 
+    @pytest.mark.parametrize("how", ["flag", "env"])
+    def test_dataset_seed_with_csv_is_config_error(self, tmp_path, capsys,
+                                                   monkeypatch, how):
+        """A csv is read, not generated, so nothing would read the seed."""
+        TestCliFlagsFromConfigs._clear_env(monkeypatch)
+        csv_path = tmp_path / "rows.csv"
+        csv_path.write_text('0,"aaa"\n1,"bbb"\n')
+        argv = ["train", *SMALL_CLI_ARGS, "--dataset", str(csv_path),
+                "--eval-dataset", str(csv_path), "--n-classes", "2"]
+        if how == "flag":
+            argv += ["--dataset-seed", "7"]
+        else:
+            monkeypatch.setenv("SELFDISTILL_DATASET_SEED", "7")
+        out = tmp_path / "run"
+        assert cli_main([*argv, "--out", str(out)]) == 1
+        assert "--dataset-seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_csv_without_dataset_seed_reports_the_default(self, tmp_path,
+                                                          monkeypatch):
+        TestCliFlagsFromConfigs._clear_env(monkeypatch)
+        csv_path = tmp_path / "rows.csv"
+        csv_path.write_text("".join(f'{i % 2},"{"ab"[i % 2] * 3} w{i}"\n'
+                                    for i in range(16)))
+        out = tmp_path / "run"
+        assert cli_main(["train", *SMALL_CLI_ARGS, "--dataset", str(csv_path),
+                         "--eval-dataset", str(csv_path), "--n-classes", "2",
+                         "--out", str(out)]) == 0
+        doc = json.loads((out / "report.json").read_text())
+        assert doc["config"]["dataset"]["dataset_seed"] == 1234
+
+    def test_synthetic_dataset_seed_defaults_to_the_config_field(
+            self, monkeypatch):
+        TestCliFlagsFromConfigs._clear_env(monkeypatch)
+        parse = cli.build_parser().parse_args
+        assert cli._dataset_config(parse(["train"])).dataset_seed == 1234
+        assert cli._dataset_config(
+            parse(["train", "--dataset-seed", "7"])).dataset_seed == 7
+
     def test_unknown_spec_key_is_config_error(self, tmp_path, capsys):
         spec_file = tmp_path / "spec.json"
         spec_file.write_text(json.dumps({"n_classes": 2, "bogus": 1}))
@@ -493,6 +532,23 @@ class TestCli:
         monkeypatch.setenv("SELFDISTILL_EPOCHS", "two")
         assert cli_main(["train", *SMALL_CLI_ARGS, "--out", str(tmp_path)]) == 1
         assert "SELFDISTILL_EPOCHS: 'two'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,env,source", [
+        (["train"], {"SELFDISTILL_TEACHER_SIZE": "x"}, "SELFDISTILL_TEACHER_SIZE"),
+        (["sweep", "--mode", "sda", "--axis", "k", "--grid", "1,x"], {},
+         "--grid"),
+    ], ids=["env", "k-grid"])
+    def test_unparseable_teacher_size_names_its_source(
+            self, tmp_path, monkeypatch, capsys, argv, env, source):
+        TestCliFlagsFromConfigs._clear_env(monkeypatch)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        out = tmp_path / "run"
+        code = cli_main([argv[0], *SMALL_CLI_ARGS, *argv[1:],
+                         "--out", str(out)])
+        assert code == 1
+        assert f"{source}: 'x' is not a valid int" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("name,content", [("spec.json", b"{not json"),
                                               ("spec.json", b'{"n_classes": "\xff"}'),

@@ -54,7 +54,7 @@ class TestLrSchedule:
 
 
 def single_param(value, name="w.W"):
-    t = Tensor(np.asarray(value, dtype=np.float64), is_param=True)
+    t = Tensor(np.asarray(value, dtype=np.float64))
     return ParameterSet({name: t}, {name: "encoder"})
 
 
@@ -164,7 +164,7 @@ class ReferenceAdamW:
 
     def __init__(self, params: ParameterSet, state: OptimState):
         self.p = {n: t.data.copy() for n, t in params.items()}
-        self.group = {n: params.group(n) for n in params}
+        self.group = {s.name: s.group for s in params.layout}
         self.m = {n: np.zeros_like(a) for n, a in self.p.items()}
         self.v = {n: np.zeros_like(a) for n, a in self.p.items()}
         self.t = 0
@@ -199,7 +199,7 @@ class TestFlatAdamWMatchesPerTensorLoop:
     def test_200_steps_bit_identical_on_stability_layout(self):
         """Both groups, decayed and exempt tensors, warmup and decay."""
         params = init_params(STABILITY_MODEL, seed=0)
-        groups = {params.group(n) for n in params}
+        groups = {s.group for s in params.layout}
         decays = {decay_applies(n) for n in params}
         assert groups == {"encoder", "head"} and decays == {True, False}
         state = OptimState.init(params, 200, TrainConfig(
