@@ -21,12 +21,22 @@ step that produces theta_t the window holds theta_{t-1}..theta_{t-K}. The
 k=1 entry is the parameter vector currently in hand: with dropout disabled,
 K=1 distillation reduces to the plain run exactly, and with dropout enabled
 it acts as a consistency regularizer against the clean-forward logits.
+
+In sdv mode with K >= 2, ``fine_tune`` overlaps the teacher with the
+student: a forked worker process mirrors the ring and, one micro-batch
+ahead, sums the logits of the K-1 snapshots that will be the older ones
+when that micro-batch runs. Only the newest snapshot's forward, which
+depends on the optimizer step just taken, stays in the training process.
+The sums are the same arithmetic in the same order, so results do not
+depend on where they were computed.
 """
 
 from __future__ import annotations
 
 import math
+import signal
 import time
+from collections import deque
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -50,7 +60,13 @@ from .ensemble import (
     running_mean_update,
     window_mean,
 )
-from .errors import ConfigError, DivergenceError, InputError, UsageError
+from .errors import (
+    ConfigError,
+    DivergenceError,
+    InputError,
+    SelfDistillError,
+    UsageError,
+)
 from .optim import OptimState, accumulate, adamw_step, lr_at
 from .reporting import EpochPoint, RunReport, StepPoint
 
@@ -137,6 +153,7 @@ class TrainState:
     rmean: RunningMean | None = None
     pending: int = 0                   # micro-batches summed in grad_sum
     teacher: ParameterSet | None = None  # the sda average, set by absorb
+    sdv_worker: SdvWorker | None = None  # set by fine_tune for sdv, K >= 2
     counters: dict = field(default_factory=lambda: {
         "student_forwards": 0, "teacher_forwards": 0,
     })
@@ -182,9 +199,12 @@ def absorb(state: TrainState, params: ParameterSet) -> None:
         running_mean_update(state.rmean, params)
         state.teacher = state.rmean.mean
         return
-    ring_push(state.ring, params.copy())
+    snapshot = params.copy()
+    ring_push(state.ring, snapshot)
     if state.distill_config.mode == "sda":
         state.teacher = window_mean(state.ring)
+    elif state.sdv_worker is not None:
+        state.sdv_worker.push(snapshot.flat)
 
 
 def sda_teacher(state: TrainState) -> ParameterSet:
@@ -195,15 +215,149 @@ def sda_teacher(state: TrainState) -> ParameterSet:
     return state.teacher
 
 
+def logit_sum(snapshots, batch, config: ModelConfig) -> np.ndarray | None:
+    """Ring-order sum of the snapshots' eval logits on ``batch``; None for
+    no snapshot."""
+    total = None
+    for snap in snapshots:
+        out = classify(snap, batch, config, train_mode=False).data
+        total = out if total is None else total + out
+    return total
+
+
+def mean_logits(older: np.ndarray | None, newest: np.ndarray,
+                n: int) -> np.ndarray:
+    """The sdv teacher's combine rule, ``(older + newest) / n``: with
+    ``older`` the ring-order sum of the other n-1 logits it equals
+    ``np.mean(np.stack(outs), axis=0)`` bit for bit, because that mean also
+    adds the rows in order and then divides."""
+    return (newest if older is None else older + newest) / n
+
+
 def sdv_teacher_logits(state: TrainState, batch) -> Tensor:
-    """Mean of the retained snapshots' logits on this batch; a constant."""
+    """Mean of the retained snapshots' logits on this batch; a constant.
+
+    The older snapshots' sum comes from the sdv worker when it was asked
+    for this batch, and is computed here otherwise."""
     if state.ring is None or len(state.ring) == 0:
         raise UsageError("sdv teacher ring is empty")
-    outs = []
-    for snap in state.ring.snapshots():
-        outs.append(classify(snap, batch, state.model_config, train_mode=False).data)
-        state.counters["teacher_forwards"] += 1
-    return Tensor(np.mean(np.stack(outs, axis=0), axis=0))
+    snaps = state.ring.snapshots()
+    newest = classify(snaps[-1], batch, state.model_config,
+                      train_mode=False).data
+    worker = state.sdv_worker
+    if worker is not None and worker.pending(batch):
+        older = worker.take()
+    else:
+        older = logit_sum(snaps[:-1], batch, state.model_config)
+    state.counters["teacher_forwards"] += len(snaps)
+    return Tensor(mean_logits(older, newest, len(snaps)))
+
+
+class SdvWorker:
+    """A forked process that sums the older sdv snapshots' logits one
+    micro-batch ahead of ``train_step``.
+
+    It keeps a mirror of the ring, fed by ``push`` from ``absorb``.
+    ``request(batch, snapshot)`` asks for the ``logit_sum`` of the snapshots
+    that will be the older K-1 when ``batch`` runs; ``snapshot`` says
+    whether the micro-batch in hand ends with an absorb (``step_plan``).
+    ``take`` returns the oldest outstanding answer and re-raises an error
+    the worker met, with its type and message. The worker is a daemon and
+    exits on EOF when ``close`` shuts the parent's end of the pipe.
+    """
+
+    def __init__(self, state: TrainState, context):
+        self.conn, child = context.Pipe()
+        self._requested: deque = deque()
+        self.process = context.Process(
+            target=_sdv_worker_main, name="selfdistill-sdv-teacher",
+            args=(child, self.conn, state.params, state.model_config,
+                  state.ring.capacity,
+                  [s.flat for s in state.ring.snapshots()]),
+            daemon=True)
+        self.process.start()
+        child.close()
+
+    def push(self, flat: np.ndarray) -> None:
+        self._send(flat)
+
+    def request(self, batch, snapshot: bool) -> None:
+        self._send((batch, snapshot))
+        self._requested.append(batch)
+
+    def pending(self, batch) -> bool:
+        """Whether the oldest outstanding answer is for ``batch``."""
+        return bool(self._requested) and self._requested[0] is batch
+
+    def take(self) -> np.ndarray | None:
+        self._requested.popleft()
+        try:
+            status, value = self.conn.recv()
+        except EOFError:
+            raise self._lost() from None
+        if status == "error":
+            raise value
+        return value
+
+    def close(self) -> None:
+        self.conn.close()
+        self.process.join(timeout=10)
+        if self.process.is_alive():
+            self.process.terminate()
+            self.process.join()
+
+    def _send(self, message) -> None:
+        try:
+            self.conn.send(message)
+        except (BrokenPipeError, ConnectionResetError):
+            raise self._lost() from None
+
+    def _lost(self) -> SelfDistillError:
+        self.process.join(timeout=10)
+        return SelfDistillError(f"the sdv teacher worker exited with code "
+                                f"{self.process.exitcode}")
+
+
+def _sdv_worker_main(conn, parent_end, template: ParameterSet,
+                     config: ModelConfig, capacity: int, flats) -> None:
+    # the parent handles Ctrl-C; this process ends when the pipe closes
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    parent_end.close()
+    ring = deque((template.with_flat(f) for f in flats), maxlen=capacity)
+    while True:
+        try:
+            message = conn.recv()
+        except EOFError:
+            return
+        if isinstance(message, np.ndarray):
+            ring.append(template.with_flat(message))
+            continue
+        batch, snapshot = message
+        snaps = list(ring)
+        # an absorb in the micro-batch in hand makes every mirrored
+        # snapshot an older one, up to K-1 of them
+        older = snaps[-(capacity - 1):] if snapshot else snaps[:-1]
+        try:
+            answer = ("ok", logit_sum(older, batch, config))
+        except Exception as exc:  # re-raised in the parent by take()
+            answer = ("error", exc)
+        try:
+            conn.send(answer)
+        except (BrokenPipeError, ConnectionResetError):
+            return   # the parent stopped first, e.g. on an error of its own
+
+
+def start_sdv_worker(state: TrainState) -> SdvWorker | None:
+    """A worker for sdv runs with older snapshots to overlap (K >= 2) on a
+    platform that can fork; None otherwise."""
+    if state.distill_config.mode != "sdv" or state.ring.capacity < 2:
+        return None
+    import multiprocessing
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return None
+    # fork, not spawn: the worker needs no import or pickled state, and the
+    # only other threads are BLAS's, which OpenBLAS shuts down before a fork
+    return SdvWorker(state, multiprocessing.get_context("fork"))
 
 
 def sda_loss(student_logits: Tensor, teacher_logits: Tensor, labels,
@@ -228,8 +382,20 @@ def sda_loss(student_logits: Tensor, teacher_logits: Tensor, labels,
     return total, ce, m
 
 
+def step_plan(state: TrainState,
+              force_flush: bool = False) -> tuple[bool, bool]:
+    """(flush, snapshot) for the micro-batch ``train_step`` runs next:
+    whether it ends with an optimizer step, and whether ``absorb`` then
+    takes the new parameters."""
+    cfg = state.distill_config
+    flush = force_flush or state.pending + 1 >= state.train_config.accum_steps
+    snapshot = (flush and cfg.mode != "baseline"
+                and (state.step + 1) % cfg.snapshot_every == 0)
+    return flush, snapshot
+
+
 def train_step(state: TrainState, batch, force_flush: bool = False) -> StepPoint:
-    """One micro-batch: teacher signal, forward, loss, backward, accumulate.
+    """One micro-batch: forward, teacher signal, loss, backward, accumulate.
 
     On an accumulation boundary (or ``force_flush`` at epoch end) the
     averaged gradients feed one AdamW step and the fresh parameters are
@@ -237,8 +403,16 @@ def train_step(state: TrainState, batch, force_flush: bool = False) -> StepPoint
     row; its ``step`` counts the run's micro-batches from 0.
     """
     cfg = state.distill_config
+    flush, snapshot = step_plan(state, force_flush)
     tape = Tape()
 
+    micro = state.counters["student_forwards"]   # micro-batches run so far
+    student_logits = classify(state.params, batch, state.model_config,
+                              train_mode=True, tape=tape, rng=state.dropout_rng)
+    state.counters["student_forwards"] += 1
+
+    # the teacher comes second, which gives the sdv worker the student's
+    # forward as extra time to finish its sum
     teacher_logits = None
     if cfg.mode == "sda":
         teacher_logits = classify(sda_teacher(state), batch,
@@ -246,11 +420,6 @@ def train_step(state: TrainState, batch, force_flush: bool = False) -> StepPoint
         state.counters["teacher_forwards"] += 1
     elif cfg.mode == "sdv":
         teacher_logits = sdv_teacher_logits(state, batch)
-
-    micro = state.counters["student_forwards"]   # micro-batches run so far
-    student_logits = classify(state.params, batch, state.model_config,
-                              train_mode=True, tape=tape, rng=state.dropout_rng)
-    state.counters["student_forwards"] += 1
 
     if cfg.mode == "baseline":
         total = ad.cross_entropy(student_logits, batch.labels)
@@ -269,18 +438,28 @@ def train_step(state: TrainState, batch, force_flush: bool = False) -> StepPoint
     accumulate(state.params, ad.backward(total, tape), state.grad_sum)
     state.pending += 1
 
-    if state.pending >= state.train_config.accum_steps or force_flush:
+    if flush:
         lr = adamw_step(state.params, state.grad_sum / state.pending, state.opt)
         state.grad_sum.fill(0.0)
         state.pending = 0
         state.step += 1
-        if cfg.mode != "baseline" and state.step % cfg.snapshot_every == 0:
+        if snapshot:
             absorb(state, state.params)
     else:
         lr = lr_at(min(state.opt.t + 1, state.opt.total_steps),
                    state.opt.total_steps, state.train_config.lr_encoder,
                    state.train_config.warmup_prop)
     return StepPoint(step=micro, ce=ce_val, mse=mse_val, lr=lr)
+
+
+def _with_next(items):
+    """Yield (item, the item after it or None), reading one item ahead."""
+    it = iter(items)
+    item = next(it, None)
+    while item is not None:
+        following = next(it, None)
+        yield item, following
+        item = following
 
 
 def evaluate_params(params: ParameterSet, config: ModelConfig, split, vocab,
@@ -331,40 +510,48 @@ def fine_tune(model_config: ModelConfig, distill_config: DistillConfig,
 
     n_train = len(task.train)
     micro_per_epoch = math.ceil(n_train / train_config.micro_batch)
-    for epoch in range(train_config.epochs):
-        order = permutation_with_seed(n_train, [data_seed, epoch])
-        ce_sum, mse_sum = 0.0, 0.0
-        for i, batch in enumerate(iter_batches(task.train, vocab,
-                                               model_config.max_len,
-                                               train_config.micro_batch, order)):
-            point = train_step(state, batch,
-                               force_flush=(i == micro_per_epoch - 1))
-            step_curve.append(point)
-            ce_sum += point.ce
-            mse_sum += point.mse
-        test_acc, test_err = evaluate_params(state.params, model_config,
-                                             task.test, vocab,
+    state.sdv_worker = start_sdv_worker(state)
+    try:
+        for epoch in range(train_config.epochs):
+            order = permutation_with_seed(n_train, [data_seed, epoch])
+            batches = iter_batches(task.train, vocab, model_config.max_len,
+                                   train_config.micro_batch, order)
+            ce_sum, mse_sum = 0.0, 0.0
+            for i, (batch, following) in enumerate(_with_next(batches)):
+                if state.sdv_worker is not None and following is not None:
+                    state.sdv_worker.request(following, step_plan(state)[1])
+                point = train_step(state, batch,
+                                   force_flush=(i == micro_per_epoch - 1))
+                step_curve.append(point)
+                ce_sum += point.ce
+                mse_sum += point.mse
+            test_acc, test_err = evaluate_params(state.params, model_config,
+                                                 task.test, vocab,
+                                                 train_config.eval_batch_size)
+            epoch_curve.append(EpochPoint(
+                epoch=epoch,
+                test_error=test_err,
+                test_accuracy=test_acc,
+                mean_ce=ce_sum / micro_per_epoch,
+                mean_mse=mse_sum / micro_per_epoch,
+                lr=point.lr,     # the epoch's last step always flushes
+            ))
+            if select_best_dev:
+                dev_acc, _ = evaluate_params(state.params, model_config,
+                                             task.dev, vocab,
                                              train_config.eval_batch_size)
-        epoch_curve.append(EpochPoint(
-            epoch=epoch,
-            test_error=test_err,
-            test_accuracy=test_acc,
-            mean_ce=ce_sum / micro_per_epoch,
-            mean_mse=mse_sum / micro_per_epoch,
-            lr=point.lr,     # the epoch's last step always flushes
-        ))
-        if select_best_dev:
-            dev_acc, _ = evaluate_params(state.params, model_config, task.dev,
-                                         vocab, train_config.eval_batch_size)
-            if dev_acc > best_dev_acc:
-                best_dev_acc, best_epoch = dev_acc, epoch
-                # the last epoch's parameters are returned as state.params
-                best_params = (state.params.copy()
-                               if epoch < train_config.epochs - 1 else None)
-        if checkpoint_dir is not None:
-            out = Path(checkpoint_dir)
-            out.mkdir(parents=True, exist_ok=True)
-            save_params(state.params, out / f"epoch_{epoch:03d}.ckpt")
+                if dev_acc > best_dev_acc:
+                    best_dev_acc, best_epoch = dev_acc, epoch
+                    # the last epoch's parameters are returned as state.params
+                    best_params = (state.params.copy()
+                                   if epoch < train_config.epochs - 1 else None)
+            if checkpoint_dir is not None:
+                out = Path(checkpoint_dir)
+                out.mkdir(parents=True, exist_ok=True)
+                save_params(state.params, out / f"epoch_{epoch:03d}.ckpt")
+    finally:
+        if state.sdv_worker is not None:
+            state.sdv_worker.close()
 
     student = state.params if best_params is None else best_params
 

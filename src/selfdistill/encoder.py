@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -82,7 +83,9 @@ class ParameterSet:
     into ``flat``, so an in-place change through either one shows in the
     other. Sets built from the same ModelConfig share the layout, which
     makes averaging, snapshots and optimizer updates whole-vector
-    operations on ``flat``.
+    operations on ``flat``. The named views are built on first access, so
+    a set read only through ``flat``, such as a ring snapshot, never pays
+    for them.
     """
 
     def __init__(self, tensors: dict[str, Tensor], groups: dict[str, str]):
@@ -102,10 +105,13 @@ class ParameterSet:
 
     def _view(self, flat: np.ndarray) -> None:
         self.flat = flat
-        self._tensors = {
-            s.name: Tensor(flat[s.offset:s.stop].reshape(s.shape))
-            for s in self.layout
-        }
+
+    @cached_property
+    def _tensors(self) -> dict[str, Tensor]:
+        """The named views, built on first use and then kept: the tape and
+        ``accumulate`` key on each Tensor object's identity."""
+        return {s.name: Tensor(self.flat[s.offset:s.stop].reshape(s.shape))
+                for s in self.layout}
 
     def with_flat(self, flat: np.ndarray) -> "ParameterSet":
         """A set with this layout whose tensors view ``flat`` (not copied)."""

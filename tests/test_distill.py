@@ -6,6 +6,9 @@ properties checked bit-for-bit over real multi-step runs.
 """
 
 import copy
+import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -28,7 +31,9 @@ from selfdistill.distill import (
     absorb,
     evaluate_params,
     fine_tune,
+    logit_sum,
     make_train_state,
+    mean_logits,
     sda_loss,
     sda_teacher,
     sdv_teacher_logits,
@@ -37,7 +42,14 @@ from selfdistill.distill import (
 from selfdistill.encoder import ModelConfig, classify, init_params
 from selfdistill.ensemble import average_parameters, ring_push
 from selfdistill.optim import adamw_step
-from selfdistill.errors import ConfigError, InputError, UsageError
+from selfdistill.errors import (
+    ConfigError,
+    DivergenceError,
+    InputError,
+    SelfDistillError,
+    UsageError,
+)
+from selfdistill.reporting import EpochPoint
 
 MODEL = ModelConfig(vocab_size=120, max_len=12, dim=16, n_layers=1, n_heads=2,
                     ffn_dim=32, n_classes=4, dropout_p=0.1)
@@ -331,6 +343,198 @@ class TestSdvTeacher:
         state.ring._buf.clear()
         with pytest.raises(UsageError, match="empty"):
             sdv_teacher_logits(state, small_batch(rng))
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    @pytest.mark.parametrize("rows", [8, 64])
+    def test_combine_rule_is_the_stacked_mean_bitwise(self, monkeypatch, k,
+                                                      rows):
+        """logit_sum over the older k-1 plus the newest, over k, is the
+        np.mean of the k stacked logits the teacher used to take."""
+        rng = np.random.default_rng([k, rows])
+        outs = [rng.normal(0.0, 3.0, (rows, 4)) for _ in range(k)]
+        monkeypatch.setattr(
+            distill, "classify",
+            lambda snap, batch, config, train_mode: Tensor(snap))
+        older = logit_sum(outs[:-1], None, None)
+        combined = mean_logits(older, outs[-1], k)
+        expected = np.mean(np.stack(outs, axis=0), axis=0)
+        assert combined.tobytes() == expected.tobytes()
+
+
+def hand_fine_tune(model, distill_config, train, task, seed):
+    """fine_tune's loop written out over train_step, with no sdv worker:
+    returns the state and the step and epoch curves."""
+    from selfdistill.data import permutation_with_seed
+    state = make_train_state(model, distill_config, train,
+                             n_train=len(task.train), seed=seed)
+    micro = math.ceil(len(task.train) / train.micro_batch)
+    steps, epochs = [], []
+    for epoch in range(train.epochs):
+        order = permutation_with_seed(len(task.train), [seed, epoch])
+        batches = iter_batches(task.train, task.vocab, model.max_len,
+                               train.micro_batch, order)
+        points = [train_step(state, batch, force_flush=i == micro - 1)
+                  for i, batch in enumerate(batches)]
+        acc, err = evaluate_params(state.params, model, task.test, task.vocab,
+                                   train.eval_batch_size)
+        ce_sum, mse_sum = 0.0, 0.0
+        for point in points:
+            ce_sum += point.ce
+            mse_sum += point.mse
+        epochs.append(EpochPoint(epoch=epoch, test_error=err,
+                                 test_accuracy=acc, mean_ce=ce_sum / micro,
+                                 mean_mse=mse_sum / micro, lr=points[-1].lr))
+        steps += points
+    return state, steps, epochs
+
+
+@pytest.fixture
+def started_workers(monkeypatch):
+    """Every sdv worker fine_tune starts, in order."""
+    workers = []
+    start = distill.start_sdv_worker
+
+    def recording(state):
+        worker = start(state)
+        workers.append(worker)
+        return worker
+
+    monkeypatch.setattr(distill, "start_sdv_worker", recording)
+    return workers
+
+
+class TestSdvWorker:
+    """fine_tune's sdv worker: same results as the in-process teacher, and
+    no process outlives a run however it ends."""
+
+    TRAIN = TrainConfig(epochs=2, micro_batch=4, accum_steps=3)
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_fine_tune_equals_a_hand_driven_loop_without_worker(
+            self, monkeypatch, started_workers, k):
+        """13 micro-batches per epoch with accumulation 3 and a snapshot
+        every 2 steps: micro-batches that absorb and ones that do not."""
+        task = small_task(n_train=52, n_test=20)
+        config = DistillConfig(mode="sdv", teacher_size=k, snapshot_every=2)
+        state, steps, epochs = hand_fine_tune(MODEL, config, self.TRAIN, task,
+                                              seed=6)
+        parent_eval_forwards = []
+        classify_ = distill.classify
+
+        def counting(params, batch, model, train_mode=False, **kw):
+            parent_eval_forwards.append(not train_mode)
+            return classify_(params, batch, model, train_mode=train_mode, **kw)
+
+        monkeypatch.setattr(distill, "classify", counting)
+        result = fine_tune(MODEL, config, self.TRAIN, task, seed=6)
+        report = result.report
+        assert report.step_curve == steps
+        assert report.epoch_curve == epochs
+        assert report.counters == state.counters
+        assert result.student.flat.tobytes() == state.params.flat.tobytes()
+        # the worker ran the older snapshots' forwards: the parent ran the
+        # newest one per micro-batch, and all of them on each epoch's first
+        assert len(started_workers) == 1 and started_workers[0] is not None
+        assert sum(parent_eval_forwards) < report.counters["teacher_forwards"]
+        assert multiprocessing.active_children() == []
+
+    def test_no_worker_for_k1_or_sda(self):
+        for config in (DistillConfig(mode="sdv", teacher_size=1),
+                       DistillConfig(mode="sda", teacher_size=5)):
+            state = make_train_state(MODEL, config, self.TRAIN, n_train=16,
+                                     seed=0)
+            assert distill.start_sdv_worker(state) is None
+
+    def test_normal_return_joins_the_worker(self, started_workers):
+        task = small_task(n_train=24, n_test=8)
+        fine_tune(MODEL, DistillConfig(mode="sdv", teacher_size=3),
+                  self.TRAIN, task, seed=1)
+        (worker,) = started_workers
+        assert worker.process.exitcode == 0
+        assert multiprocessing.active_children() == []
+
+    def test_divergence_error_stops_the_worker(self, monkeypatch,
+                                               started_workers):
+        loss = distill.sda_loss
+        calls = []
+
+        def diverging(*args):
+            total, ce, m = loss(*args)
+            calls.append(1)
+            return (ad.mul(total, np.nan) if len(calls) > 4 else total), ce, m
+
+        monkeypatch.setattr(distill, "sda_loss", diverging)
+        task = small_task(n_train=40, n_test=8)
+        with pytest.raises(DivergenceError):
+            fine_tune(MODEL, DistillConfig(mode="sdv", teacher_size=3),
+                      self.TRAIN, task, seed=1)
+        (worker,) = started_workers
+        assert worker.process.exitcode is not None
+        assert multiprocessing.active_children() == []
+
+    def test_worker_exception_reraises_in_parent(self, monkeypatch,
+                                                 started_workers):
+        parent = os.getpid()
+        classify_ = distill.classify
+
+        def failing_in_worker(*args, **kw):
+            if os.getpid() != parent:
+                raise InputError("worker-side failure")
+            return classify_(*args, **kw)
+
+        monkeypatch.setattr(distill, "classify", failing_in_worker)
+        task = small_task(n_train=40, n_test=8)
+        with pytest.raises(InputError, match="^worker-side failure$"):
+            fine_tune(MODEL, DistillConfig(mode="sdv", teacher_size=3),
+                      self.TRAIN, task, seed=1)
+        (worker,) = started_workers
+        assert worker.process.exitcode is not None
+        assert multiprocessing.active_children() == []
+
+    def test_answers_follow_the_ring_and_eof_ends_the_worker(self):
+        """Asked with and without an absorb pending, the worker sums the
+        snapshots that will then be the older ones; closing the parent's
+        end of the pipe alone makes it exit."""
+        state = make_train_state(MODEL_NODROP,
+                                 DistillConfig(mode="sdv", teacher_size=3),
+                                 TrainConfig(epochs=1), n_train=32, seed=5)
+        worker = distill.start_sdv_worker(state)
+        try:
+            for s in (21, 22, 23):
+                snap = init_params(MODEL_NODROP, seed=s)
+                ring_push(state.ring, snap)
+                worker.push(snap.flat)
+            snaps = state.ring.snapshots()
+            batch = small_batch(np.random.default_rng(8))
+            worker.request(batch, False)
+            worker.request(batch, True)
+            assert worker.pending(batch)
+            for older in (snaps[:-1], snaps[-2:]):
+                expected = logit_sum(older, batch, MODEL_NODROP)
+                assert worker.take().tobytes() == expected.tobytes()
+            assert not worker.pending(batch)
+            worker.conn.close()
+            worker.process.join(timeout=30)
+            assert worker.process.exitcode == 0
+        finally:
+            worker.close()
+        assert multiprocessing.active_children() == []
+
+    def test_a_killed_worker_is_an_error_naming_its_exit(self):
+        state = make_train_state(MODEL_NODROP,
+                                 DistillConfig(mode="sdv", teacher_size=3),
+                                 TrainConfig(epochs=1), n_train=32, seed=5)
+        worker = distill.start_sdv_worker(state)
+        try:
+            worker.process.kill()
+            worker.process.join(timeout=30)
+            batch = small_batch(np.random.default_rng(9))
+            with pytest.raises(SelfDistillError, match="exited with code -9"):
+                worker.request(batch, False)
+                worker.take()
+        finally:
+            worker.close()
+        assert multiprocessing.active_children() == []
 
 
 def run_steps(model, distill, train, task, seed, n_steps):

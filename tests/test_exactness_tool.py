@@ -59,3 +59,17 @@ def test_file_on_one_side_only_fails(tmp_path, exactness):
     lines, ok = exactness.compare(a, b)
     assert not ok
     assert "- ->" in next(line for line in lines if "extra.csv" in line)
+
+
+def test_a_run_past_its_timeout_fails_naming_the_run(tmp_path, exactness,
+                                                     monkeypatch):
+    import subprocess
+
+    def timing_out(cmd, **kwargs):
+        raise subprocess.TimeoutExpired(cmd, kwargs["timeout"])
+
+    monkeypatch.setattr(exactness.subprocess, "run", timing_out)
+    inputs = exactness.write_inputs(tmp_path)
+    first = exactness.MATRIX[0][0]
+    with pytest.raises(RuntimeError, match=f"^{first} did not finish within"):
+        exactness.run_matrix(tmp_path, tmp_path / "work", inputs)

@@ -38,6 +38,9 @@ MODEL = ["--vocab-size", "200", "--max-len", "16", "--dim", "16",
          "--n-layers", "2", "--n-heads", "2", "--ffn-dim", "32",
          "--dropout", "0.1", "--epochs", "2"]
 TRAIN = ["train", "--dataset", "{spec}", *MODEL, "--save-checkpoints"]
+# each run takes seconds; one that outlives this, say because a child
+# process keeps the interpreter from exiting, fails naming the run
+RUN_TIMEOUT_S = 300
 
 # (output directory, argv); {spec}, {train_csv} and {test_csv} name the inputs
 MATRIX = [
@@ -48,6 +51,9 @@ MATRIX = [
     ("train_sdv_k3_accum3", [*TRAIN, "--mode", "sdv", "--teacher-size", "3",
                              "--accum-steps", "3"]),
     ("train_sda_k4_every2", [*TRAIN, "--mode", "sda", "--teacher-size", "4",
+                             "--snapshot-every", "2"]),
+    # the one sdv run with steps that absorb no snapshot
+    ("train_sdv_k4_every2", [*TRAIN, "--mode", "sdv", "--teacher-size", "4",
                              "--snapshot-every", "2"]),
     ("train_csv", ["train", "--dataset", "{train_csv}",
                    "--eval-dataset", "{test_csv}", *MODEL]),
@@ -101,8 +107,13 @@ def run_matrix(tree: Path, workdir: Path, inputs: dict[str, str]) -> Path:
     for name, argv in MATRIX:
         cmd = [sys.executable, "-m", "selfdistill",
                *(a.format(**inputs) for a in argv), "--out", f"out/{name}"]
-        done = subprocess.run(cmd, cwd=workdir, env=env, capture_output=True,
-                              text=True)
+        try:
+            done = subprocess.run(cmd, cwd=workdir, env=env,
+                                  capture_output=True, text=True,
+                                  timeout=RUN_TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            raise RuntimeError(f"{name} did not finish within "
+                               f"{RUN_TIMEOUT_S} s in {tree}") from None
         if done.returncode != 0:
             raise RuntimeError(f"{name} exited {done.returncode} in {tree}:\n"
                                f"{done.stderr}")
