@@ -23,17 +23,18 @@ K=1 distillation reduces to the plain run exactly, and with dropout enabled
 it acts as a consistency regularizer against the clean-forward logits.
 
 In sdv mode with K >= 2, ``fine_tune`` overlaps the teacher with the
-student: a forked worker process mirrors the ring and, one micro-batch
-ahead, sums the logits of the K-1 snapshots that will be the older ones
-when that micro-batch runs. Only the newest snapshot's forward, which
-depends on the optimizer step just taken, stays in the training process.
-The sums are the same arithmetic in the same order, so results do not
-depend on where they were computed.
+student where the process can use a second CPU: a forked worker process
+mirrors the ring and, one micro-batch ahead, sums the logits of the K-1
+snapshots that will be the older ones when that micro-batch runs. Only the
+newest snapshot's forward, which depends on the optimizer step just taken,
+stays in the training process. The sums are the same arithmetic in the
+same order, so results do not depend on where they were computed.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import signal
 import time
 from collections import deque
@@ -85,8 +86,9 @@ class DistillConfig:
     def __post_init__(self):
         if self.mode not in ("baseline", "sda", "sdv"):
             raise ConfigError(f"unknown mode {self.mode!r}")
-        if self.lam < 0.0:
-            raise ConfigError(f"distillation weight must be >= 0, got {self.lam}")
+        if not (math.isfinite(self.lam) and self.lam >= 0.0):
+            raise ConfigError(f"distillation weight must be finite and >= 0, "
+                              f"got {self.lam}")
         if self.snapshot_every < 1:
             raise ConfigError("snapshot_every must be >= 1")
         if isinstance(self.teacher_size, str):
@@ -237,18 +239,16 @@ def mean_logits(older: np.ndarray | None, newest: np.ndarray,
 def sdv_teacher_logits(state: TrainState, batch) -> Tensor:
     """Mean of the retained snapshots' logits on this batch; a constant.
 
-    The older snapshots' sum comes from the sdv worker when it was asked
-    for this batch, and is computed here otherwise."""
+    The older snapshots' sum comes from the run's sdv worker when it has
+    one, and is computed here otherwise."""
     if state.ring is None or len(state.ring) == 0:
         raise UsageError("sdv teacher ring is empty")
     snaps = state.ring.snapshots()
     newest = classify(snaps[-1], batch, state.model_config,
                       train_mode=False).data
     worker = state.sdv_worker
-    if worker is not None and worker.pending(batch):
-        older = worker.take()
-    else:
-        older = logit_sum(snaps[:-1], batch, state.model_config)
+    older = (worker.take() if worker is not None
+             else logit_sum(snaps[:-1], batch, state.model_config))
     state.counters["teacher_forwards"] += len(snaps)
     return Tensor(mean_logits(older, newest, len(snaps)))
 
@@ -261,14 +261,16 @@ class SdvWorker:
     ``request(batch, snapshot)`` asks for the ``logit_sum`` of the snapshots
     that will be the older K-1 when ``batch`` runs; ``snapshot`` says
     whether the micro-batch in hand ends with an absorb (``step_plan``).
-    ``take`` returns the oldest outstanding answer and re-raises an error
-    the worker met, with its type and message. The worker is a daemon and
-    exits on EOF when ``close`` shuts the parent's end of the pipe.
+    ``ahead`` makes those requests for an epoch's batches. ``take`` returns
+    the oldest outstanding answer and re-raises an error the worker met,
+    with its type and message. The worker is a daemon and exits on EOF when
+    ``close`` shuts the parent's end of the pipe.
     """
 
     def __init__(self, state: TrainState, context):
+        self.state = state
+        self.outstanding = 0
         self.conn, child = context.Pipe()
-        self._requested: deque = deque()
         self.process = context.Process(
             target=_sdv_worker_main, name="selfdistill-sdv-teacher",
             args=(child, self.conn, state.params, state.model_config,
@@ -283,14 +285,27 @@ class SdvWorker:
 
     def request(self, batch, snapshot: bool) -> None:
         self._send((batch, snapshot))
-        self._requested.append(batch)
+        self.outstanding += 1
 
-    def pending(self, batch) -> bool:
-        """Whether the oldest outstanding answer is for ``batch``."""
-        return bool(self._requested) and self._requested[0] is batch
+    def ahead(self, batches):
+        """Yield ``batches``, each requested before it is yielded: an epoch's
+        first with no absorb before it, and each later one with the absorb
+        bit ``step_plan`` gives the micro-batch before it."""
+        batches = iter(batches)
+        batch = next(batches, None)
+        if batch is not None:
+            self.request(batch, False)
+        while batch is not None:
+            following = next(batches, None)
+            if following is not None:
+                self.request(following, step_plan(self.state)[1])
+            yield batch
+            batch = following
 
     def take(self) -> np.ndarray | None:
-        self._requested.popleft()
+        if not self.outstanding:
+            raise UsageError("the sdv worker has no outstanding request")
+        self.outstanding -= 1
         try:
             status, value = self.conn.recv()
         except EOFError:
@@ -300,6 +315,9 @@ class SdvWorker:
         return value
 
     def close(self) -> None:
+        # the state holds this worker: drop the cycle so that the run's
+        # arrays are freed when fine_tune returns, not at the next gc pass
+        self.state = None
         self.conn.close()
         self.process.join(timeout=10)
         if self.process.is_alive():
@@ -348,12 +366,19 @@ def _sdv_worker_main(conn, parent_end, template: ParameterSet,
 
 
 def start_sdv_worker(state: TrainState) -> SdvWorker | None:
-    """A worker for sdv runs with older snapshots to overlap (K >= 2) on a
-    platform that can fork; None otherwise."""
-    if state.distill_config.mode != "sdv" or state.ring.capacity < 2:
+    """The run's one choice of sdv teacher path: a worker when the run has
+    older snapshots to overlap (sdv, K >= 2, at least one epoch) and the
+    process can use one (it can fork, is not a daemon, and may run on two
+    CPUs or more); None, the in-process path, otherwise. A second CPU kept
+    busy by other processes cannot be seen from here."""
+    if (state.distill_config.mode != "sdv" or state.ring.capacity < 2
+            or state.train_config.epochs < 1):
         return None
     import multiprocessing
-    if "fork" not in multiprocessing.get_all_start_methods():
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    if ("fork" not in multiprocessing.get_all_start_methods()
+            or multiprocessing.current_process().daemon or cpus < 2):
         return None
     # fork, not spawn: the worker needs no import or pickled state, and the
     # only other threads are BLAS's, which OpenBLAS shuts down before a fork
@@ -367,8 +392,9 @@ def sda_loss(student_logits: Tensor, teacher_logits: Tensor, labels,
     Returns (total, ce, mse) tensors; the components always satisfy
     total == ce + lam * mse.
     """
-    if lam < 0.0:
-        raise UsageError(f"distillation weight must be >= 0, got {lam}")
+    if not (math.isfinite(lam) and lam >= 0.0):
+        raise UsageError(f"distillation weight must be finite and >= 0, "
+                         f"got {lam}")
     if student_logits.data.shape != teacher_logits.data.shape:
         raise UsageError(
             f"student/teacher logit shapes differ: "
@@ -452,16 +478,6 @@ def train_step(state: TrainState, batch, force_flush: bool = False) -> StepPoint
     return StepPoint(step=micro, ce=ce_val, mse=mse_val, lr=lr)
 
 
-def _with_next(items):
-    """Yield (item, the item after it or None), reading one item ahead."""
-    it = iter(items)
-    item = next(it, None)
-    while item is not None:
-        following = next(it, None)
-        yield item, following
-        item = following
-
-
 def evaluate_params(params: ParameterSet, config: ModelConfig, split, vocab,
                     batch_size: int = 64):
     """(accuracy, error) on a split, eval mode, fixed-width batches."""
@@ -516,10 +532,10 @@ def fine_tune(model_config: ModelConfig, distill_config: DistillConfig,
             order = permutation_with_seed(n_train, [data_seed, epoch])
             batches = iter_batches(task.train, vocab, model_config.max_len,
                                    train_config.micro_batch, order)
+            if state.sdv_worker is not None:
+                batches = state.sdv_worker.ahead(batches)
             ce_sum, mse_sum = 0.0, 0.0
-            for i, (batch, following) in enumerate(_with_next(batches)):
-                if state.sdv_worker is not None and following is not None:
-                    state.sdv_worker.request(following, step_plan(state)[1])
+            for i, batch in enumerate(batches):
                 point = train_step(state, batch,
                                    force_flush=(i == micro_per_epoch - 1))
                 step_curve.append(point)

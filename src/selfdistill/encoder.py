@@ -101,10 +101,7 @@ class ParameterSet:
             layout.append(Slot(name, offset, t.data.shape, groups[name]))
             offset += t.data.size
         self.layout = tuple(layout)
-        self._view(np.concatenate([t.data.ravel() for t in tensors.values()]))
-
-    def _view(self, flat: np.ndarray) -> None:
-        self.flat = flat
+        self.flat = np.concatenate([t.data.ravel() for t in tensors.values()])
 
     @cached_property
     def _tensors(self) -> dict[str, Tensor]:
@@ -120,7 +117,7 @@ class ParameterSet:
                              f"a layout of size {self.flat.size}")
         out = ParameterSet.__new__(ParameterSet)
         out.layout = self.layout
-        out._view(flat)
+        out.flat = flat
         return out
 
     def __getitem__(self, name: str) -> Tensor:

@@ -6,9 +6,11 @@ properties checked bit-for-bit over real multi-step runs.
 """
 
 import copy
+import gc
 import math
 import multiprocessing
 import os
+import weakref
 
 import numpy as np
 import pytest
@@ -81,6 +83,11 @@ class TestDistillConfig:
     def test_negative_lambda_rejected(self):
         with pytest.raises(ConfigError):
             DistillConfig(mode="sda", lam=-0.1)
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+    def test_non_finite_lambda_rejected(self, lam):
+        with pytest.raises(ConfigError, match="finite"):
+            DistillConfig(mode="sda", lam=lam)
 
     def test_unknown_mode(self):
         with pytest.raises(ConfigError):
@@ -259,6 +266,11 @@ class TestSdaLoss:
         with pytest.raises(UsageError):
             sda_loss(Tensor([[0.0]]), Tensor([[0.0]]), [0], lam=-1.0)
 
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+    def test_non_finite_lambda_rejected(self, lam):
+        with pytest.raises(UsageError, match="finite"):
+            sda_loss(Tensor([[0.0]]), Tensor([[0.0]]), [0], lam=lam)
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(UsageError, match="shapes"):
             sda_loss(Tensor([[0.0, 1.0]]), Tensor([[0.0, 1.0, 2.0]]), [0], 1.0)
@@ -409,6 +421,13 @@ class TestSdvWorker:
 
     TRAIN = TrainConfig(epochs=2, micro_batch=4, accum_steps=3)
 
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        """The worker is tested wherever it can fork, also on a host that
+        runs the suite on one CPU, where the selection would skip it."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+
     @pytest.mark.parametrize("k", [2, 3, 5])
     def test_fine_tune_equals_a_hand_driven_loop_without_worker(
             self, monkeypatch, started_workers, k):
@@ -432,11 +451,34 @@ class TestSdvWorker:
         assert report.epoch_curve == epochs
         assert report.counters == state.counters
         assert result.student.flat.tobytes() == state.params.flat.tobytes()
-        # the worker ran the older snapshots' forwards: the parent ran the
-        # newest one per micro-batch, and all of them on each epoch's first
+        # the worker ran every older snapshot's forward: the parent ran
+        # only the newest one, once per micro-batch
         assert len(started_workers) == 1 and started_workers[0] is not None
-        assert sum(parent_eval_forwards) < report.counters["teacher_forwards"]
+        assert sum(parent_eval_forwards) == report.counters["student_forwards"]
         assert multiprocessing.active_children() == []
+
+    def test_the_run_state_is_freed_when_fine_tune_returns(
+            self, monkeypatch, started_workers):
+        """The state and its worker refer to each other; closing the worker
+        must break that cycle, or the run's arrays outlive it until a gc
+        pass and raise the peak memory of back-to-back runs."""
+        states = []
+        make = distill.make_train_state
+
+        def recording(*args, **kw):
+            state = make(*args, **kw)
+            states.append(weakref.ref(state))
+            return state
+
+        monkeypatch.setattr(distill, "make_train_state", recording)
+        gc.disable()
+        try:
+            fine_tune(MODEL, DistillConfig(mode="sdv", teacher_size=3),
+                      self.TRAIN, small_task(n_train=24, n_test=8), seed=1)
+            assert started_workers[0] is not None
+            assert states[0]() is None
+        finally:
+            gc.enable()
 
     def test_no_worker_for_k1_or_sda(self):
         for config in (DistillConfig(mode="sdv", teacher_size=1),
@@ -508,14 +550,28 @@ class TestSdvWorker:
             batch = small_batch(np.random.default_rng(8))
             worker.request(batch, False)
             worker.request(batch, True)
-            assert worker.pending(batch)
             for older in (snaps[:-1], snaps[-2:]):
                 expected = logit_sum(older, batch, MODEL_NODROP)
                 assert worker.take().tobytes() == expected.tobytes()
-            assert not worker.pending(batch)
             worker.conn.close()
             worker.process.join(timeout=30)
             assert worker.process.exitcode == 0
+        finally:
+            worker.close()
+        assert multiprocessing.active_children() == []
+
+    def test_take_without_a_request_is_a_usage_error(self):
+        state = make_train_state(MODEL_NODROP,
+                                 DistillConfig(mode="sdv", teacher_size=3),
+                                 TrainConfig(epochs=1), n_train=32, seed=5)
+        worker = distill.start_sdv_worker(state)
+        try:
+            with pytest.raises(UsageError, match="no outstanding request"):
+                worker.take()
+            worker.request(small_batch(np.random.default_rng(8)), False)
+            worker.take()
+            with pytest.raises(UsageError, match="no outstanding request"):
+                worker.take()
         finally:
             worker.close()
         assert multiprocessing.active_children() == []
@@ -534,6 +590,54 @@ class TestSdvWorker:
                 worker.take()
         finally:
             worker.close()
+        assert multiprocessing.active_children() == []
+
+
+def sdv_k3_report(epochs):
+    """The report of a small sdv K=3 run, as a dict; module-level so that a
+    process pool can run it."""
+    return fine_tune(MODEL, DistillConfig(mode="sdv", teacher_size=3),
+                     TrainConfig(epochs=epochs, micro_batch=4, accum_steps=3),
+                     small_task(n_train=24, n_test=8), seed=1).report.to_dict()
+
+
+class TestSdvWorkerSelection:
+    """start_sdv_worker runs the teacher in process wherever a worker could
+    not start or could not overlap, with the same report as a worker run."""
+
+    @staticmethod
+    def worker_report(monkeypatch, epochs):
+        """sdv_k3_report with a worker started whatever the selection says."""
+        with monkeypatch.context() as patch:
+            patch.setattr(distill, "start_sdv_worker", lambda state: (
+                distill.SdvWorker(state, multiprocessing.get_context("fork"))))
+            return sdv_k3_report(epochs)
+
+    def test_a_pool_worker_runs_the_teacher_in_process(self, monkeypatch):
+        """A Pool worker is a daemon, which may not start a process."""
+        expected = self.worker_report(monkeypatch, epochs=2)
+        pool = multiprocessing.get_context("fork").Pool(1)
+        try:
+            report = pool.apply(sdv_k3_report, (2,))
+        finally:
+            pool.close()
+            pool.join()
+        assert report == expected
+        assert multiprocessing.active_children() == []
+
+    def test_one_usable_cpu_runs_the_teacher_in_process(self, monkeypatch,
+                                                        started_workers):
+        expected = self.worker_report(monkeypatch, epochs=2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        assert sdv_k3_report(2) == expected
+        assert started_workers == [None]
+        assert multiprocessing.active_children() == []
+
+    def test_zero_epochs_start_no_worker(self, monkeypatch, started_workers):
+        expected = self.worker_report(monkeypatch, epochs=0)
+        assert sdv_k3_report(0) == expected
+        assert started_workers == [None]
         assert multiprocessing.active_children() == []
 
 

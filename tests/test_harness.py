@@ -225,6 +225,25 @@ class TestSweep:
         assert "failed" in table.cells["all"]
         assert "mean_test_error" in table.cells["1"]
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_lambda_cell_fails_before_its_seeds(self, monkeypatch,
+                                                            value):
+        import selfdistill.harness as harness
+        runs = []
+        run = harness.fine_tune
+
+        def counted(model, distill, *args, **kwargs):
+            runs.append(distill.lam)
+            return run(model, distill, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "fine_tune", counted)
+        config = fast_config(distill=DistillConfig(mode="sda", teacher_size=2))
+        table = sweep(config, "lambda", [0.5, float(value)], [0])
+        cell = table.cells[str(float(value))]
+        assert cell == {"failed": "distillation weight must be finite and "
+                                  f">= 0, got {float(value)}", "per_seed": {}}
+        assert runs == [0.5]
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_failed_cell_recorded_and_sweep_continues(self):
         # lr 1e200 puts the head at ~1e200 after one step; the squared-error
@@ -669,6 +688,23 @@ class TestCli:
                          "--out", str(out)])
         assert code == 1
         assert flag[2:].replace("-", "_") in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_lambda_exits_1_before_any_work(self, tmp_path, capsys,
+                                                        monkeypatch, value):
+        import selfdistill.harness as harness
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("train started work on a non-finite lambda")
+
+        monkeypatch.setattr(harness, "build_task", no_work)
+        monkeypatch.setattr(harness, "fine_tune", no_work)
+        out = tmp_path / "run"
+        code = cli_main(["train", *SMALL_CLI_ARGS, "--mode", "sda",
+                         f"--lambda={value}", "--out", str(out)])
+        assert code == 1
+        assert "distillation weight must be finite" in capsys.readouterr().err
         assert not out.exists()
 
     def test_stability_subcommand(self, tmp_path, capsys):
