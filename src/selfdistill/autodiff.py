@@ -28,52 +28,37 @@ import numpy as np
 
 from .errors import InputError, ShapeError, UsageError
 
-DEFAULT_DTYPE = np.float64
-
 # Additive pre-softmax penalty for masked attention positions. Large enough
 # that exp() underflows to exactly 0 after max subtraction, small enough to
 # stay finite.
 MASK_PENALTY = 1e9
 
-_FLOAT_DTYPES = (np.float32, np.float64)
-
 
 class Tensor:
-    """A dense real-valued array plus its tracking state.
+    """A dense float64 array plus its tracking state.
 
-    ``data`` is always a float32 or float64 ndarray. ``tape`` points at the
-    tape the tensor was last recorded or watched on (None for constants).
+    ``data`` is always a float64 ndarray: ``Tensor(data)`` converts any other
+    input, and keeps a float64 array itself, so a view stays a view. ``tape``
+    points at the tape the tensor was last recorded or watched on (None for
+    constants).
     """
 
     __slots__ = ("data", "tape")
 
-    def __init__(self, data, dtype=None):
-        arr = np.asarray(data)
-        if dtype is not None:
-            arr = arr.astype(dtype, copy=False)
-        elif arr.dtype not in _FLOAT_DTYPES:
-            arr = arr.astype(DEFAULT_DTYPE)
-        self.data = arr
+    def __init__(self, data):
+        self.data = np.asarray(data, dtype=np.float64)
         self.tape: Tape | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    @property
-    def dtype(self):
-        return self.data.dtype
-
     def item(self) -> float:
         return float(self.data)
 
-    def copy(self) -> "Tensor":
-        """Detached deep copy (constant, no tape)."""
-        return Tensor(self.data.copy())
-
     def __repr__(self) -> str:
         kind = "tracked" if self.tape else "const"
-        return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, {kind})"
+        return f"Tensor(shape={self.data.shape}, {kind})"
 
 
 class Tape:
@@ -338,7 +323,7 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
         probs = e / e.sum(axis=-1, keepdims=True)
         probs[np.arange(b), labels] -= 1.0
         return probs * (g / b)
-    return _record(Tensor(np.asarray(loss, dtype=x.dtype)), (logits, vjp))
+    return _record(Tensor(loss), (logits, vjp))
 
 
 def mse(a: Tensor, b: Tensor) -> Tensor:
@@ -348,7 +333,7 @@ def mse(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"mse: shapes differ: {a.data.shape} vs {b.data.shape}")
     diff = a.data - b.data
     n = diff.size
-    return _record(Tensor(np.asarray((diff ** 2).mean(), dtype=diff.dtype)),
+    return _record(Tensor((diff ** 2).mean()),
                    (a, lambda g: g * (2.0 / n) * diff),
                    (b, lambda g: g * (-2.0 / n) * diff))
 

@@ -173,6 +173,12 @@ class CsvSchema:
             raise ConfigError("schema needs at least one text column")
         if self.n_classes < 2:
             raise ConfigError("n_classes must be >= 2")
+        if min(self.label_col, *self.text_cols) < 0:
+            raise ConfigError(f"column indices must be >= 0, got label_col "
+                              f"{self.label_col}, text_cols {self.text_cols}")
+        if self.label_col in self.text_cols:
+            raise ConfigError(f"label column {self.label_col} is also a text "
+                              f"column, which would feed the label to the model")
 
 
 def load_csv(path, schema: CsvSchema) -> DatasetSplit:

@@ -150,7 +150,6 @@ class TrainState:
     opt: OptimState
     dropout_rng: np.random.Generator
     grad_sum: np.ndarray               # flat, lines up with params.flat
-    step: int = 0                      # optimizer steps completed
     ring: CheckpointRing | None = None
     rmean: RunningMean | None = None
     pending: int = 0                   # micro-batches summed in grad_sum
@@ -416,7 +415,7 @@ def step_plan(state: TrainState,
     cfg = state.distill_config
     flush = force_flush or state.pending + 1 >= state.train_config.accum_steps
     snapshot = (flush and cfg.mode != "baseline"
-                and (state.step + 1) % cfg.snapshot_every == 0)
+                and (state.opt.t + 1) % cfg.snapshot_every == 0)
     return flush, snapshot
 
 
@@ -457,7 +456,7 @@ def train_step(state: TrainState, batch, force_flush: bool = False) -> StepPoint
 
     if not np.isfinite(total.item()):
         raise DivergenceError(
-            f"non-finite loss at optimizer step {state.step} "
+            f"non-finite loss at optimizer step {state.opt.t} "
             f"(ce={ce_val}, mse={mse_val})"
         )
 
@@ -468,7 +467,6 @@ def train_step(state: TrainState, batch, force_flush: bool = False) -> StepPoint
         lr = adamw_step(state.params, state.grad_sum / state.pending, state.opt)
         state.grad_sum.fill(0.0)
         state.pending = 0
-        state.step += 1
         if snapshot:
             absorb(state, state.params)
     else:

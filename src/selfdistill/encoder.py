@@ -31,6 +31,7 @@ GROUP_ENCODER = "encoder"
 GROUP_HEAD = "head"
 
 _CHECKPOINT_MAGIC = "selfdistill-params-v1"
+_CHECKPOINT_DTYPE = "<f8"
 
 
 @dataclass(frozen=True)
@@ -61,13 +62,21 @@ class ModelConfig:
             raise ConfigError(f"dropout_p must be in [0, 1), got {self.dropout_p}")
 
 
+def group_of(name: str) -> str:
+    """A tensor's learning-rate group: ``head`` for ``head.*``, else ``encoder``."""
+    return GROUP_HEAD if name.startswith("head.") else GROUP_ENCODER
+
+
 class Slot(NamedTuple):
     """Where one named tensor sits in a ParameterSet's flat vector."""
 
     name: str
     offset: int
     shape: tuple[int, ...]
-    group: str
+
+    @property
+    def group(self) -> str:
+        return group_of(self.name)
 
     @property
     def stop(self) -> int:
@@ -75,11 +84,12 @@ class Slot(NamedTuple):
 
 
 class ParameterSet:
-    """Named parameter tensors stored in one contiguous vector.
+    """Named float64 parameter tensors stored in one contiguous vector.
 
     ``flat`` holds every parameter; ``layout`` is the fixed tuple of
-    ``Slot`` entries (name, offset, shape, group) that cuts it into
-    tensors, in the order they were given. ``ps[name]`` is a ``Tensor`` whose ``data`` is a view
+    ``Slot`` entries (name, offset, shape) that cuts it into tensors, in the
+    order they were given; a slot's group follows from its name
+    (``group_of``). ``ps[name]`` is a ``Tensor`` whose ``data`` is a view
     into ``flat``, so an in-place change through either one shows in the
     other. Sets built from the same ModelConfig share the layout, which
     makes averaging, snapshots and optimizer updates whole-vector
@@ -88,17 +98,12 @@ class ParameterSet:
     for them.
     """
 
-    def __init__(self, tensors: dict[str, Tensor], groups: dict[str, str]):
-        if set(tensors) != set(groups):
-            raise ShapeError("tensor and group name sets differ")
+    def __init__(self, tensors: dict[str, Tensor]):
         if not tensors:
             raise ShapeError("a parameter set needs at least one tensor")
-        dtypes = sorted({str(t.data.dtype) for t in tensors.values()})
-        if len(dtypes) > 1:
-            raise ShapeError(f"one flat vector holds one dtype, got {dtypes}")
         layout, offset = [], 0
         for name, t in tensors.items():
-            layout.append(Slot(name, offset, t.data.shape, groups[name]))
+            layout.append(Slot(name, offset, t.data.shape))
             offset += t.data.size
         self.layout = tuple(layout)
         self.flat = np.concatenate([t.data.ravel() for t in tensors.values()])
@@ -152,11 +157,9 @@ def init_params(config: ModelConfig, seed: int) -> ParameterSet:
     rng = np.random.default_rng(seed)
     std = 0.02
     tensors: dict[str, Tensor] = {}
-    groups: dict[str, str] = {}
 
-    def param(name, array, group=GROUP_ENCODER):
-        tensors[name] = Tensor(np.asarray(array, dtype=np.float64))
-        groups[name] = group
+    def param(name, array):
+        tensors[name] = Tensor(array)
 
     d, f = config.dim, config.ffn_dim
     param("tok_emb", rng.normal(0.0, std, (config.vocab_size, d)))
@@ -176,8 +179,8 @@ def init_params(config: ModelConfig, seed: int) -> ParameterSet:
         param(f"{p}.ffn.b2", np.zeros(d))
         param(f"{p}.ln2.g", np.ones(d))
         param(f"{p}.ln2.b", np.zeros(d))
-    param("head.W", rng.normal(0.0, std, (config.n_classes, d)), group=GROUP_HEAD)
-    return ParameterSet(tensors, groups)
+    param("head.W", rng.normal(0.0, std, (config.n_classes, d)))
+    return ParameterSet(tensors)
 
 
 def _check_batch(config: ModelConfig, ids: np.ndarray, mask: np.ndarray) -> None:
@@ -213,7 +216,7 @@ def encode(params: ParameterSet, batch, config: ModelConfig,
     gradients.
     """
     ids = np.asarray(batch.token_ids)
-    mask = np.asarray(batch.mask, dtype=params["tok_emb"].data.dtype)
+    mask = np.asarray(batch.mask, dtype=np.float64)
     _check_batch(config, ids, mask)
     p = config.dropout_p if train_mode else 0.0
     if p > 0.0 and rng is None:
@@ -287,20 +290,21 @@ def predict_proba(params: ParameterSet, batch, config: ModelConfig) -> np.ndarra
 
 # ---------------------------------------------------------------------------
 # Checkpoint format: one JSON header line with (name, shape, dtype, group)
-# entries, then the raw little-endian tensor bytes concatenated in header
-# order. Round-trips bit-exactly and contains nothing volatile.
+# entries, then the raw little-endian float64 tensor bytes concatenated in
+# header order. Round-trips bit-exactly and contains nothing volatile. Every
+# dtype is "<f8", and each group must be the one its name implies.
 # ---------------------------------------------------------------------------
 
 
 def save_params(params: ParameterSet, path) -> None:
-    dtype = params.flat.dtype.str
-    entries = [{"name": s.name, "shape": list(s.shape), "dtype": dtype,
-                "group": s.group} for s in params.layout]
+    entries = [{"name": s.name, "shape": list(s.shape),
+                "dtype": _CHECKPOINT_DTYPE, "group": s.group}
+               for s in params.layout]
     header = json.dumps({"format": _CHECKPOINT_MAGIC, "entries": entries},
                         sort_keys=True)
     with open(path, "wb") as fh:
         fh.write(header.encode("utf-8") + b"\n")
-        fh.write(params.flat.tobytes())
+        fh.write(params.flat.astype(_CHECKPOINT_DTYPE, copy=False).tobytes())
 
 
 def load_params(path) -> ParameterSet:
@@ -311,25 +315,23 @@ def load_params(path) -> ParameterSet:
         header = json.loads(header_line.decode("utf-8"))
         if header.get("format") != _CHECKPOINT_MAGIC:
             raise InputError(f"{path}: not a parameter checkpoint")
-        entries = [(e["name"], e["group"], np.dtype(e["dtype"]), tuple(e["shape"]))
-                   for e in header["entries"]]
+        entries = [(e["name"], e["group"], e["dtype"], tuple(e["shape"]),
+                    group_of(e["name"])) for e in header["entries"]]
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise InputError(f"{path}: malformed checkpoint header: {exc}") from exc
-    dtypes = sorted({str(dtype) for _, _, dtype, _ in entries})
-    if len(dtypes) != 1:
-        raise InputError(f"{path}: a parameter set holds tensors of one dtype, "
-                         f"found {dtypes}")
     tensors: dict[str, Tensor] = {}
-    groups: dict[str, str] = {}
     offset = 0
-    for name, group, dtype, shape in entries:
-        nbytes = dtype.itemsize * math.prod(shape)
+    for name, group, dtype, shape, implied in entries:
+        if (dtype, group) != (_CHECKPOINT_DTYPE, implied):
+            raise InputError(f"{path}: tensor {name} has dtype {dtype!r} and "
+                             f"group {group!r}, not {_CHECKPOINT_DTYPE!r} and "
+                             f"{implied!r}")
+        nbytes = 8 * math.prod(shape)
         raw = body[offset:offset + nbytes]
         if len(raw) != nbytes:
             raise InputError(f"{path}: truncated checkpoint at {name}")
         offset += nbytes
         tensors[name] = Tensor(np.frombuffer(raw, dtype=dtype).reshape(shape))
-        groups[name] = group
     if offset != len(body):
         raise InputError(f"{path}: {len(body) - offset} bytes after the last tensor")
-    return ParameterSet(tensors, groups)
+    return ParameterSet(tensors)

@@ -116,16 +116,11 @@ def build_task(config: ExperimentConfig) -> TaskData:
     return prepare_task(splits, vocab_size=config.model.vocab_size)
 
 
-def run_experiment(config: ExperimentConfig, task: TaskData | None = None,
-                   checkpoint_dir=None) -> TrainResult:
-    """Fine-tune once and return the result with its report.
-
-    Builds the task from the dataset config unless one is passed in (sweeps
-    share a single immutable task across cells).
-    """
-    if task is None:
-        task = build_task(config)
-    result = fine_tune(config.model, config.distill, config.train, task,
+def run_experiment(config: ExperimentConfig, checkpoint_dir=None) -> TrainResult:
+    """Build the task from the dataset config, fine-tune once and return the
+    result with its report."""
+    result = fine_tune(config.model, config.distill, config.train,
+                       build_task(config),
                        seed=config.seed, data_seed=config.data_seed,
                        checkpoint_dir=checkpoint_dir)
     result.report.config["dataset"] = config.dataset.to_dict()
@@ -191,10 +186,12 @@ def sweep(base_config: ExperimentConfig, axis: str, grid: list,
           seeds: list[int]) -> SweepTable:
     """One run per (grid cell, seed); cell metric is the mean over seeds.
 
-    Each cell replaces one field of the sda or sdv ``base_config.distill``.
-    A cell value the config rejects marks that cell failed, and a diverged
-    run marks its seed failed; the sweep continues. Any other error is
-    shared by every cell and propagates.
+    Each cell replaces one field of the sda or sdv ``base_config.distill``:
+    ``lam`` as a float, or ``teacher_size`` as an int or ``"all"``. Cells and
+    seeds are keyed by value, so a grid value or a seed given twice is a
+    ConfigError before any run. A cell value the config rejects marks that
+    cell failed, and a diverged run marks its seed failed; the sweep
+    continues. Any other error is shared by every cell and propagates.
     """
     if axis not in ("lambda", "k"):
         raise ConfigError(f"sweep axis must be 'lambda' or 'k', got {axis!r}")
@@ -204,15 +201,18 @@ def sweep(base_config: ExperimentConfig, axis: str, grid: list,
     if dc.mode == "baseline":
         raise ConfigError("sweep varies the teacher's lambda or K, so it needs "
                           "mode sda or sdv, not baseline")
+    field_name = "lam" if axis == "lambda" else "teacher_size"
+    cell_values = [float(v) if axis == "lambda" else (v if v == "all" else int(v))
+                   for v in grid]
+    if len(set(cell_values)) < len(grid):
+        raise ConfigError(f"sweep grid repeats a value: {list(grid)}")
+    if len(set(seeds)) < len(seeds):
+        raise ConfigError(f"sweep seeds repeat a value: {list(seeds)}")
     task = _study_task(base_config)
     table = SweepTable(axis=axis, grid=list(grid), seeds=list(seeds))
-    for value in grid:
+    for value, cell_value in zip(grid, cell_values):
         try:
-            if axis == "lambda":
-                distill = replace(dc, lam=float(value))
-            else:
-                distill = replace(dc, teacher_size=value if value == "all"
-                                  else int(value))
+            distill = replace(dc, **{field_name: cell_value})
         except ConfigError as exc:
             table.cells[str(value)] = {"failed": str(exc), "per_seed": {}}
             continue

@@ -44,7 +44,7 @@ def lr_at(step: int, total_steps: int, base_lr: float, warmup_prop: float) -> fl
     return base_lr * (total_steps - step) / (total_steps - warmup_steps)
 
 
-_NO_DECAY_SUFFIXES = {"b", "g", "bq", "bk", "bv", "bo", "b1", "b2"}
+_NO_DECAY_SUFFIXES = {"b", "g", "bq", "bv", "bo", "b1", "b2"}
 
 
 def decay_applies(name: str) -> bool:

@@ -65,7 +65,6 @@ def small_param_set(rng) -> ParameterSet:
             "a.W": Tensor(rng.normal(0, 1, (4, 3))),
             "b.b": Tensor(rng.normal(0, 1, 5)),
         },
-        {"a.W": "encoder", "b.b": "encoder"},
     )
 
 
@@ -178,13 +177,13 @@ def _drive(model, distill, train, task, seed, n_steps):
                              seed=seed)
     losses = []
     epoch = 0
-    while state.step < n_steps:
+    while state.opt.t < n_steps:
         order = permutation_with_seed(len(task.train), [seed, epoch])
         for batch in iter_batches(task.train, task.vocab, model.max_len,
                                   train.micro_batch, order):
             m = train_step(state, batch)
             losses.append((m.ce, m.mse))
-            if state.step >= n_steps:
+            if state.opt.t >= n_steps:
                 break
         epoch += 1
     return state, losses

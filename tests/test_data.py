@@ -140,6 +140,21 @@ class TestLoadCsv:
             load_csv(path, CsvSchema(label_col=0, text_cols=(1,), n_classes=2))
 
 
+class TestCsvSchema:
+    @pytest.mark.parametrize("label_col,text_cols", [(-1, (1,)), (-5, (1,)),
+                                                     (0, (1, -1))])
+    def test_negative_column_index_is_config_error(self, label_col, text_cols):
+        with pytest.raises(ConfigError, match="column indices must be >= 0"):
+            CsvSchema(n_classes=2, label_col=label_col, text_cols=text_cols)
+
+    @pytest.mark.parametrize("label_col,text_cols", [(0, (0,)), (1, (0, 1))])
+    def test_label_column_that_is_also_text_is_config_error(self, label_col,
+                                                            text_cols):
+        with pytest.raises(ConfigError, match=f"label column {label_col} is "
+                                              f"also a text column"):
+            CsvSchema(n_classes=2, label_col=label_col, text_cols=text_cols)
+
+
 class TestShuffle:
     def test_same_seed_same_order(self):
         np.testing.assert_array_equal(permutation_with_seed(1000, [7, 0]),

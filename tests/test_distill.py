@@ -648,13 +648,13 @@ def run_steps(model, distill, train, task, seed, n_steps):
                              seed=seed)
     losses = []
     epoch = 0
-    while state.step < n_steps:
+    while state.opt.t < n_steps:
         order = permutation_with_seed(len(task.train), [seed, epoch])
         for batch in iter_batches(task.train, task.vocab, model.max_len,
                                   train.micro_batch, order):
             metrics = train_step(state, batch)
             losses.append((metrics.ce, metrics.mse))
-            if state.step >= n_steps:
+            if state.opt.t >= n_steps:
                 break
         epoch += 1
     return state, losses
@@ -812,10 +812,10 @@ class TestGradientAccumulation:
         lr = adamw_step(params, sum(hand[1:], hand[0]) / n_micro, opt)
 
         for i, batch in enumerate(batches):
-            assert state.step == 0
+            assert state.opt.t == 0
             metrics = train_step(state, batch,
                                  force_flush=force_flush and i == n_micro - 1)
-        assert state.step == 1 and state.pending == 0
+        assert state.opt.t == 1 and state.pending == 0
         assert metrics.lr == lr
         assert state.params.flat.tobytes() == params.flat.tobytes()
         assert state.opt.m.tobytes() == opt.m.tobytes()

@@ -1,5 +1,6 @@
 """Encoder contracts: shapes, determinism, masking, gradients, checkpoints."""
 
+import hashlib
 import json
 from dataclasses import asdict
 
@@ -19,7 +20,7 @@ from selfdistill.encoder import (
     predict_proba,
     save_params,
 )
-from selfdistill.errors import ConfigError, InputError, ShapeError
+from selfdistill.errors import ConfigError, InputError
 
 TINY = ModelConfig(vocab_size=50, max_len=10, dim=8, n_layers=1, n_heads=2,
                    ffn_dim=16, n_classes=4, dropout_p=0.0)
@@ -118,11 +119,23 @@ class TestFlatStorage:
             assert not np.shares_memory(clone[name].data, params.flat)
         np.testing.assert_array_equal(clone.flat, params.flat)
 
-    def test_mixed_dtypes_are_rejected(self):
-        tensors = {"a.W": Tensor(np.zeros(2, dtype=np.float64)),
-                   "b.W": Tensor(np.zeros(2, dtype=np.float32))}
-        with pytest.raises(ShapeError, match="one dtype"):
-            ParameterSet(tensors, {"a.W": "encoder", "b.W": "encoder"})
+    def test_float32_input_is_stored_as_float64(self):
+        params = ParameterSet({"a.W": Tensor(np.zeros(2, dtype=np.float64)),
+                               "b.W": Tensor(np.ones(2, dtype=np.float32))})
+        assert params.flat.dtype == np.float64
+        assert params["b.W"].data.dtype == np.float64
+        np.testing.assert_array_equal(params.flat, [0.0, 0.0, 1.0, 1.0])
+
+    def test_float64_input_is_viewed_not_copied(self):
+        data = np.arange(3.0)
+        assert Tensor(data).data is data
+
+    def test_groups_follow_names(self):
+        params = ParameterSet({"head.x": Tensor(np.zeros(2)),
+                               "enc.y": Tensor(np.zeros(3))})
+        assert [(s.name, s.group) for s in params.layout] == [
+            ("head.x", "head"), ("enc.y", "encoder")]
+        assert params.layout[0]._fields == ("name", "offset", "shape")
 
 
 class TestEncode:
@@ -454,5 +467,41 @@ class TestCheckpoint:
         body = np.zeros(2, "<f8").tobytes() + np.zeros(2, "<f4").tobytes()
         path = tmp_path / "mixed.ckpt"
         path.write_bytes(header.encode() + b"\n" + body)
-        with pytest.raises(InputError, match="one dtype"):
+        with pytest.raises(InputError, match=r"tensor b\.W has dtype '<f4' and "
+                                             r"group 'encoder', not '<f8'"):
             load_params(path)
+
+    def _write_one_entry(self, path, name, dtype, group):
+        entries = [{"name": name, "shape": [2], "dtype": dtype, "group": group}]
+        header = json.dumps({"format": "selfdistill-params-v1", "entries": entries})
+        path.write_bytes(header.encode() + b"\n" + np.zeros(2, dtype).tobytes())
+
+    @pytest.mark.parametrize("dtype,group", [("<f4", "encoder"), ("<f8", "head")])
+    def test_rejects_float32_or_a_group_the_name_does_not_imply(
+            self, tmp_path, dtype, group):
+        path = tmp_path / "entry.ckpt"
+        self._write_one_entry(path, "tok_emb", dtype, group)
+        with pytest.raises(InputError, match=f"tensor tok_emb has dtype '{dtype}' "
+                                             f"and group '{group}', not '<f8' and "
+                                             f"'encoder'"):
+            load_params(path)
+
+    def test_rejects_non_string_name(self, tmp_path):
+        path = tmp_path / "name.ckpt"
+        self._write_one_entry(path, 5, "<f8", "encoder")
+        with pytest.raises(InputError, match="malformed checkpoint header"):
+            load_params(path)
+
+    def test_header_bytes_are_pinned(self, tmp_path):
+        """The header line of a default-config checkpoint, byte for byte as
+        the format has always written it (sha256 of the line, newline
+        included)."""
+        path = tmp_path / "model.ckpt"
+        save_params(init_params(ModelConfig(), seed=0), path)
+        with open(path, "rb") as fh:
+            line = fh.readline()
+        assert line.startswith(b'{"entries": [{"dtype": "<f8", "group": '
+                               b'"encoder", "name": "tok_emb", "shape": '
+                               b'[2000, 32]}')
+        assert hashlib.sha256(line).hexdigest() == (
+            "42f90a06ae8a3d65ab82f9a61608527501f4aff80c988d9e8fd56cd4044d0e82")

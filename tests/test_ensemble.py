@@ -231,7 +231,7 @@ class TestRunningMean:
     def test_scalar_stream_1_2_3(self):
         def const_set(v):
             t = Tensor(np.array([v]))
-            return ParameterSet({"x": t}, {"x": "encoder"})
+            return ParameterSet({"x": t})
 
         rm = RunningMean()
         for v in (1.0, 2.0, 3.0):

@@ -188,6 +188,28 @@ class TestSweep:
             with pytest.raises(ConfigError, match="baseline"):
                 sweep(fast_config(), axis, grid, [0])
 
+    @pytest.mark.parametrize("axis,grid,seeds,what", [
+        ("lambda", [0.5, 0.5], [0], "grid repeats"),
+        ("lambda", [1, 1.0], [0], "grid repeats"),
+        ("k", [1, 1.0], [0], "grid repeats"),
+        ("k", ["all", 2, "all"], [0], "grid repeats"),
+        ("lambda", [0.5], [0, 0], "seeds repeat"),
+    ])
+    def test_repeated_value_is_config_error_before_any_run(
+            self, monkeypatch, axis, grid, seeds, what):
+        """Cells and per-seed results are keyed by value, so a repeat would
+        run twice and be reported once."""
+        import selfdistill.harness as harness
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("sweep started work on a repeated value")
+
+        monkeypatch.setattr(harness, "build_task", no_work)
+        monkeypatch.setattr(harness, "fine_tune", no_work)
+        config = fast_config(distill=DistillConfig(mode="sda", teacher_size=2))
+        with pytest.raises(ConfigError, match=f"sweep {what} a value"):
+            sweep(config, axis, grid, seeds)
+
     def test_grid_of_one(self):
         config = fast_config(distill=DistillConfig(mode="sda", teacher_size=2))
         table = sweep(config, "lambda", [1.0], [4])
@@ -705,6 +727,57 @@ class TestCli:
                          f"--lambda={value}", "--out", str(out)])
         assert code == 1
         assert "distillation weight must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--label-col", "-5"], "column indices must be >= 0"),
+        (["--label-col", "-1"], "column indices must be >= 0"),
+        (["--text-cols", "0,-1"], "column indices must be >= 0"),
+        (["--text-cols", "0,1"], "label column 0 is also a text column"),
+    ])
+    def test_bad_csv_columns_exit_1_before_any_work(self, tmp_path, capsys,
+                                                     monkeypatch, flags,
+                                                     message):
+        import selfdistill.harness as harness
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("train started work on a bad csv schema")
+
+        monkeypatch.setattr(harness, "build_task", no_work)
+        monkeypatch.setattr(harness, "fine_tune", no_work)
+        csv_path = tmp_path / "rows.csv"
+        csv_path.write_text('0,"aaa"\n1,"bbb"\n')
+        out = tmp_path / "run"
+        code = cli_main(["train", *SMALL_CLI_ARGS, "--dataset", str(csv_path),
+                         "--eval-dataset", str(csv_path), "--n-classes", "2",
+                         *flags, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags,what", [
+        (["--grid", "0.5,0.5"], "grid repeats"),
+        (["--grid", "0.5", "--seeds", "0,0"], "seeds repeat"),
+        (["--axis", "k", "--grid", "2,all,2"], "grid repeats"),
+    ])
+    def test_sweep_repeated_value_exits_1_before_any_work(
+            self, tmp_path, capsys, monkeypatch, flags, what):
+        import selfdistill.harness as harness
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("sweep started work on a repeated value")
+
+        monkeypatch.setattr(harness, "build_task", no_work)
+        monkeypatch.setattr(harness, "fine_tune", no_work)
+        out = tmp_path / "sweep"
+        code = cli_main(["sweep", *SMALL_CLI_ARGS, "--mode", "sda", *flags,
+                         "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: sweep {what} a value")
+        assert "Traceback" not in err
         assert not out.exists()
 
     def test_stability_subcommand(self, tmp_path, capsys):

@@ -54,8 +54,7 @@ class TestLrSchedule:
 
 
 def single_param(value, name="w.W"):
-    t = Tensor(np.asarray(value, dtype=np.float64))
-    return ParameterSet({name: t}, {name: "encoder"})
+    return ParameterSet({name: Tensor(value)})
 
 
 def flat_grads(params: ParameterSet, by_name: dict) -> np.ndarray:
