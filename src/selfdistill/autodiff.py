@@ -372,6 +372,7 @@ def backward(loss: Tensor, tape: Tape) -> dict[Tensor, np.ndarray]:
     for t in tape._watched.values():
         g = adjoints.get(id(t))
         grads[t] = np.zeros_like(t.data) if g is None else g
+    tape._watched.clear()   # each watched tensor points back at it too
     return grads
 
 

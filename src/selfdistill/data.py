@@ -179,6 +179,12 @@ class CsvSchema:
         if self.label_col in self.text_cols:
             raise ConfigError(f"label column {self.label_col} is also a text "
                               f"column, which would feed the label to the model")
+        if len(set(self.text_cols)) != len(self.text_cols):
+            raise ConfigError(f"text columns {self.text_cols} repeat a column, "
+                              f"which would feed its text twice")
+        if not (isinstance(self.delimiter, str) and len(self.delimiter) == 1):
+            raise ConfigError(f"delimiter must be exactly one character, got "
+                              f"{self.delimiter!r}")
 
 
 def load_csv(path, schema: CsvSchema) -> DatasetSplit:

@@ -22,24 +22,30 @@ k=1 entry is the parameter vector currently in hand: with dropout disabled,
 K=1 distillation reduces to the plain run exactly, and with dropout enabled
 it acts as a consistency regularizer against the clean-forward logits.
 
-In sdv mode with K >= 2, ``fine_tune`` overlaps the teacher with the
-student where the process can use a second CPU: a forked worker process
-mirrors the ring and, one micro-batch ahead, sums the logits of the K-1
-snapshots that will be the older ones when that micro-batch runs. Only the
-newest snapshot's forward, which depends on the optimizer step just taken,
-stays in the training process. The sums are the same arithmetic in the
-same order, so results do not depend on where they were computed.
+With accumulation over two or more micro-batches, ``fine_tune`` trains
+each optimizer step on two CPUs where the process can use a second one.
+Every micro-batch of a step reads the same parameters, so a forked worker
+process trains the later half of the step's micro-batches while the
+training process trains the earlier half. The training process then adds
+the worker's gradients in micro-batch order and takes the one AdamW step,
+so every sum runs in the same order as in one process and results do not
+depend on where a micro-batch ran.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
 import os
+import pickle
 import signal
+import sys
 import time
-from collections import deque
-from dataclasses import asdict, dataclass, field
+from contextlib import suppress
+from dataclasses import asdict, dataclass, field, replace
+from itertools import islice
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -50,6 +56,7 @@ from .encoder import (
     ModelConfig,
     ParameterSet,
     classify,
+    encode,
     init_params,
     predict_proba,
     save_params,
@@ -154,7 +161,6 @@ class TrainState:
     rmean: RunningMean | None = None
     pending: int = 0                   # micro-batches summed in grad_sum
     teacher: ParameterSet | None = None  # the sda average, set by absorb
-    sdv_worker: SdvWorker | None = None  # set by fine_tune for sdv, K >= 2
     counters: dict = field(default_factory=lambda: {
         "student_forwards": 0, "teacher_forwards": 0,
     })
@@ -200,12 +206,9 @@ def absorb(state: TrainState, params: ParameterSet) -> None:
         running_mean_update(state.rmean, params)
         state.teacher = state.rmean.mean
         return
-    snapshot = params.copy()
-    ring_push(state.ring, snapshot)
+    ring_push(state.ring, params.copy())
     if state.distill_config.mode == "sda":
         state.teacher = window_mean(state.ring)
-    elif state.sdv_worker is not None:
-        state.sdv_worker.push(snapshot.flat)
 
 
 def sda_teacher(state: TrainState) -> ParameterSet:
@@ -235,153 +238,175 @@ def mean_logits(older: np.ndarray | None, newest: np.ndarray,
     return (newest if older is None else older + newest) / n
 
 
-def sdv_teacher_logits(state: TrainState, batch) -> Tensor:
-    """Mean of the retained snapshots' logits on this batch; a constant.
+def newest_is_student(state: TrainState) -> bool:
+    """With no dropout and an absorb after every optimizer step, the newest
+    sdv snapshot's eval logits are the student's train-mode logits."""
+    return (state.model_config.dropout_p == 0.0
+            and state.distill_config.snapshot_every == 1)
 
-    The older snapshots' sum comes from the run's sdv worker when it has
-    one, and is computed here otherwise."""
+
+def sdv_teacher_logits(state: TrainState, batch,
+                       newest: np.ndarray | None = None) -> Tensor:
+    """Mean of the retained snapshots' logits on this batch; a constant.
+    ``newest``, the newest snapshot's logits, is computed if not given;
+    ``teacher_forwards`` counts the logits averaged, not the forwards run."""
     if state.ring is None or len(state.ring) == 0:
         raise UsageError("sdv teacher ring is empty")
     snaps = state.ring.snapshots()
-    newest = classify(snaps[-1], batch, state.model_config,
-                      train_mode=False).data
-    worker = state.sdv_worker
-    older = (worker.take() if worker is not None
-             else logit_sum(snaps[:-1], batch, state.model_config))
+    if newest is None:
+        newest = classify(snaps[-1], batch, state.model_config,
+                          train_mode=False).data
+    older = logit_sum(snaps[:-1], batch, state.model_config)
     state.counters["teacher_forwards"] += len(snaps)
     return Tensor(mean_logits(older, newest, len(snaps)))
 
 
-class SdvWorker:
-    """A forked process that sums the older sdv snapshots' logits one
-    micro-batch ahead of ``train_step``.
+def dropout_draws(params: ParameterSet, batch, config: ModelConfig) -> int:
+    """How many doubles a train-mode forward of ``batch`` draws from its
+    dropout stream, counted by running that forward on a stand-in."""
+    shapes = []
+    counting = SimpleNamespace(
+        random=lambda shape: shapes.append(shape) or np.ones(shape))
+    encode(params, batch, config, train_mode=True, rng=counting)
+    return sum(math.prod(shape) for shape in shapes)
 
-    It keeps a mirror of the ring, fed by ``push`` from ``absorb``.
-    ``request(batch, snapshot)`` asks for the ``logit_sum`` of the snapshots
-    that will be the older K-1 when ``batch`` runs; ``snapshot`` says
-    whether the micro-batch in hand ends with an absorb (``step_plan``).
-    ``ahead`` makes those requests for an epoch's batches. ``take`` returns
-    the oldest outstanding answer and re-raises an error the worker met,
-    with its type and message. The worker is a daemon and exits on EOF when
-    ``close`` shuts the parent's end of the pipe.
+
+class StepWorker:
+    """A forked process that trains the later micro-batches of each
+    optimizer step while the training process trains the earlier ones.
+
+    ``params.flat`` and one gradient row per worker micro-batch live in an
+    anonymous shared mapping made before the fork; the pipes carry only
+    batches, losses and the dropout stream's state. The worker keeps its
+    own teacher state, fed by the same ``absorb`` calls, and its dropout
+    stream skips the training process's draws. It ignores SIGINT and exits
+    when ``close`` shuts the request pipe.
     """
 
-    def __init__(self, state: TrainState, context):
-        self.state = state
-        self.outstanding = 0
-        self.conn, child = context.Pipe()
-        self.process = context.Process(
-            target=_sdv_worker_main, name="selfdistill-sdv-teacher",
-            args=(child, self.conn, state.params, state.model_config,
-                  state.ring.capacity,
-                  [s.flat for s in state.ring.snapshots()]),
-            daemon=True)
-        self.process.start()
-        child.close()
-
-    def push(self, flat: np.ndarray) -> None:
-        self._send(flat)
-
-    def request(self, batch, snapshot: bool) -> None:
-        self._send((batch, snapshot))
-        self.outstanding += 1
-
-    def ahead(self, batches):
-        """Yield ``batches``, each requested before it is yielded: an epoch's
-        first with no absorb before it, and each later one with the absorb
-        bit ``step_plan`` gives the micro-batch before it."""
-        batches = iter(batches)
-        batch = next(batches, None)
-        if batch is not None:
-            self.request(batch, False)
-        while batch is not None:
-            following = next(batches, None)
-            if following is not None:
-                self.request(following, step_plan(self.state)[1])
-            yield batch
-            batch = following
-
-    def take(self) -> np.ndarray | None:
-        if not self.outstanding:
-            raise UsageError("the sdv worker has no outstanding request")
-        self.outstanding -= 1
+    def __init__(self, state: TrainState):
+        rows = 1 + state.train_config.accum_steps // 2
+        shared = np.frombuffer(mmap.mmap(-1, 8 * rows * state.params.flat.size))
+        shared = shared.reshape(rows, -1)
+        shared[0] = state.params.flat
+        state.params = state.params.with_flat(shared[0])
+        self.grads = shared[1:]
+        self.absorb_due = False   # the last step's snapshot, for both sides
+        self.exitcode = None
+        self._draws: dict[tuple[int, ...], int] = {}   # by batch shape
+        down_r, down_w = os.pipe()
+        up_r, up_w = os.pipe()
         try:
-            status, value = self.conn.recv()
+            self.pid = os.fork()
+        except OSError:   # e.g. a process limit: no worker, and no stray pipe
+            for fd in (down_r, down_w, up_r, up_w):
+                os.close(fd)
+            raise
+        if self.pid == 0:   # the worker: never returns into the caller
+            code = 1
+            try:
+                os.close(down_w)
+                os.close(up_r)
+                _step_worker_main(state, open(down_r, "rb"), open(up_w, "wb"),
+                                  self.grads)
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(down_r)
+        os.close(up_w)
+        self.requests, self.replies = open(down_w, "wb"), open(up_r, "rb")
+
+    def request(self, state: TrainState, mine, theirs) -> None:
+        """Start the worker on ``theirs``, the micro-batches that follow
+        ``mine`` in the optimizer step ``state`` is about to take."""
+        draws = 0
+        for batch in mine:
+            shape = batch.token_ids.shape
+            if shape not in self._draws:
+                self._draws[shape] = dropout_draws(state.params, batch,
+                                                   state.model_config)
+            draws += self._draws[shape]
+        try:
+            pickle.dump((self.absorb_due, state.opt.t, draws, theirs),
+                        self.requests)
+            self.requests.flush()
+        except BrokenPipeError:
+            raise self._lost() from None
+
+    def reply(self):
+        """(ce, mse) per worker micro-batch, the worker's counter
+        increments and its dropout stream's end state; re-raises an error
+        the worker met with its type and message."""
+        try:
+            status, *value = pickle.load(self.replies)
         except EOFError:
             raise self._lost() from None
         if status == "error":
-            raise value
+            raise value[0]
         return value
 
-    def close(self) -> None:
-        # the state holds this worker: drop the cycle so that the run's
-        # arrays are freed when fine_tune returns, not at the next gc pass
-        self.state = None
-        self.conn.close()
-        self.process.join(timeout=10)
-        if self.process.is_alive():
-            self.process.terminate()
-            self.process.join()
+    def close(self, state: TrainState) -> None:
+        """Stop the worker and move the parameters back to private memory."""
+        state.params = state.params.with_flat(state.params.flat.copy())
+        self.grads = None   # with the parameters, the last hold on the mapping
+        with suppress(BrokenPipeError):   # a request the worker never read
+            self.requests.close()
+        self.replies.close()
+        self._wait()
 
-    def _send(self, message) -> None:
-        try:
-            self.conn.send(message)
-        except (BrokenPipeError, ConnectionResetError):
-            raise self._lost() from None
+    def _wait(self) -> None:
+        if self.exitcode is None:
+            self.exitcode = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
 
     def _lost(self) -> SelfDistillError:
-        self.process.join(timeout=10)
-        return SelfDistillError(f"the sdv teacher worker exited with code "
-                                f"{self.process.exitcode}")
+        self._wait()
+        return SelfDistillError(f"the step worker exited with code "
+                                f"{self.exitcode}")
 
 
-def _sdv_worker_main(conn, parent_end, template: ParameterSet,
-                     config: ModelConfig, capacity: int, flats) -> None:
-    # the parent handles Ctrl-C; this process ends when the pipe closes
+def _step_worker_main(state: TrainState, requests, replies, grads) -> None:
+    # the training process handles Ctrl-C; this one ends when the pipe closes
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    parent_end.close()
-    ring = deque((template.with_flat(f) for f in flats), maxlen=capacity)
     while True:
         try:
-            message = conn.recv()
+            absorb_due, state.opt.t, draws, batches = pickle.load(requests)
         except EOFError:
             return
-        if isinstance(message, np.ndarray):
-            ring.append(template.with_flat(message))
-            continue
-        batch, snapshot = message
-        snaps = list(ring)
-        # an absorb in the micro-batch in hand makes every mirrored
-        # snapshot an older one, up to K-1 of them
-        older = snaps[-(capacity - 1):] if snapshot else snaps[:-1]
         try:
-            answer = ("ok", logit_sum(older, batch, config))
-        except Exception as exc:  # re-raised in the parent by take()
-            answer = ("error", exc)
-        try:
-            conn.send(answer)
-        except (BrokenPipeError, ConnectionResetError):
-            return   # the parent stopped first, e.g. on an error of its own
+            if absorb_due:
+                absorb(state, state.params)
+            state.dropout_rng.bit_generator.advance(draws)
+            state.counters = dict.fromkeys(state.counters, 0)
+            rows = []
+            for batch, grad in zip(batches, grads):
+                by_tensor, ce, mse = _micro_batch(state, batch)
+                grad.fill(0.0)
+                accumulate(state.params, by_tensor, grad)
+                rows.append((ce, mse))
+            reply = ("ok", rows, state.counters,
+                     state.dropout_rng.bit_generator.state)
+        except Exception as exc:   # re-raised in the training process
+            reply = ("error", exc)
+        pickle.dump(reply, replies)
+        replies.flush()
 
 
-def start_sdv_worker(state: TrainState) -> SdvWorker | None:
-    """The run's one choice of sdv teacher path: a worker when the run has
-    older snapshots to overlap (sdv, K >= 2, at least one epoch) and the
-    process can use one (it can fork, is not a daemon, and may run on two
-    CPUs or more); None, the in-process path, otherwise. A second CPU kept
-    busy by other processes cannot be seen from here."""
-    if (state.distill_config.mode != "sdv" or state.ring.capacity < 2
-            or state.train_config.epochs < 1):
+def start_step_worker(state: TrainState) -> StepWorker | None:
+    """The run's one choice of path: a step worker where a step has
+    micro-batches to split (accumulation 2 or more, at least one epoch) and
+    the process can use one (it can fork, is not a daemon, and may run on
+    two CPUs or more); None, every micro-batch in process, otherwise. A
+    second CPU kept busy by other processes cannot be seen from here."""
+    train = state.train_config
+    if train.epochs < 1 or train.accum_steps < 2 or not hasattr(os, "fork"):
         return None
-    import multiprocessing
+    # multiprocessing lets none of its daemons, such as a Pool worker, start
+    # a process; a process that has not imported it is none of them
+    mp = sys.modules.get("multiprocessing")
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-    if ("fork" not in multiprocessing.get_all_start_methods()
-            or multiprocessing.current_process().daemon or cpus < 2):
+    if (mp is not None and mp.current_process().daemon) or cpus < 2:
         return None
-    # fork, not spawn: the worker needs no import or pickled state, and the
-    # only other threads are BLAS's, which OpenBLAS shuts down before a fork
-    return SdvWorker(state, multiprocessing.get_context("fork"))
+    return StepWorker(state)
 
 
 def sda_loss(student_logits: Tensor, teacher_logits: Tensor, labels,
@@ -419,32 +444,24 @@ def step_plan(state: TrainState,
     return flush, snapshot
 
 
-def train_step(state: TrainState, batch, force_flush: bool = False) -> StepPoint:
-    """One micro-batch: forward, teacher signal, loss, backward, accumulate.
-
-    On an accumulation boundary (or ``force_flush`` at epoch end) the
-    averaged gradients feed one AdamW step and the fresh parameters are
-    absorbed into the teacher state. Returns the micro-batch's step-curve
-    row; its ``step`` counts the run's micro-batches from 0.
-    """
+def _micro_batch(state: TrainState, batch):
+    """Forward, teacher signal, loss and backward of one micro-batch:
+    (gradients by tensor, ce, mse)."""
     cfg = state.distill_config
-    flush, snapshot = step_plan(state, force_flush)
     tape = Tape()
-
-    micro = state.counters["student_forwards"]   # micro-batches run so far
     student_logits = classify(state.params, batch, state.model_config,
                               train_mode=True, tape=tape, rng=state.dropout_rng)
     state.counters["student_forwards"] += 1
 
-    # the teacher comes second, which gives the sdv worker the student's
-    # forward as extra time to finish its sum
+    # the teacher comes second: the sdv teacher may reuse the student's logits
     teacher_logits = None
     if cfg.mode == "sda":
         teacher_logits = classify(sda_teacher(state), batch,
                                   state.model_config, train_mode=False)
         state.counters["teacher_forwards"] += 1
     elif cfg.mode == "sdv":
-        teacher_logits = sdv_teacher_logits(state, batch)
+        newest = student_logits.data if newest_is_student(state) else None
+        teacher_logits = sdv_teacher_logits(state, batch, newest)
 
     if cfg.mode == "baseline":
         total = ad.cross_entropy(student_logits, batch.labels)
@@ -459,21 +476,73 @@ def train_step(state: TrainState, batch, force_flush: bool = False) -> StepPoint
             f"non-finite loss at optimizer step {state.opt.t} "
             f"(ce={ce_val}, mse={mse_val})"
         )
+    return ad.backward(total, tape), ce_val, mse_val
 
-    accumulate(state.params, ad.backward(total, tape), state.grad_sum)
+
+def _finish_step(state: TrainState, snapshot: bool) -> float:
+    """The optimizer step on the averaged ``grad_sum``, then ``absorb`` when
+    ``snapshot``; returns the step's learning rate."""
+    lr = adamw_step(state.params, state.grad_sum / state.pending, state.opt)
+    state.grad_sum.fill(0.0)
+    state.pending = 0
+    if snapshot:
+        absorb(state, state.params)
+    return lr
+
+
+def train_step(state: TrainState, batch, force_flush: bool = False) -> StepPoint:
+    """One micro-batch: forward, teacher signal, loss, backward, accumulate.
+
+    On an accumulation boundary (or ``force_flush`` at epoch end) the
+    averaged gradients feed one AdamW step and the fresh parameters are
+    absorbed into the teacher state. Returns the micro-batch's step-curve
+    row; its ``step`` counts the run's micro-batches from 0.
+    """
+    flush, snapshot = step_plan(state, force_flush)
+    micro = state.counters["student_forwards"]   # micro-batches run so far
+    grads, ce, mse = _micro_batch(state, batch)
+    accumulate(state.params, grads, state.grad_sum)
     state.pending += 1
-
     if flush:
-        lr = adamw_step(state.params, state.grad_sum / state.pending, state.opt)
-        state.grad_sum.fill(0.0)
-        state.pending = 0
-        if snapshot:
-            absorb(state, state.params)
+        lr = _finish_step(state, snapshot)
     else:
         lr = lr_at(min(state.opt.t + 1, state.opt.total_steps),
                    state.opt.total_steps, state.train_config.lr_encoder,
                    state.train_config.warmup_prop)
-    return StepPoint(step=micro, ce=ce_val, mse=mse_val, lr=lr)
+    return StepPoint(step=micro, ce=ce, mse=mse, lr=lr)
+
+
+def train_group(state: TrainState, group: list,
+                worker: StepWorker | None = None) -> list[StepPoint]:
+    """The micro-batches of one optimizer step, ending with its flush.
+
+    With a worker, the training process runs the first half (rounded up)
+    through ``train_step`` while the worker runs the rest; the worker's
+    gradients are then added in micro-batch order before the one step. The
+    step's ``absorb`` waits for the next step's start (or the run's end),
+    where the training process and the worker take it at the same time."""
+    if worker is None:
+        return [train_step(state, batch, force_flush=i == len(group) - 1)
+                for i, batch in enumerate(group)]
+    mine = (len(group) + 1) // 2
+    worker.request(state, group[:mine], group[mine:])
+    if worker.absorb_due:   # both sides take the last step's snapshot at once
+        absorb(state, state.params)
+    # fewer than accum_steps micro-batches: none of these flushes
+    points = [train_step(state, batch) for batch in group[:mine]]
+    rows, counts, rng_state = worker.reply()
+    step = state.counters["student_forwards"]
+    for i, (ce, mse) in enumerate(rows):
+        state.grad_sum += worker.grads[i]
+        points.append(StepPoint(step=step + i, ce=ce, mse=mse,
+                                lr=points[0].lr))
+    state.pending += len(rows)
+    for name, count in counts.items():
+        state.counters[name] += count
+    state.dropout_rng.bit_generator.state = rng_state
+    worker.absorb_due = step_plan(state, force_flush=True)[1]
+    points[-1] = replace(points[-1], lr=_finish_step(state, snapshot=False))
+    return points
 
 
 def evaluate_params(params: ParameterSet, config: ModelConfig, split, vocab,
@@ -524,19 +593,19 @@ def fine_tune(model_config: ModelConfig, distill_config: DistillConfig,
 
     n_train = len(task.train)
     micro_per_epoch = math.ceil(n_train / train_config.micro_batch)
-    state.sdv_worker = start_sdv_worker(state)
+    worker = start_step_worker(state)
     try:
         for epoch in range(train_config.epochs):
             order = permutation_with_seed(n_train, [data_seed, epoch])
             batches = iter_batches(task.train, vocab, model_config.max_len,
                                    train_config.micro_batch, order)
-            if state.sdv_worker is not None:
-                batches = state.sdv_worker.ahead(batches)
+            points: list[StepPoint] = []
+            # one optimizer step's micro-batches; an epoch's last may be fewer
+            while group := list(islice(batches, train_config.accum_steps)):
+                points += train_group(state, group, worker)
+            step_curve += points
             ce_sum, mse_sum = 0.0, 0.0
-            for i, batch in enumerate(batches):
-                point = train_step(state, batch,
-                                   force_flush=(i == micro_per_epoch - 1))
-                step_curve.append(point)
+            for point in points:
                 ce_sum += point.ce
                 mse_sum += point.mse
             test_acc, test_err = evaluate_params(state.params, model_config,
@@ -563,9 +632,11 @@ def fine_tune(model_config: ModelConfig, distill_config: DistillConfig,
                 out = Path(checkpoint_dir)
                 out.mkdir(parents=True, exist_ok=True)
                 save_params(state.params, out / f"epoch_{epoch:03d}.ckpt")
+        if worker is not None and worker.absorb_due:   # left by the last step
+            absorb(state, state.params)
     finally:
-        if state.sdv_worker is not None:
-            state.sdv_worker.close()
+        if worker is not None:
+            worker.close(state)
 
     student = state.params if best_params is None else best_params
 

@@ -315,13 +315,19 @@ def load_params(path) -> ParameterSet:
         header = json.loads(header_line.decode("utf-8"))
         if header.get("format") != _CHECKPOINT_MAGIC:
             raise InputError(f"{path}: not a parameter checkpoint")
-        entries = [(e["name"], e["group"], e["dtype"], tuple(e["shape"]),
+        entries = [(e["name"], e["group"], e["dtype"], e["shape"],
                     group_of(e["name"])) for e in header["entries"]]
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise InputError(f"{path}: malformed checkpoint header: {exc}") from exc
     tensors: dict[str, Tensor] = {}
     offset = 0
     for name, group, dtype, shape, implied in entries:
+        if name in tensors:
+            raise InputError(f"{path}: tensor {name} appears twice in the header")
+        if not (isinstance(shape, list)
+                and all(type(d) is int and d >= 0 for d in shape)):
+            raise InputError(f"{path}: tensor {name} has shape {shape!r}, not a "
+                             f"list of non-negative integers")
         if (dtype, group) != (_CHECKPOINT_DTYPE, implied):
             raise InputError(f"{path}: tensor {name} has dtype {dtype!r} and "
                              f"group {group!r}, not {_CHECKPOINT_DTYPE!r} and "

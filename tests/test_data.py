@@ -154,6 +154,18 @@ class TestCsvSchema:
                                               f"also a text column"):
             CsvSchema(n_classes=2, label_col=label_col, text_cols=text_cols)
 
+    @pytest.mark.parametrize("text_cols", [(1, 1), (1, 2, 1)])
+    def test_repeated_text_column_is_config_error(self, text_cols):
+        with pytest.raises(ConfigError, match="repeat a column"):
+            CsvSchema(n_classes=2, text_cols=text_cols)
+
+    @pytest.mark.parametrize("delimiter", ["", "ab"])
+    def test_delimiter_of_other_than_one_character_is_config_error(
+            self, delimiter):
+        with pytest.raises(ConfigError, match="delimiter must be exactly one "
+                                              "character"):
+            CsvSchema(n_classes=2, delimiter=delimiter)
+
 
 class TestShuffle:
     def test_same_seed_same_order(self):

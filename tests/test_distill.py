@@ -10,6 +10,8 @@ import gc
 import math
 import multiprocessing
 import os
+import signal
+import time
 import weakref
 
 import numpy as np
@@ -28,6 +30,7 @@ from selfdistill.data import (
     prepare_task,
 )
 from selfdistill.distill import (
+    TEACHER_ALL,
     DistillConfig,
     TrainConfig,
     absorb,
@@ -402,46 +405,80 @@ def hand_fine_tune(model, distill_config, train, task, seed):
 
 @pytest.fixture
 def started_workers(monkeypatch):
-    """Every sdv worker fine_tune starts, in order."""
+    """Every step worker fine_tune starts, in order."""
     workers = []
-    start = distill.start_sdv_worker
+    start = distill.start_step_worker
 
     def recording(state):
         worker = start(state)
         workers.append(worker)
         return worker
 
-    monkeypatch.setattr(distill, "start_sdv_worker", recording)
+    monkeypatch.setattr(distill, "start_step_worker", recording)
     return workers
 
 
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """The worker is tested wherever it can fork, also on a host that runs
+    the suite on one CPU, where the selection would skip it."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+
+
+@pytest.fixture
+def no_child_left():
+    """No process a test starts outlives it."""
+    yield
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def in_process(monkeypatch, run):
+    """``run()`` with every micro-batch in the training process."""
+    with monkeypatch.context() as patch:
+        patch.setattr(distill, "start_step_worker", lambda state: None)
+        return run()
+
+
+def with_worker(monkeypatch, run):
+    """``run()`` with a step worker started whatever the selection says."""
+    with monkeypatch.context() as patch:
+        patch.setattr(distill, "start_step_worker", distill.StepWorker)
+        return run()
+
+
+def shared_mapping(worker) -> weakref.ref:
+    """A weak reference to the mapping behind a worker's shared buffers."""
+    base = worker.grads
+    while isinstance(base, np.ndarray):
+        base = base.base
+    return weakref.ref(base)
+
+
+@pytest.mark.usefixtures("two_cpus", "no_child_left")
 class TestSdvWorker:
-    """fine_tune's sdv worker: same results as the in-process teacher, and
+    """The step worker in sdv runs: the same results as one process, and
     no process outlives a run however it ends."""
 
     TRAIN = TrainConfig(epochs=2, micro_batch=4, accum_steps=3)
-
-    @pytest.fixture(autouse=True)
-    def two_cpus(self, monkeypatch):
-        """The worker is tested wherever it can fork, also on a host that
-        runs the suite on one CPU, where the selection would skip it."""
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
-                            raising=False)
 
     @pytest.mark.parametrize("k", [2, 3, 5])
     def test_fine_tune_equals_a_hand_driven_loop_without_worker(
             self, monkeypatch, started_workers, k):
         """13 micro-batches per epoch with accumulation 3 and a snapshot
-        every 2 steps: micro-batches that absorb and ones that do not."""
+        every 2 steps: steps that absorb and ones that do not, and a last
+        group of one micro-batch."""
         task = small_task(n_train=52, n_test=20)
         config = DistillConfig(mode="sdv", teacher_size=k, snapshot_every=2)
         state, steps, epochs = hand_fine_tune(MODEL, config, self.TRAIN, task,
                                               seed=6)
-        parent_eval_forwards = []
+        student_forwards = []
         classify_ = distill.classify
 
         def counting(params, batch, model, train_mode=False, **kw):
-            parent_eval_forwards.append(not train_mode)
+            student_forwards.append(train_mode)
             return classify_(params, batch, model, train_mode=train_mode, **kw)
 
         monkeypatch.setattr(distill, "classify", counting)
@@ -451,49 +488,47 @@ class TestSdvWorker:
         assert report.epoch_curve == epochs
         assert report.counters == state.counters
         assert result.student.flat.tobytes() == state.params.flat.tobytes()
-        # the worker ran every older snapshot's forward: the parent ran
-        # only the newest one, once per micro-batch
+        # of each full step's 3 micro-batches the worker ran the last one
         assert len(started_workers) == 1 and started_workers[0] is not None
-        assert sum(parent_eval_forwards) == report.counters["student_forwards"]
-        assert multiprocessing.active_children() == []
+        assert sum(student_forwards) == 2 * (4 * 2 + 1)
 
     def test_the_run_state_is_freed_when_fine_tune_returns(
             self, monkeypatch, started_workers):
-        """The state and its worker refer to each other; closing the worker
-        must break that cycle, or the run's arrays outlive it until a gc
-        pass and raise the peak memory of back-to-back runs."""
-        states = []
+        """Nothing may hold the run's arrays or the shared mapping after
+        fine_tune returns, or they outlive it until a gc pass and raise the
+        peak memory of back-to-back runs."""
+        states, mappings = [], []
         make = distill.make_train_state
+        start = distill.start_step_worker
 
         def recording(*args, **kw):
             state = make(*args, **kw)
             states.append(weakref.ref(state))
             return state
 
+        def mapped(state):
+            worker = start(state)
+            mappings.append(shared_mapping(worker))
+            return worker
+
         monkeypatch.setattr(distill, "make_train_state", recording)
+        monkeypatch.setattr(distill, "start_step_worker", mapped)
         gc.disable()
         try:
             fine_tune(MODEL, DistillConfig(mode="sdv", teacher_size=3),
                       self.TRAIN, small_task(n_train=24, n_test=8), seed=1)
             assert started_workers[0] is not None
             assert states[0]() is None
+            assert mappings[0]() is None
         finally:
             gc.enable()
-
-    def test_no_worker_for_k1_or_sda(self):
-        for config in (DistillConfig(mode="sdv", teacher_size=1),
-                       DistillConfig(mode="sda", teacher_size=5)):
-            state = make_train_state(MODEL, config, self.TRAIN, n_train=16,
-                                     seed=0)
-            assert distill.start_sdv_worker(state) is None
 
     def test_normal_return_joins_the_worker(self, started_workers):
         task = small_task(n_train=24, n_test=8)
         fine_tune(MODEL, DistillConfig(mode="sdv", teacher_size=3),
                   self.TRAIN, task, seed=1)
         (worker,) = started_workers
-        assert worker.process.exitcode == 0
-        assert multiprocessing.active_children() == []
+        assert worker.exitcode == 0
 
     def test_divergence_error_stops_the_worker(self, monkeypatch,
                                                started_workers):
@@ -511,8 +546,7 @@ class TestSdvWorker:
             fine_tune(MODEL, DistillConfig(mode="sdv", teacher_size=3),
                       self.TRAIN, task, seed=1)
         (worker,) = started_workers
-        assert worker.process.exitcode is not None
-        assert multiprocessing.active_children() == []
+        assert worker.exitcode is not None
 
     def test_worker_exception_reraises_in_parent(self, monkeypatch,
                                                  started_workers):
@@ -530,92 +564,41 @@ class TestSdvWorker:
             fine_tune(MODEL, DistillConfig(mode="sdv", teacher_size=3),
                       self.TRAIN, task, seed=1)
         (worker,) = started_workers
-        assert worker.process.exitcode is not None
-        assert multiprocessing.active_children() == []
-
-    def test_answers_follow_the_ring_and_eof_ends_the_worker(self):
-        """Asked with and without an absorb pending, the worker sums the
-        snapshots that will then be the older ones; closing the parent's
-        end of the pipe alone makes it exit."""
-        state = make_train_state(MODEL_NODROP,
-                                 DistillConfig(mode="sdv", teacher_size=3),
-                                 TrainConfig(epochs=1), n_train=32, seed=5)
-        worker = distill.start_sdv_worker(state)
-        try:
-            for s in (21, 22, 23):
-                snap = init_params(MODEL_NODROP, seed=s)
-                ring_push(state.ring, snap)
-                worker.push(snap.flat)
-            snaps = state.ring.snapshots()
-            batch = small_batch(np.random.default_rng(8))
-            worker.request(batch, False)
-            worker.request(batch, True)
-            for older in (snaps[:-1], snaps[-2:]):
-                expected = logit_sum(older, batch, MODEL_NODROP)
-                assert worker.take().tobytes() == expected.tobytes()
-            worker.conn.close()
-            worker.process.join(timeout=30)
-            assert worker.process.exitcode == 0
-        finally:
-            worker.close()
-        assert multiprocessing.active_children() == []
-
-    def test_take_without_a_request_is_a_usage_error(self):
-        state = make_train_state(MODEL_NODROP,
-                                 DistillConfig(mode="sdv", teacher_size=3),
-                                 TrainConfig(epochs=1), n_train=32, seed=5)
-        worker = distill.start_sdv_worker(state)
-        try:
-            with pytest.raises(UsageError, match="no outstanding request"):
-                worker.take()
-            worker.request(small_batch(np.random.default_rng(8)), False)
-            worker.take()
-            with pytest.raises(UsageError, match="no outstanding request"):
-                worker.take()
-        finally:
-            worker.close()
-        assert multiprocessing.active_children() == []
+        assert worker.exitcode is not None
 
     def test_a_killed_worker_is_an_error_naming_its_exit(self):
+        task = small_task(n_train=32, n_test=8)
         state = make_train_state(MODEL_NODROP,
                                  DistillConfig(mode="sdv", teacher_size=3),
-                                 TrainConfig(epochs=1), n_train=32, seed=5)
-        worker = distill.start_sdv_worker(state)
+                                 self.TRAIN, n_train=32, seed=5)
+        worker = distill.start_step_worker(state)
         try:
-            worker.process.kill()
-            worker.process.join(timeout=30)
-            batch = small_batch(np.random.default_rng(9))
+            os.kill(worker.pid, signal.SIGKILL)
+            group = list(iter_batches(task.train, task.vocab,
+                                      MODEL_NODROP.max_len, 4))[:3]
             with pytest.raises(SelfDistillError, match="exited with code -9"):
-                worker.request(batch, False)
-                worker.take()
+                distill.train_group(state, group, worker)
         finally:
-            worker.close()
-        assert multiprocessing.active_children() == []
+            worker.close(state)
 
 
-def sdv_k3_report(epochs):
+def sdv_k3_report(epochs, accum_steps=3):
     """The report of a small sdv K=3 run, as a dict; module-level so that a
     process pool can run it."""
     return fine_tune(MODEL, DistillConfig(mode="sdv", teacher_size=3),
-                     TrainConfig(epochs=epochs, micro_batch=4, accum_steps=3),
+                     TrainConfig(epochs=epochs, micro_batch=4,
+                                 accum_steps=accum_steps),
                      small_task(n_train=24, n_test=8), seed=1).report.to_dict()
 
 
+@pytest.mark.usefixtures("no_child_left")
 class TestSdvWorkerSelection:
-    """start_sdv_worker runs the teacher in process wherever a worker could
-    not start or could not overlap, with the same report as a worker run."""
-
-    @staticmethod
-    def worker_report(monkeypatch, epochs):
-        """sdv_k3_report with a worker started whatever the selection says."""
-        with monkeypatch.context() as patch:
-            patch.setattr(distill, "start_sdv_worker", lambda state: (
-                distill.SdvWorker(state, multiprocessing.get_context("fork"))))
-            return sdv_k3_report(epochs)
+    """start_step_worker trains in process wherever a worker could not
+    start or could not overlap, with the same report as a worker run."""
 
     def test_a_pool_worker_runs_the_teacher_in_process(self, monkeypatch):
         """A Pool worker is a daemon, which may not start a process."""
-        expected = self.worker_report(monkeypatch, epochs=2)
+        expected = with_worker(monkeypatch, lambda: sdv_k3_report(2))
         pool = multiprocessing.get_context("fork").Pool(1)
         try:
             report = pool.apply(sdv_k3_report, (2,))
@@ -623,22 +606,186 @@ class TestSdvWorkerSelection:
             pool.close()
             pool.join()
         assert report == expected
-        assert multiprocessing.active_children() == []
 
     def test_one_usable_cpu_runs_the_teacher_in_process(self, monkeypatch,
                                                         started_workers):
-        expected = self.worker_report(monkeypatch, epochs=2)
+        expected = with_worker(monkeypatch, lambda: sdv_k3_report(2))
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
                             raising=False)
         assert sdv_k3_report(2) == expected
         assert started_workers == [None]
-        assert multiprocessing.active_children() == []
 
-    def test_zero_epochs_start_no_worker(self, monkeypatch, started_workers):
-        expected = self.worker_report(monkeypatch, epochs=0)
+    def test_zero_epochs_start_no_worker(self, monkeypatch, two_cpus,
+                                         started_workers):
+        expected = with_worker(monkeypatch, lambda: sdv_k3_report(0))
         assert sdv_k3_report(0) == expected
         assert started_workers == [None]
-        assert multiprocessing.active_children() == []
+
+    def test_accumulation_one_starts_no_worker(self, monkeypatch, two_cpus,
+                                               started_workers):
+        """Nothing to overlap: each optimizer step has one micro-batch."""
+        expected = in_process(monkeypatch, lambda: sdv_k3_report(2, 1))
+        assert sdv_k3_report(2, 1) == expected
+        assert started_workers == [None]
+
+
+def run_both_ways(monkeypatch, model, config, train, task, tmp_path=None):
+    """fine_tune in process and with a worker: for each, the report as a
+    dict, the student's and the teacher's bytes and the checkpoints'."""
+    runs = []
+    for how, name in ((in_process, "in"), (with_worker, "worker")):
+        out = None if tmp_path is None else tmp_path / name
+        result = how(monkeypatch, lambda: fine_tune(
+            model, config, train, task, seed=6, checkpoint_dir=out))
+        checkpoints = ([] if out is None else
+                       [p.read_bytes() for p in sorted(out.iterdir())])
+        runs.append((result.report.to_dict(), result.student.flat.tobytes(),
+                     None if result.teacher is None
+                     else result.teacher.flat.tobytes(), checkpoints))
+    return runs
+
+
+@pytest.mark.usefixtures("no_child_left")
+class TestStepWorker:
+    """fine_tune with a step worker equals the in-process run bit for bit:
+    step and epoch curves, counters, student, teacher and checkpoints."""
+
+    @pytest.mark.parametrize("config", [
+        DistillConfig(),
+        DistillConfig(mode="sda", teacher_size=3),
+        DistillConfig(mode="sda", teacher_size=TEACHER_ALL),
+        DistillConfig(mode="sda", teacher_size=3, snapshot_every=2),
+        DistillConfig(mode="sdv", teacher_size=3),
+        DistillConfig(mode="sdv", teacher_size=3, snapshot_every=2),
+    ], ids=["baseline", "sda3", "sda_all", "sda3_every2", "sdv3",
+            "sdv3_every2"])
+    @pytest.mark.parametrize("model", [MODEL_NODROP, MODEL],
+                             ids=["nodrop", "drop"])
+    @pytest.mark.parametrize("accum_steps", [2, 3, 4])
+    def test_worker_run_equals_the_in_process_run(self, monkeypatch, tmp_path,
+                                                  config, model, accum_steps):
+        """11 micro-batches per epoch: the last group holds 1, 2 or 3 of
+        them. best_dev selection and checkpoints ride along."""
+        task = small_task(n_train=44, n_test=20)
+        task.splits["dev"] = task.test
+        train = TrainConfig(epochs=2, micro_batch=4, accum_steps=accum_steps,
+                            select_by="best_dev")
+        inside, worker = run_both_ways(monkeypatch, model, config, train, task,
+                                       tmp_path)
+        assert inside == worker
+
+    def test_skipping_the_newest_sdv_forward_changes_no_bit(self, monkeypatch):
+        """With no dropout and a snapshot every step, the newest snapshot's
+        forward is the student's: a run that computes it anyway gives the
+        same bytes, in process and with a worker."""
+        task = small_task(n_train=44, n_test=20)
+        config = DistillConfig(mode="sdv", teacher_size=3)
+        train = TrainConfig(epochs=2, micro_batch=4, accum_steps=2)
+        eval_forwards = []
+        classify_ = distill.classify
+
+        def counting(params, batch, model, train_mode=False, **kw):
+            eval_forwards.append(not train_mode)
+            return classify_(params, batch, model, train_mode=train_mode, **kw)
+
+        monkeypatch.setattr(distill, "classify", counting)
+        result = in_process(monkeypatch, lambda: fine_tune(
+            MODEL_NODROP, config, train, task, seed=6))
+        counters = result.report.counters
+        # every snapshot's logits are averaged, all but the newest computed
+        assert (sum(eval_forwards) == counters["teacher_forwards"]
+                - counters["student_forwards"])
+        skipping = run_both_ways(monkeypatch, MODEL_NODROP, config, train, task)
+        monkeypatch.setattr(distill, "newest_is_student", lambda state: False)
+        computing = run_both_ways(monkeypatch, MODEL_NODROP, config, train,
+                                  task)
+        assert skipping == computing
+        assert skipping[0] == skipping[1]
+
+    def test_divergence_in_the_workers_micro_batch_reads_as_in_process(
+            self, monkeypatch):
+        """The fourth micro-batch of epoch 0 is the second of step 1, which
+        the worker runs."""
+        task = small_task(n_train=44, n_test=20)
+        train = TrainConfig(epochs=1, micro_batch=4, accum_steps=2)
+        order = distill.permutation_with_seed(len(task.train), [6, 0])
+        target = list(iter_batches(task.train, task.vocab, MODEL.max_len, 4,
+                                   order))[3].token_ids.tobytes()
+        classify_ = distill.classify
+        parent = os.getpid()
+        ran_in = []
+
+        def diverging(params, batch, model, train_mode=False, **kw):
+            out = classify_(params, batch, model, train_mode=train_mode, **kw)
+            if train_mode and batch.token_ids.tobytes() == target:
+                ran_in.append(os.getpid() == parent)
+                return ad.mul(out, np.nan)
+            return out
+
+        monkeypatch.setattr(distill, "classify", diverging)
+        messages = []
+        for how in (in_process, with_worker):
+            with pytest.raises(DivergenceError) as caught:
+                how(monkeypatch, lambda: fine_tune(
+                    MODEL, DistillConfig(mode="sda", teacher_size=3), train,
+                    task, seed=6))
+            messages.append(str(caught.value))
+        assert messages[0] == messages[1]
+        assert messages[0].startswith("non-finite loss at optimizer step 1 ")
+        assert ran_in == [True]   # the worker's call is seen there only
+
+    @pytest.mark.parametrize("rows,width", [(4, 12), (3, 7)])
+    def test_counted_draws_equal_the_real_draws(self, rows, width):
+        rng = np.random.default_rng(11)
+        ids = rng.integers(4, MODEL.vocab_size, size=(rows, width))
+        batch = Batch(token_ids=ids, mask=np.ones((rows, width)),
+                      labels=rng.integers(0, 4, rows))
+        params = init_params(MODEL, seed=0)
+        drawn, skipped = np.random.default_rng(3), np.random.default_rng(3)
+        classify(params, batch, MODEL, train_mode=True, rng=drawn)
+        n = distill.dropout_draws(params, batch, MODEL)
+        assert n > 0
+        skipped.bit_generator.advance(n)
+        assert skipped.bit_generator.state == drawn.bit_generator.state
+        assert distill.dropout_draws(params, batch, MODEL_NODROP) == 0
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="lists open descriptors through /proc")
+    def test_a_failed_fork_raises_and_leaves_no_pipe(self, monkeypatch,
+                                                     two_cpus):
+        def failing():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", failing)
+        open_fds = set(os.listdir("/proc/self/fd"))
+        with pytest.raises(BlockingIOError):
+            fine_tune(MODEL, DistillConfig(), TrainConfig(epochs=1, micro_batch=4),
+                      small_task(n_train=16, n_test=8), seed=0)
+        assert set(os.listdir("/proc/self/fd")) == open_fds
+
+    def test_the_worker_ignores_sigint_and_exits_on_eof(self, two_cpus):
+        task = small_task(n_train=32, n_test=8)
+        state = make_train_state(MODEL_NODROP, DistillConfig(),
+                                 TrainConfig(epochs=1, micro_batch=4),
+                                 n_train=32, seed=5)
+        worker = distill.start_step_worker(state)
+        try:
+            group = list(iter_batches(task.train, task.vocab,
+                                      MODEL_NODROP.max_len, 4))[:2]
+            distill.train_group(state, group, worker)   # the worker is up
+            os.kill(worker.pid, signal.SIGINT)
+            worker.requests.close()
+            for _ in range(3000):   # 30 s at most
+                pid, status = os.waitpid(worker.pid, os.WNOHANG)
+                if pid:
+                    break
+                time.sleep(0.01)
+            assert pid and os.waitstatus_to_exitcode(status) == 0
+            worker.exitcode = 0
+        finally:
+            if worker.exitcode is None:   # it did not exit: end it here
+                os.kill(worker.pid, signal.SIGKILL)
+            worker.close(state)
 
 
 def run_steps(model, distill, train, task, seed, n_steps):

@@ -492,6 +492,32 @@ class TestCheckpoint:
         with pytest.raises(InputError, match="malformed checkpoint header"):
             load_params(path)
 
+    def _write_entries(self, path, entries):
+        header = json.dumps({"format": "selfdistill-params-v1",
+                             "entries": entries})
+        path.write_bytes(header.encode() + b"\n" + np.arange(4.0).tobytes())
+
+    def test_rejects_a_tensor_named_twice(self, tmp_path):
+        """Read as a dict, the second entry would replace the first."""
+        path = tmp_path / "twice.ckpt"
+        entry = {"name": "a.W", "shape": [2], "dtype": "<f8", "group": "encoder"}
+        self._write_entries(path, [entry, entry])
+        with pytest.raises(InputError, match=r"tensor a\.W appears twice"):
+            load_params(path)
+
+    @pytest.mark.parametrize("shape", [[-1, -2], [-1], [2.0], "22",
+                                       [True, True], 4, [[2]]],
+                             ids=["negatives", "negative", "float", "string",
+                                  "bools", "scalar", "nested"])
+    def test_rejects_a_shape_that_is_not_a_list_of_counts(self, tmp_path,
+                                                          shape):
+        path = tmp_path / "shape.ckpt"
+        self._write_entries(path, [{"name": "a.W", "shape": shape,
+                                    "dtype": "<f8", "group": "encoder"}])
+        with pytest.raises(InputError, match=r"tensor a\.W has shape .*, not a "
+                                             r"list of non-negative integers"):
+            load_params(path)
+
     def test_header_bytes_are_pinned(self, tmp_path):
         """The header line of a default-config checkpoint, byte for byte as
         the format has always written it (sha256 of the line, newline

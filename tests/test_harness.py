@@ -734,6 +734,9 @@ class TestCli:
         (["--label-col", "-1"], "column indices must be >= 0"),
         (["--text-cols", "0,-1"], "column indices must be >= 0"),
         (["--text-cols", "0,1"], "label column 0 is also a text column"),
+        (["--text-cols", "1,1"], "text columns (1, 1) repeat a column"),
+        (["--delimiter", ""], "delimiter must be exactly one character"),
+        (["--delimiter", "ab"], "delimiter must be exactly one character"),
     ])
     def test_bad_csv_columns_exit_1_before_any_work(self, tmp_path, capsys,
                                                      monkeypatch, flags,
