@@ -1,9 +1,8 @@
 """Tokenization, corpus ingestion, synthetic data, and seeded ordering.
 
 The tokenizer is a lowercase whitespace split over a frequency-built
-vocabulary with four reserved ids. Sentence pairs are encoded as
-``CLS seg1 SEP seg2`` in a single sequence; there are no segment-type
-embeddings at this scale.
+vocabulary with four reserved ids. An example is one text, encoded as
+``CLS text SEP`` and padded to a fixed width.
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ def _split(text: str) -> list[str]:
 def build_vocab(corpus, max_size: int, min_freq: int = 1) -> Vocab:
     """Frequency-ranked vocabulary; ties broken lexicographically.
 
-    ``corpus`` is an iterable of raw text segments. Tokens seen fewer than
+    ``corpus`` is an iterable of raw texts. Tokens seen fewer than
     ``min_freq`` times are left out and map to UNK at encode time.
     """
     if max_size < N_RESERVED + 1:
@@ -69,14 +68,12 @@ def build_vocab(corpus, max_size: int, min_freq: int = 1) -> Vocab:
 
 @dataclass(frozen=True)
 class Example:
-    """One or two raw text segments plus a 0-origin class label."""
+    """One raw text plus a 0-origin class label."""
 
-    segments: tuple[str, ...]
+    text: str
     label: int
 
     def __post_init__(self):
-        if not 1 <= len(self.segments) <= 2:
-            raise InputError("an example carries one or two segments")
         if self.label < 0:
             raise InputError(f"label must be >= 0, got {self.label}")
 
@@ -91,7 +88,7 @@ class DatasetSplit:
 
     def texts(self):
         for ex in self.examples:
-            yield from ex.segments
+            yield ex.text
 
 
 @dataclass
@@ -104,22 +101,16 @@ class Batch:
 
 
 def tokenize_truncate(example: Example, vocab: Vocab, max_len: int):
-    """CLS + head of each segment, every segment closed by SEP, PAD-filled.
+    """CLS, the head of the text, SEP, then PAD up to ``max_len``.
 
-    Content is head-truncated to ``max_len - 1 - n_segments`` tokens (room
-    for CLS and the closing SEPs); the second segment gets whatever budget
-    the first leaves. Returns (ids, mask) lists of length ``max_len``.
+    The text is head-truncated to ``max_len - 2`` tokens (room for CLS and
+    SEP). Returns (ids, mask) lists of length ``max_len``.
     """
     if max_len < 3:
-        raise ConfigError(f"max_len must be >= 3, got {max_len}")
-    segs = [_split(s) for s in example.segments]
-    ids = [CLS_ID]
-    remaining = max_len - 1 - len(segs)
-    for seg in segs:
-        take = seg[:remaining] if remaining > 0 else []
-        ids.extend(vocab.lookup(tok) for tok in take)
-        ids.append(SEP_ID)
-        remaining -= len(take)
+        raise ConfigError(f"max_len must be >= 3 (room for CLS, one token and "
+                          f"SEP), got {max_len}")
+    tokens = _split(example.text)[:max_len - 2]
+    ids = [CLS_ID, *(vocab.lookup(tok) for tok in tokens), SEP_ID]
     real = len(ids)
     ids.extend([PAD_ID] * (max_len - real))
     mask = [1.0] * real + [0.0] * (max_len - real)
@@ -188,7 +179,7 @@ class CsvSchema:
 
 
 def load_csv(path, schema: CsvSchema) -> DatasetSplit:
-    """One Example per row; multiple text columns join into one segment."""
+    """One Example per row; multiple text columns join into one text."""
     examples: list[Example] = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh, delimiter=schema.delimiter,
@@ -213,7 +204,7 @@ def load_csv(path, schema: CsvSchema) -> DatasetSplit:
                         f"{path}:{line}: label {label} outside [0, {schema.n_classes})"
                     )
                 text = " ".join(row[c] for c in schema.text_cols)
-                examples.append(Example(segments=(text,), label=label))
+                examples.append(Example(text=text, label=label))
         except (csv.Error, UnicodeDecodeError) as exc:
             raise InputError(f"{path}:{line + 1}: malformed row: {exc}") from exc
     return DatasetSplit(examples=examples, n_classes=schema.n_classes)
@@ -283,7 +274,7 @@ def make_synthetic(spec: SyntheticSpec, seed) -> dict[str, DatasetSplit]:
                 shift = 1 + int(rng.integers(spec.n_classes - 1))
                 label = (true_label + shift) % spec.n_classes
             text = " ".join(_token_name(t) for t in toks)
-            examples.append(Example(segments=(text,), label=label))
+            examples.append(Example(text=text, label=label))
         return DatasetSplit(examples=examples, n_classes=spec.n_classes)
 
     test_noise = (spec.label_noise if spec.test_label_noise is None

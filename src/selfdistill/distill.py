@@ -219,25 +219,6 @@ def sda_teacher(state: TrainState) -> ParameterSet:
     return state.teacher
 
 
-def logit_sum(snapshots, batch, config: ModelConfig) -> np.ndarray | None:
-    """Ring-order sum of the snapshots' eval logits on ``batch``; None for
-    no snapshot."""
-    total = None
-    for snap in snapshots:
-        out = classify(snap, batch, config, train_mode=False).data
-        total = out if total is None else total + out
-    return total
-
-
-def mean_logits(older: np.ndarray | None, newest: np.ndarray,
-                n: int) -> np.ndarray:
-    """The sdv teacher's combine rule, ``(older + newest) / n``: with
-    ``older`` the ring-order sum of the other n-1 logits it equals
-    ``np.mean(np.stack(outs), axis=0)`` bit for bit, because that mean also
-    adds the rows in order and then divides."""
-    return (newest if older is None else older + newest) / n
-
-
 def newest_is_student(state: TrainState) -> bool:
     """With no dropout and an absorb after every optimizer step, the newest
     sdv snapshot's eval logits are the student's train-mode logits."""
@@ -247,18 +228,20 @@ def newest_is_student(state: TrainState) -> bool:
 
 def sdv_teacher_logits(state: TrainState, batch,
                        newest: np.ndarray | None = None) -> Tensor:
-    """Mean of the retained snapshots' logits on this batch; a constant.
-    ``newest``, the newest snapshot's logits, is computed if not given;
-    ``teacher_forwards`` counts the logits averaged, not the forwards run."""
+    """Mean of the retained snapshots' logits on this batch, added in ring
+    order; a constant. ``newest``, the newest snapshot's logits, is computed
+    if not given; ``teacher_forwards`` counts the logits averaged, not the
+    forwards run."""
     if state.ring is None or len(state.ring) == 0:
         raise UsageError("sdv teacher ring is empty")
     snaps = state.ring.snapshots()
     if newest is None:
         newest = classify(snaps[-1], batch, state.model_config,
                           train_mode=False).data
-    older = logit_sum(snaps[:-1], batch, state.model_config)
+    outs = [classify(snap, batch, state.model_config, train_mode=False).data
+            for snap in snaps[:-1]]
     state.counters["teacher_forwards"] += len(snaps)
-    return Tensor(mean_logits(older, newest, len(snaps)))
+    return Tensor(np.mean(np.stack([*outs, newest]), axis=0))
 
 
 def dropout_draws(params: ParameterSet, batch, config: ModelConfig) -> int:

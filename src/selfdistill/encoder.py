@@ -56,8 +56,8 @@ class ModelConfig:
                 f"dim {self.dim} not divisible by n_heads {self.n_heads}"
             )
         if self.max_len < 3:
-            raise ConfigError(f"max_len must be >= 3 (room for CLS and two SEP "
-                              f"tokens), got {self.max_len}")
+            raise ConfigError(f"max_len must be >= 3 (room for CLS, one token "
+                              f"and SEP), got {self.max_len}")
         if not 0.0 <= self.dropout_p < 1.0:
             raise ConfigError(f"dropout_p must be in [0, 1), got {self.dropout_p}")
 

@@ -327,19 +327,49 @@ def relative_error_change(baseline_error: float, error: float) -> float:
     return (baseline_error - error) / baseline_error
 
 
-def render_summary(path, baseline_path=None) -> str:
-    """Human-readable table for a stored report directory or file."""
+def _report_file(path) -> Path:
+    """``path`` itself, or the report file inside a report directory."""
     p = Path(path)
-    if p.is_dir():
-        for candidate in ("report.json", "sweep.json", "stability.json",
-                          "ensemble.json"):
-            if (p / candidate).exists():
-                p = p / candidate
-                break
-        else:
-            raise InputError(f"{path}: no report files found")
+    if not p.is_dir():
+        return p
+    for candidate in ("report.json", "sweep.json", "stability.json",
+                      "ensemble.json"):
+        if (p / candidate).exists():
+            return p / candidate
+    raise InputError(f"{path}: no report files found")
+
+
+def render_summary(path, baseline_path=None) -> str:
+    """Human-readable table for a stored report directory or file; a run
+    report's table ends with its relative error change against the final
+    student of ``baseline_path``, when given."""
+    base_error = None
+    if baseline_path is not None:
+        base_error = _read_report(
+            _report_file(baseline_path),
+            lambda doc: float(doc["final_student"]["test_error"]))
+    p = _report_file(path)
+    return "\n".join([f"# {p}", *_read_report(
+        p, lambda doc: _summary_lines(doc, base_error))])
+
+
+def _read_report(p: Path, read):
+    """``read`` of the JSON at ``p``. A report of the wrong shape (a missing
+    key, a value of the wrong type, no known layout) is an InputError that
+    names ``p``."""
     doc = load_json(p)
-    lines = [f"# {p}"]
+    try:
+        return read(doc)
+    except KeyError as exc:
+        raise InputError(f"{p}: missing key {exc.args[0]!r}") from None
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise InputError(f"{p}: malformed report: {exc}") from None
+
+
+def _summary_lines(doc, base_error: float | None) -> list[str]:
+    if not isinstance(doc, dict):
+        raise TypeError(f"a report is a JSON object, not {type(doc).__name__}")
+    lines = []
     if "epoch_curve" in doc:
         lines.append("epoch  test_err  test_acc  mean_ce   mean_mse  lr")
         for pt in doc["epoch_curve"]:
@@ -355,13 +385,9 @@ def render_summary(path, baseline_path=None) -> str:
         if ft:
             lines.append(f"final teacher: error={ft['test_error']:.4f} "
                          f"accuracy={ft['test_accuracy']:.4f}")
-        if baseline_path is not None:
-            base = load_json(Path(baseline_path) / "report.json"
-                             if Path(baseline_path).is_dir() else baseline_path)
-            be = (base.get("final_student") or {}).get("test_error")
-            if be is not None and fs:
-                delta = relative_error_change(be, fs["test_error"])
-                lines.append(f"relative error change vs baseline: {delta:+.2%}")
+        if base_error is not None and fs:
+            delta = relative_error_change(base_error, fs["test_error"])
+            lines.append(f"relative error change vs baseline: {delta:+.2%}")
     elif "cells" in doc:
         lines.append(f"axis: {doc['axis']}   seeds: {doc['seeds']}")
         lines.append("cell        mean_test_error  mean_test_accuracy")
@@ -383,4 +409,6 @@ def render_summary(path, baseline_path=None) -> str:
             f"{m['test_error']:.4f}" for m in doc["individual"]))
         lines.append(f"voted    : error={doc['voted']['test_error']:.4f}")
         lines.append(f"averaged : error={doc['averaged']['test_error']:.4f}")
-    return "\n".join(lines)
+    else:
+        raise ValueError("no epoch_curve, cells, strategies or voted key")
+    return lines

@@ -66,7 +66,7 @@ class TestBuildVocab:
 class TestTokenizeTruncate:
     def test_short_text_layout(self):
         vocab = build_vocab(["alpha beta"], max_size=10)
-        ids, mask = tokenize_truncate(Example(("alpha beta",), 0), vocab, 8)
+        ids, mask = tokenize_truncate(Example("alpha beta", 0), vocab, 8)
         a, b = vocab.lookup("alpha"), vocab.lookup("beta")
         assert ids == [CLS_ID, a, b, SEP_ID, PAD_ID, PAD_ID, PAD_ID, PAD_ID]
         assert mask == [1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0]
@@ -74,7 +74,7 @@ class TestTokenizeTruncate:
     def test_head_truncation_keeps_first_62_content_tokens(self):
         words = " ".join(f"t{i}" for i in range(1000))
         vocab = build_vocab([words], max_size=2000)
-        ids, mask = tokenize_truncate(Example((words,), 0), vocab, 64)
+        ids, mask = tokenize_truncate(Example(words, 0), vocab, 64)
         assert len(ids) == 64
         assert ids[0] == CLS_ID
         assert ids[-1] == SEP_ID
@@ -83,23 +83,15 @@ class TestTokenizeTruncate:
         assert content == [vocab.lookup(f"t{i}") for i in range(62)]
         assert all(m == 1.0 for m in mask)
 
-    def test_pair_layout(self):
-        vocab = build_vocab(["one two three four"], max_size=20)
-        ids, mask = tokenize_truncate(Example(("one two", "three"), 0), vocab, 10)
-        one, two, three = (vocab.lookup(w) for w in ("one", "two", "three"))
-        assert ids[:6] == [CLS_ID, one, two, SEP_ID, three, SEP_ID]
-        assert ids[6:] == [PAD_ID] * 4
-        assert mask == [1.0] * 6 + [0.0] * 4
-
     def test_unknown_tokens_map_to_unk(self):
         vocab = build_vocab(["known"], max_size=10)
-        ids, _ = tokenize_truncate(Example(("known mystery",), 0), vocab, 6)
+        ids, _ = tokenize_truncate(Example("known mystery", 0), vocab, 6)
         assert ids[1] == vocab.lookup("known")
         assert ids[2] == UNK_ID
 
     def test_every_row_starts_with_cls(self):
         vocab = build_vocab(["x y z"], max_size=10)
-        batch = make_batch([Example(("x y",), 0), Example(("z",), 1)], vocab, 6)
+        batch = make_batch([Example("x y", 0), Example("z", 1)], vocab, 6)
         assert all(batch.token_ids[:, 0] == CLS_ID)
         assert all(batch.mask[batch.token_ids == PAD_ID] == 0.0)
 
@@ -111,14 +103,14 @@ class TestLoadCsv:
         split = load_csv(path, CsvSchema(label_col=0, text_cols=(1,), n_classes=2))
         assert len(split) == 3
         assert split.examples[1].label == 1
-        assert split.examples[0].segments == ("hello world",)
+        assert split.examples[0].text == "hello world"
 
     def test_two_text_columns_join_with_space(self, tmp_path):
         path = tmp_path / "ag.csv"
         path.write_text('"3","title","description"\n')
         split = load_csv(path, CsvSchema(label_col=0, text_cols=(1, 2),
                                          n_classes=4, label_base=1))
-        assert split.examples[0].segments == ("title description",)
+        assert split.examples[0].text == "title description"
         assert split.examples[0].label == 2  # rebased from 1-origin
 
     def test_malformed_quoting_names_line(self, tmp_path):
@@ -199,14 +191,14 @@ class TestSynthetic:
             return token_col[tok]
 
         for ex in splits["train"].examples:
-            for tok in ex.segments[0].split():
+            for tok in ex.text.split():
                 counts[ex.label, col(tok)] += 1
         logp = np.log(counts / counts.sum(axis=1, keepdims=True))
 
         correct = 0
         for ex in splits["test"].examples:
             scores = np.zeros(4)
-            for tok in ex.segments[0].split():
+            for tok in ex.text.split():
                 if tok in token_col:
                     scores += logp[:, token_col[tok]]
             correct += int(np.argmax(scores) == ex.label)
@@ -222,13 +214,13 @@ class TestSynthetic:
         # labels are ~balanced and tokens carry no class information
         counts = {}
         for ex in splits["train"].examples:
-            for tok in ex.segments[0].split():
+            for tok in ex.text.split():
                 c = counts.setdefault(tok, [1.0, 1.0])
                 c[ex.label] += 1
         correct = 0
         for ex in splits["test"].examples:
             score = [0.0, 0.0]
-            for tok in ex.segments[0].split():
+            for tok in ex.text.split():
                 c = counts.get(tok, [1.0, 1.0])
                 total = c[0] + c[1]
                 score[0] += np.log(c[0] / total)
@@ -243,8 +235,8 @@ class TestSynthetic:
         a = make_synthetic(spec, seed=9)
         b = make_synthetic(spec, seed=9)
         for role in ("train", "test"):
-            assert [(e.segments, e.label) for e in a[role].examples] == \
-                [(e.segments, e.label) for e in b[role].examples]
+            assert [(e.text, e.label) for e in a[role].examples] == \
+                [(e.text, e.label) for e in b[role].examples]
 
     def test_test_label_noise_override(self):
         spec = SyntheticSpec(n_classes=4, signal=0.9, label_noise=0.5,
@@ -255,7 +247,7 @@ class TestSynthetic:
         block = spec.vocab_span // 4
 
         def block_of(ex):
-            toks = [int(t[1:]) for t in ex.segments[0].split()]
+            toks = [int(t[1:]) for t in ex.text.split()]
             return int(np.argmax(np.bincount([t // block for t in toks],
                                              minlength=4)))
 
@@ -271,7 +263,7 @@ class TestBatching:
     def test_iter_batches_covers_split_in_order(self):
         vocab = build_vocab(["a b c"], max_size=10)
         split = DatasetSplit(
-            examples=[Example((f"a b",), i % 2) for i in range(10)],
+            examples=[Example("a b", i % 2) for i in range(10)],
             n_classes=2)
         batches = list(iter_batches(split, vocab, 6, batch_size=4))
         assert [b.token_ids.shape[0] for b in batches] == [4, 4, 2]

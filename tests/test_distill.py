@@ -36,9 +36,7 @@ from selfdistill.distill import (
     absorb,
     evaluate_params,
     fine_tune,
-    logit_sum,
     make_train_state,
-    mean_logits,
     sda_loss,
     sda_teacher,
     sdv_teacher_logits,
@@ -340,7 +338,7 @@ class TestSdvTeacher:
         oracle = np.mean(np.stack(
             [classify(s, batch, MODEL_NODROP).data
              for s in state.ring.snapshots()]), axis=0)
-        np.testing.assert_allclose(logits.data, oracle, atol=1e-10)
+        assert logits.data.tobytes() == oracle.tobytes()
 
     def test_teacher_logits_are_constant(self):
         rng = np.random.default_rng(6)
@@ -363,15 +361,19 @@ class TestSdvTeacher:
     @pytest.mark.parametrize("rows", [8, 64])
     def test_combine_rule_is_the_stacked_mean_bitwise(self, monkeypatch, k,
                                                       rows):
-        """logit_sum over the older k-1 plus the newest, over k, is the
-        np.mean of the k stacked logits the teacher used to take."""
+        """The teacher of k snapshots, the newest one's logits given, is the
+        np.mean of the k logits stacked in ring order, bit for bit."""
         rng = np.random.default_rng([k, rows])
         outs = [rng.normal(0.0, 3.0, (rows, 4)) for _ in range(k)]
+        state = make_train_state(MODEL_NODROP,
+                                 DistillConfig(mode="sdv", teacher_size=k),
+                                 TrainConfig(epochs=1), n_train=32, seed=5)
+        state.ring._buf.clear()
+        state.ring._buf.extend(outs)   # each "snapshot" is its own logits
         monkeypatch.setattr(
             distill, "classify",
             lambda snap, batch, config, train_mode: Tensor(snap))
-        older = logit_sum(outs[:-1], None, None)
-        combined = mean_logits(older, outs[-1], k)
+        combined = sdv_teacher_logits(state, None, newest=outs[-1]).data
         expected = np.mean(np.stack(outs, axis=0), axis=0)
         assert combined.tobytes() == expected.tobytes()
 

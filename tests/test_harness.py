@@ -57,9 +57,9 @@ def fast_config(**kwargs) -> ExperimentConfig:
 class TestEvaluate:
     def test_constant_class_zero_model(self):
         """W=0 gives uniform probabilities; argmax ties break to class 0."""
-        examples = ([Example(("w1 w2",), 0)] * 40
-                    + [Example(("w3 w4",), 1)] * 35
-                    + [Example(("w5 w6",), 2)] * 25)
+        examples = ([Example("w1 w2", 0)] * 40
+                    + [Example("w3 w4", 1)] * 35
+                    + [Example("w5 w6", 2)] * 25)
         split = DatasetSplit(examples=examples, n_classes=4)
         task = prepare_task({"train": split, "test": split},
                             vocab_size=MODEL.vocab_size)
@@ -617,7 +617,14 @@ class TestCli:
         assert code == 2
         assert "could not be broadcast" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("content", [b'{"final_student": {', b"\xff\xfe"])
+    @pytest.mark.parametrize("content", [
+        b'{"final_student": {', b"\xff\xfe",
+        b'{"epoch_curve": [{}]}',
+        b'{"strategies": [{"strategy": "x"}]}',
+        b'{"axis": "k", "seeds": [0], "grid": [1], "cells": {}}',
+        b'{"epoch_curve": [], "final_student": {"test_error": "x"}}',
+        b'[{"epoch_curve": []}]',
+    ])
     def test_report_on_a_corrupt_report_is_exit_1(self, tmp_path, capsys,
                                                   content):
         good = tmp_path / "run"
@@ -630,6 +637,19 @@ class TestCli:
         assert str(bad / "report.json") in capsys.readouterr().err
         assert cli_main(["report", str(good), "--baseline", str(bad)]) == 1
         assert str(bad / "report.json") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content,key", [
+        ('{"epoch_curve": [{}]}', "'epoch'"),
+        ('{"strategies": [{"strategy": "x"}]}', "'summary'"),
+        ('{"axis": "k", "seeds": [0], "grid": [1], "cells": {}}', "'1'"),
+    ])
+    def test_report_names_the_missing_key(self, tmp_path, capsys, content,
+                                          key):
+        path = tmp_path / "report.json"
+        path.write_text(content)
+        assert cli_main(["report", str(path)]) == 1
+        assert (capsys.readouterr().err
+                == f"error: {path}: missing key {key}\n")
 
     def test_report_subcommand(self, tmp_path, capsys):
         out = tmp_path / "run"

@@ -34,10 +34,15 @@ ROOT = Path(__file__).resolve().parent.parent
 # 200 examples; small enough for the whole matrix to take seconds per tree
 SPEC = {"n_classes": 4, "vocab_span": 120, "tokens_per_example": 10,
         "signal": 0.8, "label_noise": 0.1, "n_train": 150, "n_test": 50}
-MODEL = ["--vocab-size", "200", "--max-len", "16", "--dim", "16",
+SHAPE = ["--vocab-size", "200", "--max-len", "16", "--dim", "16",
          "--n-layers", "2", "--n-heads", "2", "--ffn-dim", "32",
-         "--dropout", "0.1", "--epochs", "2"]
+         "--epochs", "2"]
+MODEL = [*SHAPE, "--dropout", "0.1"]
 TRAIN = ["train", "--dataset", "{spec}", *MODEL, "--save-checkpoints"]
+# with no dropout and a snapshot every step, the sdv teacher takes the
+# student's logits as the newest snapshot's instead of computing them
+TRAIN_NODROP = ["train", "--dataset", "{spec}", *SHAPE, "--dropout", "0",
+                "--save-checkpoints"]
 # each run takes seconds; one that outlives this, say because a child
 # process keeps the interpreter from exiting, fails naming the run
 RUN_TIMEOUT_S = 300
@@ -52,9 +57,16 @@ MATRIX = [
                              "--accum-steps", "3"]),
     ("train_sda_k4_every2", [*TRAIN, "--mode", "sda", "--teacher-size", "4",
                              "--snapshot-every", "2"]),
-    # the one sdv run with steps that absorb no snapshot
+    # sdv runs with steps that absorb no snapshot
     ("train_sdv_k4_every2", [*TRAIN, "--mode", "sdv", "--teacher-size", "4",
                              "--snapshot-every", "2"]),
+    ("train_sdv_k5_nodrop", [*TRAIN_NODROP, "--mode", "sdv",
+                             "--teacher-size", "5"]),
+    ("train_sdv_k4_every2_nodrop", [*TRAIN_NODROP, "--mode", "sdv",
+                                    "--teacher-size", "4",
+                                    "--snapshot-every", "2"]),
+    ("train_sda_k5_nodrop", [*TRAIN_NODROP, "--mode", "sda",
+                             "--teacher-size", "5"]),
     ("train_csv", ["train", "--dataset", "{train_csv}",
                    "--eval-dataset", "{test_csv}", *MODEL]),
     ("sweep_k", ["sweep", "--dataset", "{spec}", *MODEL, "--mode", "sda",
