@@ -45,7 +45,6 @@ from contextlib import suppress
 from dataclasses import asdict, dataclass, field, replace
 from itertools import islice
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -56,7 +55,6 @@ from .encoder import (
     ModelConfig,
     ParameterSet,
     classify,
-    encode,
     init_params,
     predict_proba,
     save_params,
@@ -148,14 +146,14 @@ class TrainConfig:
 
 @dataclass
 class TrainState:
-    """Mutable state of one run: student, optimizer, teacher, rng streams."""
+    """Mutable state of one run: student, optimizer, teacher, counters."""
 
     model_config: ModelConfig
     distill_config: DistillConfig
     train_config: TrainConfig
     params: ParameterSet
     opt: OptimState
-    dropout_rng: np.random.Generator
+    seed: int                          # keys each micro-batch's dropout
     grad_sum: np.ndarray               # flat, lines up with params.flat
     ring: CheckpointRing | None = None
     rmean: RunningMean | None = None
@@ -186,7 +184,7 @@ def make_train_state(model_config: ModelConfig, distill_config: DistillConfig,
         train_config=train_config,
         params=params,
         opt=opt,
-        dropout_rng=np.random.default_rng([seed, 1]),
+        seed=seed,
         grad_sum=np.zeros_like(params.flat),
     )
     if distill_config.mode == "baseline":
@@ -244,26 +242,16 @@ def sdv_teacher_logits(state: TrainState, batch,
     return Tensor(np.mean(np.stack([*outs, newest]), axis=0))
 
 
-def dropout_draws(params: ParameterSet, batch, config: ModelConfig) -> int:
-    """How many doubles a train-mode forward of ``batch`` draws from its
-    dropout stream, counted by running that forward on a stand-in."""
-    shapes = []
-    counting = SimpleNamespace(
-        random=lambda shape: shapes.append(shape) or np.ones(shape))
-    encode(params, batch, config, train_mode=True, rng=counting)
-    return sum(math.prod(shape) for shape in shapes)
-
-
 class StepWorker:
     """A forked process that trains the later micro-batches of each
     optimizer step while the training process trains the earlier ones.
 
     ``params.flat`` and one gradient row per worker micro-batch live in an
     anonymous shared mapping made before the fork; the pipes carry only
-    batches, losses and the dropout stream's state. The worker keeps its
-    own teacher state, fed by the same ``absorb`` calls, and its dropout
-    stream skips the training process's draws. It ignores SIGINT and exits
-    when ``close`` shuts the request pipe.
+    batches, losses and counters. The worker keeps its own teacher state,
+    fed by the same ``absorb`` calls; each micro-batch's dropout is keyed by
+    its index, wherever it runs. It ignores SIGINT and exits when ``close``
+    shuts the request pipe.
     """
 
     def __init__(self, state: TrainState):
@@ -275,7 +263,6 @@ class StepWorker:
         self.grads = shared[1:]
         self.absorb_due = False   # the last step's snapshot, for both sides
         self.exitcode = None
-        self._draws: dict[tuple[int, ...], int] = {}   # by batch shape
         down_r, down_w = os.pipe()
         up_r, up_w = os.pipe()
         try:
@@ -298,27 +285,21 @@ class StepWorker:
         os.close(up_w)
         self.requests, self.replies = open(down_w, "wb"), open(up_r, "rb")
 
-    def request(self, state: TrainState, mine, theirs) -> None:
-        """Start the worker on ``theirs``, the micro-batches that follow
-        ``mine`` in the optimizer step ``state`` is about to take."""
-        draws = 0
-        for batch in mine:
-            shape = batch.token_ids.shape
-            if shape not in self._draws:
-                self._draws[shape] = dropout_draws(state.params, batch,
-                                                   state.model_config)
-            draws += self._draws[shape]
+    def request(self, state: TrainState, first: int, batches) -> None:
+        """Start the worker on ``batches``, the run's micro-batches from
+        index ``first`` on, in the optimizer step ``state`` is about to
+        take."""
         try:
-            pickle.dump((self.absorb_due, state.opt.t, draws, theirs),
+            pickle.dump((self.absorb_due, state.opt.t, first, batches),
                         self.requests)
             self.requests.flush()
         except BrokenPipeError:
             raise self._lost() from None
 
     def reply(self):
-        """(ce, mse) per worker micro-batch, the worker's counter
-        increments and its dropout stream's end state; re-raises an error
-        the worker met with its type and message."""
+        """(ce, mse) per worker micro-batch and the worker's counter
+        increments; re-raises an error the worker met with its type and
+        message."""
         try:
             status, *value = pickle.load(self.replies)
         except EOFError:
@@ -351,22 +332,20 @@ def _step_worker_main(state: TrainState, requests, replies, grads) -> None:
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     while True:
         try:
-            absorb_due, state.opt.t, draws, batches = pickle.load(requests)
+            absorb_due, state.opt.t, first, batches = pickle.load(requests)
         except EOFError:
             return
         try:
             if absorb_due:
                 absorb(state, state.params)
-            state.dropout_rng.bit_generator.advance(draws)
             state.counters = dict.fromkeys(state.counters, 0)
             rows = []
-            for batch, grad in zip(batches, grads):
-                by_tensor, ce, mse = _micro_batch(state, batch)
+            for micro, (batch, grad) in enumerate(zip(batches, grads), first):
+                by_tensor, ce, mse = _micro_batch(state, batch, micro)
                 grad.fill(0.0)
                 accumulate(state.params, by_tensor, grad)
                 rows.append((ce, mse))
-            reply = ("ok", rows, state.counters,
-                     state.dropout_rng.bit_generator.state)
+            reply = ("ok", rows, state.counters)
         except Exception as exc:   # re-raised in the training process
             reply = ("error", exc)
         pickle.dump(reply, replies)
@@ -427,13 +406,17 @@ def step_plan(state: TrainState,
     return flush, snapshot
 
 
-def _micro_batch(state: TrainState, batch):
-    """Forward, teacher signal, loss and backward of one micro-batch:
-    (gradients by tensor, ce, mse)."""
+def _micro_batch(state: TrainState, batch, micro: int):
+    """Forward, teacher signal, loss and backward of the run's micro-batch
+    number ``micro``: (gradients by tensor, ce, mse). Its dropout masks come
+    from a generator keyed by (seed, 1, micro), so they depend neither on
+    the process it runs in nor on the batches before it."""
     cfg = state.distill_config
+    rng = (np.random.default_rng([state.seed, 1, micro])
+           if state.model_config.dropout_p > 0.0 else None)
     tape = Tape()
     student_logits = classify(state.params, batch, state.model_config,
-                              train_mode=True, tape=tape, rng=state.dropout_rng)
+                              train_mode=True, tape=tape, rng=rng)
     state.counters["student_forwards"] += 1
 
     # the teacher comes second: the sdv teacher may reuse the student's logits
@@ -483,7 +466,7 @@ def train_step(state: TrainState, batch, force_flush: bool = False) -> StepPoint
     """
     flush, snapshot = step_plan(state, force_flush)
     micro = state.counters["student_forwards"]   # micro-batches run so far
-    grads, ce, mse = _micro_batch(state, batch)
+    grads, ce, mse = _micro_batch(state, batch, micro)
     accumulate(state.params, grads, state.grad_sum)
     state.pending += 1
     if flush:
@@ -508,13 +491,13 @@ def train_group(state: TrainState, group: list,
         return [train_step(state, batch, force_flush=i == len(group) - 1)
                 for i, batch in enumerate(group)]
     mine = (len(group) + 1) // 2
-    worker.request(state, group[:mine], group[mine:])
+    step = state.counters["student_forwards"] + mine   # the worker's first
+    worker.request(state, step, group[mine:])
     if worker.absorb_due:   # both sides take the last step's snapshot at once
         absorb(state, state.params)
     # fewer than accum_steps micro-batches: none of these flushes
     points = [train_step(state, batch) for batch in group[:mine]]
-    rows, counts, rng_state = worker.reply()
-    step = state.counters["student_forwards"]
+    rows, counts = worker.reply()
     for i, (ce, mse) in enumerate(rows):
         state.grad_sum += worker.grads[i]
         points.append(StepPoint(step=step + i, ce=ce, mse=mse,
@@ -522,7 +505,6 @@ def train_group(state: TrainState, group: list,
     state.pending += len(rows)
     for name, count in counts.items():
         state.counters[name] += count
-    state.dropout_rng.bit_generator.state = rng_state
     worker.absorb_due = step_plan(state, force_flush=True)[1]
     points[-1] = replace(points[-1], lr=_finish_step(state, snapshot=False))
     return points

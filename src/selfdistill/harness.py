@@ -362,13 +362,11 @@ def _read_report(p: Path, read):
         return read(doc)
     except KeyError as exc:
         raise InputError(f"{p}: missing key {exc.args[0]!r}") from None
-    except (TypeError, ValueError, AttributeError) as exc:
+    except (TypeError, ValueError) as exc:
         raise InputError(f"{p}: malformed report: {exc}") from None
 
 
 def _summary_lines(doc, base_error: float | None) -> list[str]:
-    if not isinstance(doc, dict):
-        raise TypeError(f"a report is a JSON object, not {type(doc).__name__}")
     lines = []
     if "epoch_curve" in doc:
         lines.append("epoch  test_err  test_acc  mean_ce   mean_mse  lr")

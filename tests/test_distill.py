@@ -736,21 +736,6 @@ class TestStepWorker:
         assert messages[0].startswith("non-finite loss at optimizer step 1 ")
         assert ran_in == [True]   # the worker's call is seen there only
 
-    @pytest.mark.parametrize("rows,width", [(4, 12), (3, 7)])
-    def test_counted_draws_equal_the_real_draws(self, rows, width):
-        rng = np.random.default_rng(11)
-        ids = rng.integers(4, MODEL.vocab_size, size=(rows, width))
-        batch = Batch(token_ids=ids, mask=np.ones((rows, width)),
-                      labels=rng.integers(0, 4, rows))
-        params = init_params(MODEL, seed=0)
-        drawn, skipped = np.random.default_rng(3), np.random.default_rng(3)
-        classify(params, batch, MODEL, train_mode=True, rng=drawn)
-        n = distill.dropout_draws(params, batch, MODEL)
-        assert n > 0
-        skipped.bit_generator.advance(n)
-        assert skipped.bit_generator.state == drawn.bit_generator.state
-        assert distill.dropout_draws(params, batch, MODEL_NODROP) == 0
-
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
                         reason="lists open descriptors through /proc")
     def test_a_failed_fork_raises_and_leaves_no_pipe(self, monkeypatch,
@@ -930,6 +915,27 @@ class TestTrainStep:
         with pytest.raises(DivergenceError):
             train_step(state, batch)
 
+    def test_dropout_ignores_the_width_of_the_batch_before(self):
+        """Each micro-batch's masks are keyed by its index: the second
+        micro-batch's loss is the same after a first of 12 or 7 columns.
+        No optimizer step is taken in between."""
+        rng = np.random.default_rng(8)
+        second = small_batch(rng)
+        ces = []
+        for width in (12, 7):
+            state = make_train_state(MODEL, DistillConfig(),
+                                     TrainConfig(epochs=1, micro_batch=4,
+                                                 accum_steps=8),
+                                     n_train=32, seed=5)
+            first = Batch(token_ids=rng.integers(4, MODEL.vocab_size,
+                                                 size=(4, width)),
+                          mask=np.ones((4, width)),
+                          labels=rng.integers(0, 4, 4))
+            train_step(state, first)
+            ces.append(train_step(state, second).ce)
+            assert state.opt.t == 0
+        assert ces[0] == ces[1]
+
 
 class TestGradientAccumulation:
     """train_step's flat gradient buffer against adamw_step on gradients
@@ -954,10 +960,12 @@ class TestGradientAccumulation:
                                  n_train=len(task.train), seed=3)
         params = state.params.copy()
         opt = copy.deepcopy(state.opt)
-        rng = copy.deepcopy(state.dropout_rng)
         batches = [make_batch(task.train.examples[4 * i:4 * i + 4], task.vocab,
                               MODEL.max_len) for i in range(n_micro)]
-        hand = [self._hand_grads(params, batch, rng) for batch in batches]
+        # micro-batch i draws its dropout from its own generator
+        hand = [self._hand_grads(params, batch,
+                                 np.random.default_rng([state.seed, 1, i]))
+                for i, batch in enumerate(batches)]
         lr = adamw_step(params, sum(hand[1:], hand[0]) / n_micro, opt)
 
         for i, batch in enumerate(batches):
