@@ -111,6 +111,18 @@ def _parse_teacher_size(flag: str, raw: str):
     return "all" if raw == "all" else _parse_token(flag, raw, int)
 
 
+def _parse_seed(flag: str, raw: str) -> int:
+    """An int >= 0: numpy seeds no generator with a negative one."""
+    seed = _parse_token(flag, raw, int)
+    if seed < 0:
+        raise ConfigError(f"{flag}: a seed must be >= 0, got {seed}")
+    return seed
+
+
+def _parse_seeds(flag: str, raw: str) -> list[int]:
+    return [_parse_seed(flag, tok) for tok in raw.split(",") if tok != ""]
+
+
 # The flags that set a config field, one tuple of field names per config.
 # Each flag is the field name with dashes, or its entry in _FLAG_NAMES, and
 # takes its default and type from the field unless _FLAG_OPTIONS sets them.
@@ -148,7 +160,8 @@ def _add_config_flags(p: _Parser, omit=()) -> None:
                         "or a train .csv/.tsv")
     # a dataset flag left at None keeps the dataset's own default, and one
     # given with a dataset that does not read it is an error
-    p.add_argument("--dataset-seed", type=int,
+    p.add_argument("--dataset-seed",
+                   type=partial(_parse_seed, "--dataset-seed"),
                    help="generation seed (synthetic and .json datasets only)")
     p.add_argument("--n-classes", type=int,
                    help="synthetic and csv datasets; a .json spec sets its own")
@@ -283,13 +296,10 @@ def _parse_grid(axis: str, raw: str | None) -> list:
 # Each study's run from the shared config and its own flags.
 _STUDIES = {
     "sweep": lambda config, args: sweep(
-        config, args.axis, _parse_grid(args.axis, args.grid),
-        _parse_int_list("--seeds", args.seeds)),
-    "ensemble": lambda config, args: ensemble_experiment(
-        config, _parse_int_list("--seeds", args.seeds)),
+        config, args.axis, _parse_grid(args.axis, args.grid), args.seeds),
+    "ensemble": lambda config, args: ensemble_experiment(config, args.seeds),
     "stability": lambda config, args: stability_study(
-        config, _parse_int_list("--data-seeds", args.data_seeds),
-        args.init_seed),
+        config, args.data_seeds, args.init_seed),
 }
 
 
@@ -301,8 +311,10 @@ def build_parser() -> _Parser:
 
     p_train = sub.add_parser("train", help="one fine-tuning run")
     _add_config_flags(p_train)
-    p_train.add_argument("--seed", type=int, default=ExperimentConfig.seed)
-    p_train.add_argument("--data-seed", type=int, default=None,
+    p_train.add_argument("--seed", type=partial(_parse_seed, "--seed"),
+                         default=ExperimentConfig.seed)
+    p_train.add_argument("--data-seed",
+                         type=partial(_parse_seed, "--data-seed"), default=None,
                          help="data-order seed (defaults to --seed)")
     p_train.add_argument(
         "--save-checkpoints", action="store_true",
@@ -314,19 +326,24 @@ def build_parser() -> _Parser:
     p_sweep.add_argument("--axis", choices=["lambda", "k"], default="lambda")
     p_sweep.add_argument("--grid", default=None,
                          help="comma-separated grid values (defaults per axis)")
-    p_sweep.add_argument("--seeds", default="0", help="comma-separated seeds")
+    p_sweep.add_argument("--seeds", type=partial(_parse_seeds, "--seeds"),
+                         default="0", help="comma-separated seeds")
 
     p_ens = sub.add_parser("ensemble", help="voted + averaged ensembles")
     _add_config_flags(p_ens)
-    p_ens.add_argument("--seeds", default="0,1,2,3",
+    p_ens.add_argument("--seeds", type=partial(_parse_seeds, "--seeds"),
+                       default="0,1,2,3",
                        help="comma-separated seeds")
 
     p_stab = sub.add_parser("stability", help="data-order stability study")
     # stability_study builds its four strategies from lambda alone
     _add_config_flags(p_stab, omit=("mode", "teacher_size", "snapshot_every"))
-    p_stab.add_argument("--data-seeds", default="0,1,2,3,4,5,6,7,8,9",
+    p_stab.add_argument("--data-seeds",
+                        type=partial(_parse_seeds, "--data-seeds"),
+                        default="0,1,2,3,4,5,6,7,8,9",
                         help="comma-separated data-order seeds")
-    p_stab.add_argument("--init-seed", type=int, default=0)
+    p_stab.add_argument("--init-seed",
+                        type=partial(_parse_seed, "--init-seed"), default=0)
 
     p_rep = sub.add_parser("report", help="re-render stored reports")
     p_rep.add_argument("paths", nargs="+", help="report files or directories")

@@ -29,7 +29,10 @@ process trains the later half of the step's micro-batches while the
 training process trains the earlier half. The training process then adds
 the worker's gradients in micro-batch order and takes the one AdamW step,
 so every sum runs in the same order as in one process and results do not
-depend on where a micro-batch ran.
+depend on where a micro-batch ran. The same worker scores the later half
+of each evaluation's batches (the student's after every epoch, on dev
+under ``best_dev``, and the final sda teacher's); correct counts are
+integers, so their sum is the one-process count.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ import pickle
 import signal
 import sys
 import time
+import weakref
 from contextlib import suppress
 from dataclasses import asdict, dataclass, field, replace
 from itertools import islice
@@ -162,6 +166,7 @@ class TrainState:
     counters: dict = field(default_factory=lambda: {
         "student_forwards": 0, "teacher_forwards": 0,
     })
+    task: TaskData | None = None       # the splits a step worker scores
 
 
 @dataclass
@@ -244,14 +249,15 @@ def sdv_teacher_logits(state: TrainState, batch,
 
 class StepWorker:
     """A forked process that trains the later micro-batches of each
-    optimizer step while the training process trains the earlier ones.
+    optimizer step while the training process trains the earlier ones, and
+    scores the later batches of each evaluation.
 
     ``params.flat`` and one gradient row per worker micro-batch live in an
     anonymous shared mapping made before the fork; the pipes carry only
-    batches, losses and counters. The worker keeps its own teacher state,
-    fed by the same ``absorb`` calls; each micro-batch's dropout is keyed by
-    its index, wherever it runs. It ignores SIGINT and exits when ``close``
-    shuts the request pipe.
+    batches, names, losses, counters and counts. The worker keeps its own
+    teacher state, fed by the same ``absorb`` calls, and its own copy of the
+    task; each micro-batch's dropout is keyed by its index, wherever it
+    runs. It ignores SIGINT and exits when ``close`` shuts the request pipe.
     """
 
     def __init__(self, state: TrainState):
@@ -262,6 +268,7 @@ class StepWorker:
         state.params = state.params.with_flat(shared[0])
         self.grads = shared[1:]
         self.absorb_due = False   # the last step's snapshot, for both sides
+        self._state = weakref.ref(state)   # names what ``score`` is given
         self.exitcode = None
         down_r, down_w = os.pipe()
         up_r, up_w = os.pipe()
@@ -285,27 +292,49 @@ class StepWorker:
         os.close(up_w)
         self.requests, self.replies = open(down_w, "wb"), open(up_r, "rb")
 
-    def request(self, state: TrainState, first: int, batches) -> None:
-        """Start the worker on ``batches``, the run's micro-batches from
-        index ``first`` on, in the optimizer step ``state`` is about to
-        take."""
+    def request(self, state: TrainState, *job) -> None:
+        """Start the worker on ``job``: ("step", t, first, batches) trains
+        the run's micro-batches from index ``first`` on in optimizer step
+        ``t``; ("score", "student" or "teacher", split name, first) scores
+        a split's batches from index ``first`` on. A pending absorb goes
+        with either, and the training process takes it at the same time."""
         try:
-            pickle.dump((self.absorb_due, state.opt.t, first, batches),
-                        self.requests)
+            pickle.dump((self.absorb_due, *job), self.requests)
             self.requests.flush()
         except BrokenPipeError:
             raise self._lost() from None
+        if self.absorb_due:
+            absorb(state, state.params)
+            self.absorb_due = False
+
+    def score(self, params: ParameterSet, split, batch_size: int,
+              first: int) -> None:
+        """Start the worker scoring ``split`` from batch ``first`` on with
+        its side of ``params``: the run's student, which is shared, or its
+        sda teacher, which it mirrors."""
+        state = self._state()
+        splits = state.task.splits if state.task is not None else {}
+        which = [role for role, held in (("student", state.params),
+                                         ("teacher", state.teacher))
+                 if held is params]
+        name = [key for key, held in splits.items() if held is split]
+        if not (which and name
+                and batch_size == state.train_config.eval_batch_size):
+            raise UsageError("the step worker scores only the run's student "
+                             "or sda teacher on a split of its task, at its "
+                             "eval batch size")
+        self.request(state, "score", which[0], name[0], first)
 
     def reply(self):
-        """(ce, mse) per worker micro-batch and the worker's counter
-        increments; re-raises an error the worker met with its type and
-        message."""
+        """The answer to the last request: (ce, mse) per worker micro-batch
+        and the worker's counter increments, or a correct count; re-raises
+        an error the worker met with its type and message."""
         try:
-            status, *value = pickle.load(self.replies)
+            status, value = pickle.load(self.replies)
         except EOFError:
             raise self._lost() from None
         if status == "error":
-            raise value[0]
+            raise value
         return value
 
     def close(self, state: TrainState) -> None:
@@ -332,20 +361,32 @@ def _step_worker_main(state: TrainState, requests, replies, grads) -> None:
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     while True:
         try:
-            absorb_due, state.opt.t, first, batches = pickle.load(requests)
+            absorb_due, job, *args = pickle.load(requests)
         except EOFError:
             return
         try:
             if absorb_due:
                 absorb(state, state.params)
-            state.counters = dict.fromkeys(state.counters, 0)
-            rows = []
-            for micro, (batch, grad) in enumerate(zip(batches, grads), first):
-                by_tensor, ce, mse = _micro_batch(state, batch, micro)
-                grad.fill(0.0)
-                accumulate(state.params, by_tensor, grad)
-                rows.append((ce, mse))
-            reply = ("ok", rows, state.counters)
+            if job == "score":
+                which, split, first = args
+                params = state.params if which == "student" else state.teacher
+                value = _count_correct(params, state.model_config,
+                                       state.task.splits[split],
+                                       state.task.vocab,
+                                       state.train_config.eval_batch_size,
+                                       first)
+            else:
+                state.opt.t, first, batches = args
+                state.counters = dict.fromkeys(state.counters, 0)
+                rows = []
+                for micro, (batch, grad) in enumerate(zip(batches, grads),
+                                                      first):
+                    by_tensor, ce, mse = _micro_batch(state, batch, micro)
+                    grad.fill(0.0)
+                    accumulate(state.params, by_tensor, grad)
+                    rows.append((ce, mse))
+                value = (rows, state.counters)
+            reply = ("ok", value)
         except Exception as exc:   # re-raised in the training process
             reply = ("error", exc)
         pickle.dump(reply, replies)
@@ -485,16 +526,15 @@ def train_group(state: TrainState, group: list,
     With a worker, the training process runs the first half (rounded up)
     through ``train_step`` while the worker runs the rest; the worker's
     gradients are then added in micro-batch order before the one step. The
-    step's ``absorb`` waits for the next step's start (or the run's end),
-    where the training process and the worker take it at the same time."""
+    step's ``absorb`` waits for the worker's next request (or the run's
+    end), where the training process and the worker take it at the same
+    time."""
     if worker is None:
         return [train_step(state, batch, force_flush=i == len(group) - 1)
                 for i, batch in enumerate(group)]
     mine = (len(group) + 1) // 2
     step = state.counters["student_forwards"] + mine   # the worker's first
-    worker.request(state, step, group[mine:])
-    if worker.absorb_due:   # both sides take the last step's snapshot at once
-        absorb(state, state.params)
+    worker.request(state, "step", state.opt.t, step, group[mine:])
     # fewer than accum_steps micro-batches: none of these flushes
     points = [train_step(state, batch) for batch in group[:mine]]
     rows, counts = worker.reply()
@@ -510,15 +550,41 @@ def train_group(state: TrainState, group: list,
     return points
 
 
-def evaluate_params(params: ParameterSet, config: ModelConfig, split, vocab,
-                    batch_size: int = 64):
-    """(accuracy, error) on a split, eval mode, fixed-width batches."""
-    if len(split) == 0:
-        raise InputError("evaluate: empty split")
+def _count_correct(params: ParameterSet, config: ModelConfig, split, vocab,
+                   batch_size: int, first: int = 0,
+                   stop: int | None = None) -> int:
+    """Correct eval-mode predictions on ``split``'s batches from index
+    ``first`` up to ``stop`` (to the end if None)."""
+    rows = np.arange(len(split))[first * batch_size:
+                                 None if stop is None else stop * batch_size]
     correct = 0
-    for batch in iter_batches(split, vocab, config.max_len, batch_size):
+    for batch in iter_batches(split, vocab, config.max_len, batch_size, rows):
         probs = predict_proba(params, batch, config)
         correct += int((np.argmax(probs, axis=1) == batch.labels).sum())
+    return correct
+
+
+def evaluate_params(params: ParameterSet, config: ModelConfig, split, vocab,
+                    batch_size: int = 64, worker: StepWorker | None = None):
+    """(accuracy, error) on a split, eval mode, fixed-width batches.
+
+    With ``worker``, the run's step worker, a split of two batches or more
+    is scored in two processes: the training process scores the first half
+    of the batches (rounded up) while the worker scores the rest. Both
+    counts are integers, so the accuracy is the one-process accuracy.
+    ``params`` is then the run's student or its sda teacher, ``split`` a
+    split of its task and ``batch_size`` its eval batch size.
+    """
+    if len(split) == 0:
+        raise InputError("evaluate: empty split")
+    n_batches = math.ceil(len(split) / batch_size)
+    mine = n_batches if worker is None else (n_batches + 1) // 2
+    if mine < n_batches:
+        worker.score(params, split, batch_size, mine)
+    correct = _count_correct(params, config, split, vocab, batch_size,
+                             stop=mine)
+    if mine < n_batches:
+        correct += worker.reply()
     accuracy = correct / len(split)
     return accuracy, 1.0 - accuracy
 
@@ -551,6 +617,7 @@ def fine_tune(model_config: ModelConfig, distill_config: DistillConfig,
 
     state = make_train_state(model_config, distill_config, train_config,
                              n_train=len(task.train), seed=seed)
+    state.task = task
     vocab = task.vocab
     epoch_curve: list[EpochPoint] = []
     step_curve: list[StepPoint] = []
@@ -559,6 +626,7 @@ def fine_tune(model_config: ModelConfig, distill_config: DistillConfig,
     n_train = len(task.train)
     micro_per_epoch = math.ceil(n_train / train_config.micro_batch)
     worker = start_step_worker(state)
+    teacher, final_teacher = None, None
     try:
         for epoch in range(train_config.epochs):
             order = permutation_with_seed(n_train, [data_seed, epoch])
@@ -575,7 +643,8 @@ def fine_tune(model_config: ModelConfig, distill_config: DistillConfig,
                 mse_sum += point.mse
             test_acc, test_err = evaluate_params(state.params, model_config,
                                                  task.test, vocab,
-                                                 train_config.eval_batch_size)
+                                                 train_config.eval_batch_size,
+                                                 worker)
             epoch_curve.append(EpochPoint(
                 epoch=epoch,
                 test_error=test_err,
@@ -587,7 +656,8 @@ def fine_tune(model_config: ModelConfig, distill_config: DistillConfig,
             if select_best_dev:
                 dev_acc, _ = evaluate_params(state.params, model_config,
                                              task.dev, vocab,
-                                             train_config.eval_batch_size)
+                                             train_config.eval_batch_size,
+                                             worker)
                 if dev_acc > best_dev_acc:
                     best_dev_acc, best_epoch = dev_acc, epoch
                     # the last epoch's parameters are returned as state.params
@@ -597,29 +667,28 @@ def fine_tune(model_config: ModelConfig, distill_config: DistillConfig,
                 out = Path(checkpoint_dir)
                 out.mkdir(parents=True, exist_ok=True)
                 save_params(state.params, out / f"epoch_{epoch:03d}.ckpt")
-        if worker is not None and worker.absorb_due:   # left by the last step
+        if worker is not None and worker.absorb_due:
+            # no evaluation request took the last step's snapshot along, so
+            # the test split is one batch and the teacher's sends none either
             absorb(state, state.params)
+        if distill_config.mode == "sda" and train_config.epochs > 0:
+            teacher = sda_teacher(state)
+            tacc, terr = evaluate_params(teacher, model_config, task.test,
+                                         vocab, train_config.eval_batch_size,
+                                         worker)
+            final_teacher = {"test_accuracy": tacc, "test_error": terr}
     finally:
         if worker is not None:
             worker.close(state)
 
     student = state.params if best_params is None else best_params
 
-    teacher = None
-    if distill_config.mode == "sda" and train_config.epochs > 0:
-        teacher = sda_teacher(state)
-
     final_student = {}
-    final_teacher = None
     if train_config.epochs > 0:
         # the epoch curve already holds the student's test metrics
         point = epoch_curve[-1 if best_epoch is None else best_epoch]
         final_student = {"test_accuracy": point.test_accuracy,
                          "test_error": point.test_error}
-        if teacher is not None:
-            tacc, terr = evaluate_params(teacher, model_config, task.test,
-                                         vocab, train_config.eval_batch_size)
-            final_teacher = {"test_accuracy": tacc, "test_error": terr}
 
     report = RunReport(
         config={

@@ -13,6 +13,7 @@ import os
 import signal
 import time
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -775,6 +776,135 @@ class TestStepWorker:
             worker.close(state)
 
 
+@pytest.mark.usefixtures("no_child_left")
+class TestSplitEvaluation:
+    """With a step worker, the training process scores the first half of
+    each evaluation's batches (rounded up) and the worker the rest."""
+
+    TRAIN = TrainConfig(epochs=2, micro_batch=4, accum_steps=2,
+                        eval_batch_size=8)
+
+    @staticmethod
+    def task(n_test):
+        task = small_task(n_train=44, n_test=n_test)
+        task.splits["dev"] = DatasetSplit(task.test.examples[::-1],
+                                          task.test.n_classes)
+        return task
+
+    @pytest.mark.parametrize("config,select_by", [
+        (DistillConfig(), "final"),
+        (DistillConfig(mode="sda", teacher_size=3), "best_dev"),
+        (DistillConfig(mode="sda", teacher_size=TEACHER_ALL), "final"),
+    ], ids=["baseline", "sda3_best_dev", "sda_all"])
+    @pytest.mark.parametrize("n_batches", [1, 2, 3])
+    def test_worker_run_equals_the_in_process_run(
+            self, monkeypatch, config, select_by, n_batches):
+        """Eval batches of 8 over 8 * (n_batches - 1) + 5 examples, so the
+        last batch is short; a one-batch split asks nothing of the worker."""
+        task = self.task(8 * (n_batches - 1) + 5)
+        train = replace(self.TRAIN, select_by=select_by)
+        scored_here = []
+        predict = distill.predict_proba
+
+        def counting(params, batch, model):
+            scored_here.append(len(batch.labels))
+            return predict(params, batch, model)
+
+        monkeypatch.setattr(distill, "predict_proba", counting)
+        inside, worker = run_both_ways(monkeypatch, MODEL, config, train, task)
+        assert inside == worker
+        # a test evaluation per epoch, a dev one under best_dev, the teacher's
+        evaluations = (2 * (1 + (select_by == "best_dev"))
+                       + (config.mode == "sda"))
+        assert len(scored_here) == evaluations * (n_batches
+                                                  + (n_batches + 1) // 2)
+
+    def test_an_error_in_the_workers_half_reraises_here(self, monkeypatch):
+        parent = os.getpid()
+        predict = distill.predict_proba
+
+        def failing_in_worker(params, batch, model):
+            if os.getpid() != parent:
+                raise InputError("worker-side evaluation failure")
+            return predict(params, batch, model)
+
+        monkeypatch.setattr(distill, "predict_proba", failing_in_worker)
+        with pytest.raises(InputError,
+                           match="^worker-side evaluation failure$"):
+            with_worker(monkeypatch, lambda: fine_tune(
+                MODEL, DistillConfig(mode="sda", teacher_size=3), self.TRAIN,
+                self.task(20), seed=6))
+
+    def test_a_worker_killed_during_an_evaluation_is_an_error(
+            self, monkeypatch):
+        parent = os.getpid()
+        workers, killed = [], []
+        predict = distill.predict_proba
+
+        def recording(state):
+            workers.append(distill.StepWorker(state))
+            return workers[-1]
+
+        def killing(params, batch, model):
+            if os.getpid() != parent:
+                time.sleep(30)   # the training process kills it before
+            elif not killed:   # a split evaluation has sent its request
+                os.kill(workers[0].pid, signal.SIGKILL)
+                killed.append(True)
+            return predict(params, batch, model)
+
+        monkeypatch.setattr(distill, "start_step_worker", recording)
+        monkeypatch.setattr(distill, "predict_proba", killing)
+        with pytest.raises(SelfDistillError, match="exited with code -9"):
+            fine_tune(MODEL, DistillConfig(), self.TRAIN, self.task(20),
+                      seed=6)
+
+    def test_the_worker_scores_its_side_of_the_student_and_the_teacher(self):
+        """A student and a teacher that disagree on the worker's batches
+        (24 to 40 of 40): each scores as in one process."""
+        task = self.task(40)
+        state = make_train_state(MODEL, DistillConfig(mode="sda",
+                                                      teacher_size=1),
+                                 self.TRAIN, n_train=len(task.train), seed=6)
+        state.task = task
+        worker = distill.StepWorker(state)
+        try:
+            # the shared student now predicts the teacher's least likely class
+            state.params["head.W"].data[...] *= -1.0
+            worker_half = DatasetSplit(task.test.examples[24:],
+                                       task.test.n_classes)
+            assert (evaluate_params(state.params, MODEL, worker_half,
+                                    task.vocab, 8)
+                    != evaluate_params(state.teacher, MODEL, worker_half,
+                                       task.vocab, 8))
+            for params in (state.params, state.teacher, state.params):
+                assert (evaluate_params(params, MODEL, task.test, task.vocab,
+                                        8, worker)
+                        == evaluate_params(params, MODEL, task.test,
+                                           task.vocab, 8))
+        finally:
+            worker.close(state)
+
+    @pytest.mark.parametrize("wrong", ["params", "split", "batch_size"])
+    def test_the_worker_scores_only_what_it_holds(self, wrong):
+        task = self.task(20)
+        state = make_train_state(MODEL, DistillConfig(), self.TRAIN,
+                                 n_train=len(task.train), seed=6)
+        state.task = task
+        worker = distill.StepWorker(state)
+        args = {"params": state.params, "split": task.test, "batch_size": 8}
+        args[wrong] = {"params": state.params.copy(),
+                       "split": DatasetSplit(task.test.examples,
+                                             task.test.n_classes),
+                       "batch_size": 4}[wrong]
+        try:
+            with pytest.raises(UsageError, match="scores only"):
+                evaluate_params(args["params"], MODEL, args["split"],
+                                task.vocab, args["batch_size"], worker)
+        finally:
+            worker.close(state)
+
+
 def run_steps(model, distill, train, task, seed, n_steps):
     """Drive train_step over shuffled micro-batches; return state + losses."""
     from selfdistill.data import iter_batches, permutation_with_seed
@@ -1059,7 +1189,7 @@ class TestFineTune:
         scripted = iter(dev_accs)
         evaluated = []
 
-        def fake(params, config, split, vocab, batch_size=64):
+        def fake(params, config, split, vocab, batch_size=64, worker=None):
             if split is task.dev:
                 acc = next(scripted)
             else:  # a distinct test accuracy per epoch

@@ -951,6 +951,41 @@ class TestStudyCli:
         assert f"{min(env)} names no flag of 'selfdistill {command}'" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command,flag,value", [
+        ("train", "--seed", "-1"),
+        ("train", "--data-seed", "-1"),
+        ("train", "--dataset-seed", "-1"),
+        ("sweep", "--seeds", "0,-1"),
+        ("ensemble", "--seeds", "0,-1"),
+        ("stability", "--data-seeds", "0,-1"),
+        ("stability", "--init-seed", "-1"),
+    ], ids=["seed", "data-seed", "dataset-seed", "sweep-seeds",
+            "ensemble-seeds", "data-seeds", "init-seed"])
+    @pytest.mark.parametrize("source", ["flag", "variable"])
+    def test_negative_seed_exits_1_naming_its_source(
+            self, tmp_path, capsys, monkeypatch, command, flag, value, source):
+        """numpy seeds no generator with a negative seed; the CLI says so
+        before any run, where a sweep used to finish seed 0 first."""
+        import selfdistill.harness as harness
+
+        TestCliFlagsFromConfigs._clear_env(monkeypatch)
+        self._no_fine_tune(monkeypatch)
+        monkeypatch.setattr(harness, "build_task", harness.fine_tune)
+        given = [flag, value]
+        name = flag
+        if source == "variable":
+            name = cli._env_name(flag[2:])
+            monkeypatch.setenv(name, value)
+            given = []
+        mode = ["--mode", "sda"] if command == "sweep" else []
+        out = tmp_path / "out"
+        code = cli_main([command, *SMALL_CLI_ARGS, *mode, *given,
+                         "--out", str(out)])
+        assert code == 1
+        assert (f"error: {name}: a seed must be >= 0, got -1"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_variables_default_only_the_running_subcommand(self, monkeypatch):
         TestCliFlagsFromConfigs._clear_env(monkeypatch)
         monkeypatch.setenv("SELFDISTILL_INIT_SEED", "3")

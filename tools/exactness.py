@@ -31,23 +31,31 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# 200 examples; small enough for the whole matrix to take seconds per tree
+# 250 examples; small enough for the whole matrix to take seconds per tree.
+# The test split is two eval batches of 64 and 36, so a run with a step
+# worker scores it in two processes.
 SPEC = {"n_classes": 4, "vocab_span": 120, "tokens_per_example": 10,
-        "signal": 0.8, "label_noise": 0.1, "n_train": 150, "n_test": 50}
+        "signal": 0.8, "label_noise": 0.1, "n_train": 150, "n_test": 100}
+# A sweep's outputs are test accuracies only, so its task must train well
+# above chance (about 0.7 on 4 classes) for a change of numerics to show.
+SWEEP_SPEC = {"n_classes": 4, "vocab_span": 60, "tokens_per_example": 10,
+              "signal": 0.9, "label_noise": 0.0, "n_train": 240,
+              "n_test": 100}
 SHAPE = ["--vocab-size", "200", "--max-len", "16", "--dim", "16",
-         "--n-layers", "2", "--n-heads", "2", "--ffn-dim", "32",
-         "--epochs", "2"]
-MODEL = [*SHAPE, "--dropout", "0.1"]
+         "--n-layers", "2", "--n-heads", "2", "--ffn-dim", "32"]
+MODEL = [*SHAPE, "--epochs", "2", "--dropout", "0.1"]
 TRAIN = ["train", "--dataset", "{spec}", *MODEL, "--save-checkpoints"]
 # with no dropout and a snapshot every step, the sdv teacher takes the
 # student's logits as the newest snapshot's instead of computing them
-TRAIN_NODROP = ["train", "--dataset", "{spec}", *SHAPE, "--dropout", "0",
-                "--save-checkpoints"]
+TRAIN_NODROP = ["train", "--dataset", "{spec}", *SHAPE, "--epochs", "2",
+                "--dropout", "0", "--save-checkpoints"]
+SWEEP = ["sweep", "--dataset", "{sweep_spec}", *SHAPE, "--epochs", "3",
+         "--dropout", "0.1", "--lr-encoder", "3e-3", "--lr-head", "0.15"]
 # each run takes seconds; one that outlives this, say because a child
 # process keeps the interpreter from exiting, fails naming the run
 RUN_TIMEOUT_S = 300
 
-# (output directory, argv); {spec}, {train_csv} and {test_csv} name the inputs
+# (output directory, argv); the names in braces are write_inputs' files
 MATRIX = [
     ("train_baseline", TRAIN),
     ("train_sda_k5", [*TRAIN, "--mode", "sda", "--teacher-size", "5"]),
@@ -69,10 +77,17 @@ MATRIX = [
                              "--teacher-size", "5"]),
     ("train_csv", ["train", "--dataset", "{train_csv}",
                    "--eval-dataset", "{test_csv}", *MODEL]),
-    ("sweep_k", ["sweep", "--dataset", "{spec}", *MODEL, "--mode", "sda",
-                 "--axis", "k", "--grid", "1,all", "--seeds", "0,1"]),
-    ("sweep_lambda", ["sweep", "--dataset", "{spec}", *MODEL, "--mode", "sdv",
-                      "--axis", "lambda", "--grid", "0,1.5"]),
+    # the dev split is three eval batches (64, 64, 22) and the test split
+    # one, so the dev evaluation carries the last step's sda snapshot
+    ("train_csv_best_dev", ["train", "--dataset", "{train_csv}",
+                            "--eval-dataset", "{test_csv}",
+                            "--dev-dataset", "{dev_csv}", *MODEL,
+                            "--mode", "sda", "--teacher-size", "3",
+                            "--select-by", "best_dev"]),
+    ("sweep_k", [*SWEEP, "--mode", "sda", "--axis", "k", "--grid", "1,all",
+                 "--seeds", "0,1"]),
+    ("sweep_lambda", [*SWEEP, "--mode", "sdv", "--axis", "lambda",
+                      "--grid", "0,1.5"]),
     ("ensemble_sda_k3", ["ensemble", "--dataset", "{spec}", *MODEL,
                          "--mode", "sda", "--teacher-size", "3",
                          "--seeds", "0,1,2"]),
@@ -82,13 +97,17 @@ MATRIX = [
 
 
 def write_inputs(directory: Path) -> dict[str, str]:
-    """The synthetic spec and a 4-class csv pair (no schema flags needed)."""
+    """The two synthetic specs and 4-class train, test and dev csv files
+    (no schema flags needed)."""
     rng = random.Random(0)
     inputs = {"spec": directory / "spec.json",
+              "sweep_spec": directory / "sweep_spec.json",
               "train_csv": directory / "train.csv",
-              "test_csv": directory / "test.csv"}
+              "test_csv": directory / "test.csv",
+              "dev_csv": directory / "dev.csv"}
     inputs["spec"].write_text(json.dumps(SPEC, sort_keys=True))
-    for key, n in (("train_csv", 120), ("test_csv", 40)):
+    inputs["sweep_spec"].write_text(json.dumps(SWEEP_SPEC, sort_keys=True))
+    for key, n in (("train_csv", 120), ("test_csv", 40), ("dev_csv", 150)):
         rows = []
         for _ in range(n):
             label = rng.randrange(4)
