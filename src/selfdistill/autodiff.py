@@ -128,6 +128,19 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
+def _once(vjp: Callable) -> Callable:
+    """``vjp`` remembering its last result: ``backward`` hands every input
+    of a node the same adjoint array, so vjps that share work on it can
+    share one call."""
+    last = [None, None]
+
+    def call(g):
+        if last[0] is not g:
+            last[0], last[1] = g, vjp(g)
+        return last[1]
+    return call
+
+
 # ---------------------------------------------------------------------------
 # Primitives
 # ---------------------------------------------------------------------------
@@ -269,17 +282,97 @@ def dropout(a: Tensor, p: float, rng: np.random.Generator) -> Tensor:
     """Inverted dropout; consumes rng only when p > 0."""
     if p == 0.0:
         return a
-    if not 0.0 <= p < 1.0:
-        raise UsageError(f"dropout probability must be in [0, 1), got {p}")
-    keep = (rng.random(a.data.shape) >= p).astype(a.data.dtype)
-    scale = 1.0 / (1.0 - p)
+    keep, scale = _dropout_mask(a.data.shape, p, rng)
     return _record(Tensor(a.data * keep * scale),
                    (a, lambda g: g * keep * scale))
 
 
-def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalization over the last axis with learned gain and bias."""
-    x = a.data
+def _dropout_mask(shape, p: float, rng: np.random.Generator):
+    """Inverted dropout's 0/1 keep mask, drawn from ``rng``, and its scale."""
+    if not 0.0 <= p < 1.0:
+        raise UsageError(f"dropout probability must be in [0, 1), got {p}")
+    return (rng.random(shape) >= p).astype(np.float64), 1.0 / (1.0 - p)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, mask_bias, n_heads: int,
+              p: float, rng: np.random.Generator | None) -> Tensor:
+    """Multi-head scaled dot-product attention (Vaswani et al. 2017,
+    arXiv 1706.03762) as one node.
+
+    ``k`` and ``v`` are [B, L, d]; ``q`` is [B, Lq, d], or [B, d] for one
+    query per row. ``mask_bias`` is a constant array added to the
+    [B, heads, Lq, L] scores (``MASK_PENALTY`` hides a key). The forward
+    splits the heads, takes softmax(q k^T / sqrt(dh) + mask_bias), applies
+    inverted dropout ``p`` to it with a draw from ``rng`` (none at p 0),
+    multiplies by v and merges the heads. Each step is the numpy operation
+    that ``matmul``, ``mul``, ``add``, ``softmax``, ``dropout``,
+    ``transpose`` and ``reshape`` run, in the same order and on the same
+    layouts, forward and backward, so the result and every gradient equal
+    that chain's bit for bit. The three vjps share one dS = (dA -
+    rowsum(dA * S)) * S / sqrt(dh).
+    """
+    if (k.data.ndim != 3 or v.data.shape != k.data.shape
+            or q.data.ndim not in (2, 3) or q.data.shape[0] != k.data.shape[0]
+            or q.data.shape[-1] != k.data.shape[-1]
+            or k.data.shape[-1] % n_heads != 0):
+        raise ShapeError(f"attention: q {q.data.shape}, k {k.data.shape} and "
+                         f"v {v.data.shape} do not fit {n_heads} heads")
+    b, _, d = k.data.shape
+    dh = d // n_heads
+    perm = (0, 2, 1, 3)
+
+    def split(t):   # [B, n, d] -> [B, heads, n, dh]; [B, d] -> [B, heads, 1, dh]
+        if t.ndim == 2:
+            return t.reshape(b, n_heads, 1, dh)
+        return t.reshape(b, t.shape[1], n_heads, dh).transpose(perm)
+
+    def merge(t, shape):   # the inverse of split
+        return t.reshape(shape) if len(shape) == 2 else t.transpose(perm).reshape(shape)
+
+    qh, vh = split(q.data), split(v.data)
+    kt = split(k.data).transpose(0, 1, 3, 2)
+    c = 1.0 / np.sqrt(dh)
+    z = np.matmul(qh, kt) * c + mask_bias
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    s = e / e.sum(axis=-1, keepdims=True)
+    a = s
+    if p != 0.0:
+        keep, scale = _dropout_mask(s.shape, p, rng)
+        a = s * keep * scale
+
+    def backprop(g):
+        """(adjoint of the context, dS) for the adjoint of the output."""
+        gctx = split(g)
+        da = np.matmul(gctx, np.swapaxes(vh, -1, -2))
+        if p != 0.0:
+            da = da * keep * scale
+        return gctx, (da - (da * s).sum(axis=-1, keepdims=True)) * s * c
+
+    backprop = _once(backprop)
+    return _record(
+        Tensor(merge(np.matmul(a, vh), q.data.shape)),
+        (q, lambda g: merge(np.matmul(backprop(g)[1], np.swapaxes(kt, -1, -2)),
+                            q.data.shape)),
+        (k, lambda g: merge(np.matmul(np.swapaxes(qh, -1, -2), backprop(g)[1])
+                            .transpose(0, 1, 3, 2), k.data.shape)),
+        (v, lambda g: merge(np.matmul(np.swapaxes(a, -1, -2), backprop(g)[0]),
+                            v.data.shape)))
+
+
+def layer_norm(a: Tensor, gain: Tensor, bias: Tensor,
+               residual: Tensor | None = None, eps: float = 1e-5) -> Tensor:
+    """Normalization over the last axis with learned gain and bias.
+
+    With ``residual`` it normalizes ``a + residual`` as one node, the
+    post-norm residual step; both summands get the same input gradient.
+    """
+    if residual is None:
+        x = a.data
+    elif residual.data.shape != a.data.shape:
+        raise ShapeError(f"layer_norm: residual shape {residual.data.shape} "
+                         f"!= input shape {a.data.shape}")
+    else:
+        x = a.data + residual.data
     mu = x.mean(axis=-1, keepdims=True)
     xc = x - mu
     var = (xc ** 2).mean(axis=-1, keepdims=True)
@@ -294,7 +387,9 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
             - dxhat.sum(axis=-1, keepdims=True)
             - xhat * (dxhat * xhat).sum(axis=-1, keepdims=True)
         )
+    vjp_x = _once(vjp_x)
     return _record(Tensor(gain.data * xhat + bias.data), (a, vjp_x),
+                   (residual, vjp_x),
                    (gain, lambda g: _unbroadcast(g * xhat, gain.data.shape)),
                    (bias, lambda g: _unbroadcast(g, bias.data.shape)))
 

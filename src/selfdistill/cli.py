@@ -21,7 +21,7 @@ from functools import partial
 from pathlib import Path
 from typing import get_args, get_type_hints
 
-from .data import CsvSchema, SyntheticSpec
+from .data import CsvSchema, SyntheticSpec, require_seed
 from .distill import DistillConfig, TrainConfig
 from .encoder import ModelConfig
 from .errors import (
@@ -112,10 +112,8 @@ def _parse_teacher_size(flag: str, raw: str):
 
 
 def _parse_seed(flag: str, raw: str) -> int:
-    """An int >= 0: numpy seeds no generator with a negative one."""
     seed = _parse_token(flag, raw, int)
-    if seed < 0:
-        raise ConfigError(f"{flag}: a seed must be >= 0, got {seed}")
+    require_seed(flag, seed)
     return seed
 
 

@@ -144,6 +144,13 @@ def permutation_with_seed(n: int, seed) -> np.ndarray:
     return np.random.default_rng(seed).permutation(n)
 
 
+def require_seed(name: str, seed) -> None:
+    """A negative integer seed is a ConfigError naming ``name``: numpy seeds
+    no generator with one."""
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        raise ConfigError(f"{name}: a seed must be >= 0, got {seed}")
+
+
 # ---------------------------------------------------------------------------
 # CSV ingestion
 # ---------------------------------------------------------------------------
@@ -255,6 +262,7 @@ def _token_name(i: int) -> str:
 
 def make_synthetic(spec: SyntheticSpec, seed) -> dict[str, DatasetSplit]:
     """Deterministic {train, test} splits drawn from ``spec``."""
+    require_seed("seed", seed)
     rng = np.random.default_rng(seed)
     block = spec.vocab_span // spec.n_classes
 

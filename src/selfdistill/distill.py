@@ -54,7 +54,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
-from .data import TaskData, iter_batches, permutation_with_seed
+from .data import TaskData, iter_batches, permutation_with_seed, require_seed
 from .encoder import (
     ModelConfig,
     ParameterSet,
@@ -601,6 +601,8 @@ def fine_tune(model_config: ModelConfig, distill_config: DistillConfig,
     With ``checkpoint_dir`` set, the student is checkpointed at every epoch
     boundary as ``epoch_NNN.ckpt``.
     """
+    require_seed("seed", seed)
+    require_seed("data_seed", data_seed)
     if len(task.train) == 0:
         raise InputError("fine_tune: empty train split")
     if model_config.n_classes != task.train.n_classes:

@@ -224,20 +224,14 @@ def encode(params: ParameterSet, batch, config: ModelConfig,
     if tape is not None:
         params.watch_on(tape)
 
-    b, length = ids.shape
-    d, n_heads = config.dim, config.n_heads
-    dh = d // n_heads
-
+    length = ids.shape[1]
     x = ad.add(ad.embedding(params["tok_emb"], ids),
                ad.take(params["pos_emb"], slice(length)))
     if p > 0.0:
         x = ad.dropout(x, p, rng)
 
     # keys at padded positions are hidden from every query
-    mask_bias = Tensor((mask - 1.0)[:, None, None, :] * ad.MASK_PENALTY)
-
-    def heads(t):
-        return ad.transpose(ad.reshape(t, (b, length, n_heads, dh)), (0, 2, 1, 3))
+    mask_bias = (mask - 1.0)[:, None, None, :] * ad.MASK_PENALTY
 
     for i in range(config.n_layers):
         def w(name, pref=f"enc{i}."):
@@ -247,29 +241,20 @@ def encode(params: ParameterSet, batch, config: ModelConfig,
         # everything after attention run on that position as [B, d] rows
         last = i == config.n_layers - 1
         xq = ad.take(x, (slice(None), 0)) if last else x
-        q = ad.linear(xq, w("attn.wq"), w("attn.bq"))
-        q = ad.reshape(q, (b, n_heads, 1, dh)) if last else heads(q)
-        k = heads(ad.linear(x, w("attn.wk")))
-        v = heads(ad.linear(x, w("attn.wv"), w("attn.bv")))
-
-        scores = ad.mul(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))),
-                        1.0 / np.sqrt(dh))
-        attn = ad.softmax(ad.add(scores, mask_bias))
-        if p > 0.0:
-            attn = ad.dropout(attn, p, rng)
-        ctx = ad.matmul(attn, v)
-        ctx = (ad.reshape(ctx, (b, d)) if last else
-               ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (b, length, d)))
+        ctx = ad.attention(ad.linear(xq, w("attn.wq"), w("attn.bq")),
+                           ad.linear(x, w("attn.wk")),
+                           ad.linear(x, w("attn.wv"), w("attn.bv")),
+                           mask_bias, config.n_heads, p, rng)
         att_out = ad.linear(ctx, w("attn.wo"), w("attn.bo"))
         if p > 0.0:
             att_out = ad.dropout(att_out, p, rng)
-        x = ad.layer_norm(ad.add(xq, att_out), w("ln1.g"), w("ln1.b"))
+        x = ad.layer_norm(xq, w("ln1.g"), w("ln1.b"), residual=att_out)
 
         h1 = ad.gelu(ad.linear(x, w("ffn.w1"), w("ffn.b1")))
         h2 = ad.linear(h1, w("ffn.w2"), w("ffn.b2"))
         if p > 0.0:
             h2 = ad.dropout(h2, p, rng)
-        x = ad.layer_norm(ad.add(x, h2), w("ln2.g"), w("ln2.b"))
+        x = ad.layer_norm(x, w("ln2.g"), w("ln2.b"), residual=h2)
 
     return x
 

@@ -24,9 +24,14 @@ def average_parameters(sets: list[ParameterSet]) -> ParameterSet:
     first = sets[0]
     for other in sets[1:]:
         first.require_compatible(other)
-    # np.mean over axis 0 adds the rows in list order, then divides: the
-    # mean of 2^k identical vectors is bit-exact
-    return first.with_flat(np.mean(np.stack([s.flat for s in sets]), axis=0))
+    # the rows added in list order, then divided once: np.mean over axis 0
+    # of the stacked rows bit for bit, without the stacked copy; the mean of
+    # one, two or four identical vectors is exact
+    total = first.flat.copy()
+    for other in sets[1:]:
+        total += other.flat
+    total /= len(sets)
+    return first.with_flat(total)
 
 
 def voted_predict(members: list[ParameterSet], batch, config: ModelConfig):

@@ -21,6 +21,7 @@ from .data import (
     load_csv,
     make_synthetic,
     prepare_task,
+    require_seed,
 )
 from .distill import (
     DistillConfig,
@@ -68,6 +69,7 @@ class DatasetConfig:
     schema: CsvSchema | None = None
 
     def __post_init__(self):
+        require_seed("dataset_seed", self.dataset_seed)
         if self.source not in ("synthetic", "csv"):
             raise ConfigError(f"unknown dataset source {self.source!r}")
         if self.source == "csv":
@@ -100,6 +102,10 @@ class ExperimentConfig:
     dataset: DatasetConfig = field(default_factory=DatasetConfig)
     seed: int = 0
     data_seed: int | None = None
+
+    def __post_init__(self):
+        require_seed("seed", self.seed)
+        require_seed("data_seed", self.data_seed)
 
 
 def build_task(config: ExperimentConfig) -> TaskData:

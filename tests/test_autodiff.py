@@ -15,6 +15,13 @@ from selfdistill import autodiff as ad
 from selfdistill.autodiff import Tape, Tensor, backward, grad_check
 from selfdistill.errors import InputError, ShapeError, UsageError
 
+
+def pad_bias(lengths, width):
+    """The attention mask bias of rows with ``lengths`` real keys of ``width``."""
+    mask = (np.arange(width) < np.array(lengths)[:, None]).astype(np.float64)
+    return (mask - 1.0)[:, None, None, :] * ad.MASK_PENALTY
+
+
 # Every recording call of the primitives: the shapes of its tensor inputs
 # and the call on them.
 PRIMITIVE_CALLS = {
@@ -33,6 +40,14 @@ PRIMITIVE_CALLS = {
     "dropout": (((3, 4),),
                 lambda a: ad.dropout(a, 0.5, np.random.default_rng(0))),
     "layer_norm": (((3, 4), (4,), (4,)), ad.layer_norm),
+    "layer_norm_residual": (((3, 4), (3, 4), (4,), (4,)),
+                            lambda a, r, g, b: ad.layer_norm(a, g, b, residual=r)),
+    "attention": (((2, 5, 4), (2, 5, 4), (2, 5, 4)),
+                  lambda q, k, v: ad.attention(q, k, v, pad_bias([5, 3], 5), 2,
+                                               0.1, np.random.default_rng(0))),
+    "attention_one_query": (((2, 4), (2, 5, 4), (2, 5, 4)),
+                            lambda q, k, v: ad.attention(
+                                q, k, v, pad_bias([5, 3], 5), 2, 0.0, None)),
     "cross_entropy": (((3, 4),), lambda logits: ad.cross_entropy(logits, [0, 3, 1])),
     "mse": (((3, 4), (3, 4)), ad.mse),
 }
@@ -385,6 +400,124 @@ class TestTake:
         assert err < 1e-6
 
 
+def chained_attention(q, k, v, mask_bias, n_heads, p, rng):
+    """Attention as the chain of unfused primitives that ``ad.attention``
+    replays: head split, scaled scores, mask, softmax, dropout, context and
+    head merge, one node each."""
+    b, length, d = k.shape
+    dh = d // n_heads
+
+    def heads(t):
+        return ad.transpose(ad.reshape(t, (b, length, n_heads, dh)), (0, 2, 1, 3))
+
+    one_query = len(q.shape) == 2
+    qh = ad.reshape(q, (b, n_heads, 1, dh)) if one_query else heads(q)
+    scores = ad.mul(ad.matmul(qh, ad.transpose(heads(k), (0, 1, 3, 2))),
+                    1.0 / np.sqrt(dh))
+    attn = ad.softmax(ad.add(scores, Tensor(mask_bias)))
+    if p > 0.0:
+        attn = ad.dropout(attn, p, rng)
+    ctx = ad.matmul(attn, heads(v))
+    return (ad.reshape(ctx, (b, d)) if one_query else
+            ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (b, length, d)))
+
+
+class TestAttention:
+    @pytest.mark.parametrize("one_query", [False, True], ids=["rows", "one-query"])
+    @pytest.mark.parametrize("p", [0.0, 0.1], ids=["no-dropout", "fixed-dropout"])
+    def test_gradients_match_fd_with_a_padded_key(self, p, one_query):
+        rng = np.random.default_rng(22)
+        b, length, d = 2, 5, 4
+        q = Tensor(rng.normal(0, 1, (b, d) if one_query else (b, length, d)))
+        k, v = (Tensor(rng.normal(0, 1, (b, length, d))) for _ in range(2))
+        target = Tensor(rng.normal(0, 1, q.shape))
+        bias = pad_bias([5, 3], length)
+        # a fresh generator per call: every replay draws the same mask
+        err = grad_check(lambda: ad.mse(
+            ad.attention(q, k, v, bias, 2, p, np.random.default_rng(3)), target),
+            [q, k, v])
+        assert err < 1e-6
+
+    def test_padded_keys_get_no_weight_and_no_gradient(self):
+        rng = np.random.default_rng(23)
+        q, k, v = (Tensor(rng.normal(0, 1, (2, 5, 4))) for _ in range(3))
+        bias = pad_bias([5, 3], 5)
+        tape = Tape()
+        tape.watch_all([q, k, v])
+        out = ad.attention(q, k, v, bias, 2, 0.0, None)
+        v2 = v.data.copy()
+        v2[1, 3:] = 1e6   # a hidden value changes nothing
+        np.testing.assert_array_equal(
+            ad.attention(q, k, Tensor(v2), bias, 2, 0.0, None).data, out.data)
+        grads = backward(ad.mse(out, Tensor(np.zeros(out.shape))), tape)
+        assert not grads[k][1, 3:].any() and not grads[v][1, 3:].any()
+        assert grads[k][0].any() and grads[v][1, :3].any()
+
+    @pytest.mark.parametrize("one_query", [False, True], ids=["rows", "one-query"])
+    def test_equals_the_chain_of_primitives_bit_for_bit(self, one_query):
+        """On a ragged batch with dropout 0.1, behind the q/k/v linears of
+        one input, so that input's gradient sums three adjoints."""
+        rng = np.random.default_rng(21)
+        b, length, d, n_heads = 4, 7, 8, 2
+        x = Tensor(rng.normal(0, 1, (b, length, d)))
+        ws = [Tensor(rng.normal(0, 0.5, (d, d))) for _ in range(3)]
+        target = Tensor(rng.normal(0, 1, (b, d) if one_query else (b, length, d)))
+        bias = pad_bias([7, 3, 1, 5], length)
+        results = []
+        for attend in (ad.attention, chained_attention):
+            tape = Tape()
+            tape.watch_all([x, *ws])
+            xq = ad.take(x, (slice(None), 0)) if one_query else x
+            out = attend(ad.linear(xq, ws[0]), ad.linear(x, ws[1]),
+                         ad.linear(x, ws[2]), bias, n_heads, 0.1,
+                         np.random.default_rng(5))
+            grads = backward(ad.mse(out, target), tape)
+            results.append([out.data.tobytes()]
+                           + [grads[t].tobytes() for t in (x, *ws)])
+        assert results[0] == results[1]
+
+    def test_shapes_that_do_not_fit_are_a_shape_error(self):
+        x = Tensor(np.ones((2, 5, 4)))
+        for q, k, v, n_heads in ((x, x, Tensor(np.ones((2, 4, 4))), 2),
+                                 (Tensor(np.ones((3, 4))), x, x, 2),
+                                 (x, x, x, 3)):
+            with pytest.raises(ShapeError, match="attention"):
+                ad.attention(q, k, v, 0.0, n_heads, 0.0, None)
+
+
+class TestResidualLayerNorm:
+    def _inputs(self, seed):
+        rng = np.random.default_rng(seed)
+        a, r = (Tensor(rng.normal(0, 1, (3, 5, 6))) for _ in range(2))
+        gain = Tensor(rng.uniform(0.5, 2.0, 6))
+        bias = Tensor(rng.normal(0, 1, 6))
+        return a, r, gain, bias, Tensor(rng.normal(0, 1, (3, 5, 6)))
+
+    def test_gradients_match_fd(self):
+        a, r, gain, bias, target = self._inputs(24)
+        err = grad_check(lambda: ad.mse(
+            ad.layer_norm(a, gain, bias, residual=r), target), [a, r, gain, bias])
+        assert err < 1e-6
+
+    def test_equals_add_then_layer_norm_bit_for_bit(self):
+        a, r, gain, bias, target = self._inputs(25)
+        results = []
+        for norm in (lambda: ad.layer_norm(a, gain, bias, residual=r),
+                     lambda: ad.layer_norm(ad.add(a, r), gain, bias)):
+            tape = Tape()
+            tape.watch_all([a, r, gain, bias])
+            out = norm()
+            grads = backward(ad.mse(ad.add(out, a), target), tape)
+            results.append([out.data.tobytes()]
+                           + [grads[t].tobytes() for t in (a, r, gain, bias)])
+        assert results[0] == results[1]
+
+    def test_residual_of_another_shape_is_a_shape_error(self):
+        a, _, gain, bias, _ = self._inputs(26)
+        with pytest.raises(ShapeError, match="residual"):
+            ad.layer_norm(a, gain, bias, residual=Tensor(np.ones(6)))
+
+
 class TestRecord:
     """A node keeps a (tensor, vjp) pair only for inputs its tape tracks."""
 
@@ -423,7 +556,8 @@ class TestRecord:
             assert self._inputs_of_last_node(tape) == [student]
 
     @pytest.mark.parametrize("name", ["add", "mul", "matmul", "linear",
-                                      "layer_norm", "mse"])
+                                      "layer_norm", "layer_norm_residual",
+                                      "attention", "mse"])
     def test_inputs_on_two_open_tapes_are_a_usage_error(self, name):
         """The second tape would record nothing, so its gradient is lost."""
         shapes, call = PRIMITIVE_CALLS[name]

@@ -258,6 +258,10 @@ class TestSynthetic:
         assert test_match > 0.95
         assert train_match < 0.75
 
+    def test_negative_seed_is_config_error(self):
+        with pytest.raises(ConfigError, match="^seed: a seed must be >= 0"):
+            make_synthetic(SyntheticSpec(n_train=4, n_test=4), seed=-1)
+
 
 class TestBatching:
     def test_iter_batches_covers_split_in_order(self):

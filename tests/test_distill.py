@@ -1147,6 +1147,19 @@ class TestFineTune:
                       TrainConfig(epochs=1), small_task(n_train=16, n_test=8),
                       seed=0)
 
+    @pytest.mark.parametrize("field", ["seed", "data_seed"])
+    def test_negative_seed_is_config_error_before_any_work(self, field,
+                                                            monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("fine_tune started work")
+
+        monkeypatch.setattr(distill, "make_train_state", no_work)
+        seeds = {"seed": 0, field: -1}
+        with pytest.raises(ConfigError, match=f"^{field}: a seed must be >= 0"):
+            fine_tune(MODEL, DistillConfig(mode="baseline"),
+                      TrainConfig(epochs=1), small_task(n_train=16, n_test=8),
+                      **seeds)
+
     def test_best_dev_without_dev_split_is_config_error(self):
         with pytest.raises(ConfigError, match="dev split"):
             fine_tune(MODEL, DistillConfig(mode="baseline"),

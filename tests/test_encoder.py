@@ -232,12 +232,12 @@ class TestClassify:
     def test_train_mode_tape_node_count(self):
         """A deterministic counter: un-fusing a primitive in encode shows here.
 
-        The first layer records 25 nodes (q 3, k 3, v 3, scores 3, mask add
-        and softmax 2, context 3, output 1, two residual adds and two layer
-        norms 4, ffn 3). The last layer records 24: it computes position 0
-        only, so q is take, linear and reshape (3) and the context needs
-        no transpose (2), and its take is the pooling. Plus 3 for the
-        embeddings and 2 for the head.
+        The first layer records 10 nodes: the q, k and v linears 3, the
+        fused attention 1, the output linear 1, two residual-plus-norm
+        nodes 2 and the ffn 3 (linear, gelu, linear). The last layer
+        records 11: the same 10 plus the take of position 0, which is the
+        pooling. Plus 3 for the embeddings (lookup, positions, add) and 2
+        for the head (transpose, matmul): 26 in all.
         """
         from selfdistill.autodiff import Tape
         from test_acceptance import STABILITY_MODEL
@@ -250,7 +250,7 @@ class TestClassify:
         classify(init_params(STABILITY_MODEL, seed=0), batch, STABILITY_MODEL,
                  train_mode=True, tape=tape)
         assert STABILITY_MODEL.dropout_p == 0.0
-        assert len(tape) == 54
+        assert len(tape) == 26
 
 
 TWO_LAYER = ModelConfig(vocab_size=50, max_len=14, dim=8, n_layers=2,

@@ -84,6 +84,20 @@ class TestAverageParameters:
         avg_scaled = scale_set(average_parameters(sets), c)
         assert sets_equal(scaled_avg, avg_scaled, atol=1e-12)
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_equals_numpys_stacked_mean_bit_for_bit(self, n):
+        """Members of mixed magnitudes, whose sum rounds differently in
+        another order, and n identical members. One, two or four of those
+        average to the member exactly; eight need not (3x rounds)."""
+        rng = np.random.default_rng(30 + n)
+        sets = [scale_set(random_set(rng), 10.0 ** (i - 3)) for i in range(n)]
+        for members in (sets, [sets[0]] * n):
+            oracle = np.mean(np.stack([s.flat for s in members]), axis=0)
+            assert average_parameters(members).flat.tobytes() == oracle.tobytes()
+        if n in (1, 2, 4):
+            assert (average_parameters([sets[0]] * n).flat.tobytes()
+                    == sets[0].flat.tobytes())
+
     def test_empty_list_rejected(self):
         with pytest.raises(UsageError):
             average_parameters([])

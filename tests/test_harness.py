@@ -87,6 +87,15 @@ class TestEvaluate:
 
 
 class TestRunExperiment:
+    @pytest.mark.parametrize("field", ["seed", "data_seed"])
+    def test_negative_seed_is_config_error(self, field):
+        with pytest.raises(ConfigError, match=f"^{field}: a seed must be >= 0"):
+            fast_config(**{field: -1})
+
+    def test_negative_dataset_seed_is_config_error(self):
+        with pytest.raises(ConfigError, match="^dataset_seed: a seed must be >= 0"):
+            DatasetConfig(dataset_seed=-1)
+
     def test_separable_run_reaches_low_error(self):
         result = run_experiment(fast_config())
         assert result.report.final_student["test_error"] < 0.05

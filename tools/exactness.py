@@ -98,7 +98,9 @@ MATRIX = [
 
 def write_inputs(directory: Path) -> dict[str, str]:
     """The two synthetic specs and 4-class train, test and dev csv files
-    (no schema flags needed)."""
+    (no schema flags needed). A csv row holds 1-12 words, so with CLS and
+    SEP it fits ``--max-len 16`` and the rows of one batch pad, and hide,
+    different keys."""
     rng = random.Random(0)
     inputs = {"spec": directory / "spec.json",
               "sweep_spec": directory / "sweep_spec.json",
@@ -112,7 +114,8 @@ def write_inputs(directory: Path) -> dict[str, str]:
         for _ in range(n):
             label = rng.randrange(4)
             words = [f"c{label}w{rng.randrange(6)}" if rng.random() < 0.7
-                     else f"n{rng.randrange(30)}" for _ in range(8)]
+                     else f"n{rng.randrange(30)}"
+                     for _ in range(rng.randint(1, 12))]
             rows.append(f'{label},"{" ".join(words)}"\n')
         inputs[key].write_text("".join(rows))
     return {key: str(path) for key, path in inputs.items()}
