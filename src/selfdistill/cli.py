@@ -6,8 +6,9 @@ the ``SELFDISTILL_`` prefix (flag ``--teacher-size`` ->
 ``SELFDISTILL_TEACHER_SIZE``); explicit flags win over the environment. A
 ``SELFDISTILL_`` variable that names no flag of that subcommand is an error.
 
-Exit codes: 0 success; 1 a bad flag, environment value, config or input
-file; 2 an error raised while running (divergence, or any ``ValueError``).
+Exit codes: 0 success; 1 a bad flag, environment value, config, input file
+or output path; 2 an error raised while running (divergence, a step worker
+that cannot be forked, or any ``ValueError``).
 """
 
 from __future__ import annotations
@@ -185,6 +186,21 @@ def _require_file(flag: str, path: str | None) -> None:
         raise InputError(f"{flag}: no such file: {path}")
 
 
+def _require_dir(flag: str, path: Path) -> None:
+    """``path`` is a directory, or its nearest existing ancestor is one this
+    process may create it in. Nothing is created, so a command that fails
+    later still writes nothing."""
+    for part in (path, *path.parents):
+        if part.is_dir():
+            if not os.access(part, os.W_OK | os.X_OK):
+                raise InputError(f"{flag}: cannot write {path}: {part} is "
+                                 f"not writable")
+            return
+        if os.path.lexists(part):
+            raise InputError(f"{flag}: cannot write {path}: {part} is not "
+                             f"a directory")
+
+
 def _check_spec_types(path, raw: dict) -> None:
     """Each value must fit its SyntheticSpec field: an int field takes an
     int, a float field an int or a float, and only an optional field takes
@@ -354,6 +370,9 @@ def _cmd_train(args) -> int:
     config = _experiment_config(args)
     checkpoint_dir = (Path(args.out) / "checkpoints"
                       if args.save_checkpoints else None)
+    _require_dir("--out", Path(args.out))
+    if checkpoint_dir is not None:
+        _require_dir("--save-checkpoints", checkpoint_dir)
     result = run_experiment(config, checkpoint_dir=checkpoint_dir)
     paths = emit_report(result, args.out)
     report = result.report
@@ -366,7 +385,9 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_study(args) -> int:
-    result = _STUDIES[args.command](_experiment_config(args), args)
+    config = _experiment_config(args)
+    _require_dir("--out", Path(args.out))
+    result = _STUDIES[args.command](config, args)
     paths = emit_report(result, args.out)
     print(f"wrote {', '.join(str(p) for p in paths)}")
     print(render_summary(args.out))

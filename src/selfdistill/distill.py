@@ -22,17 +22,18 @@ k=1 entry is the parameter vector currently in hand: with dropout disabled,
 K=1 distillation reduces to the plain run exactly, and with dropout enabled
 it acts as a consistency regularizer against the clean-forward logits.
 
-With accumulation over two or more micro-batches, ``fine_tune`` trains
-each optimizer step on two CPUs where the process can use a second one.
-Every micro-batch of a step reads the same parameters, so a forked worker
-process trains the later half of the step's micro-batches while the
-training process trains the earlier half. The training process then adds
-the worker's gradients in micro-batch order and takes the one AdamW step,
-so every sum runs in the same order as in one process and results do not
-depend on where a micro-batch ran. The same worker scores the later half
-of each evaluation's batches (the student's after every epoch, on dev
-under ``best_dev``, and the final sda teacher's); correct counts are
-integers, so their sum is the one-process count.
+``train_step`` is one optimizer step over its micro-batches. With
+accumulation over two or more micro-batches, ``fine_tune`` trains each step
+on two CPUs where the process can use a second one. Every micro-batch of a
+step reads the same parameters, so a forked worker process trains the later
+half of the step's micro-batches while the training process trains the
+earlier half. The training process then adds the worker's gradients in
+micro-batch order and takes the one AdamW step, so every sum runs in the
+same order as in one process and results do not depend on where a
+micro-batch ran. The same worker scores the later half of each
+evaluation's batches (the student's after every epoch, on dev under
+``best_dev``, and the final sda teacher's); correct counts are integers, so
+their sum is the one-process count.
 """
 
 from __future__ import annotations
@@ -46,9 +47,8 @@ import sys
 import time
 import weakref
 from contextlib import suppress
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from itertools import islice
-from pathlib import Path
 
 import numpy as np
 
@@ -77,8 +77,8 @@ from .errors import (
     SelfDistillError,
     UsageError,
 )
-from .optim import OptimState, accumulate, adamw_step, lr_at
-from .reporting import EpochPoint, RunReport, StepPoint
+from .optim import OptimState, accumulate, adamw_step
+from .reporting import EpochPoint, RunReport, StepPoint, make_dir
 
 TEACHER_ALL = "all"
 
@@ -161,7 +161,6 @@ class TrainState:
     grad_sum: np.ndarray               # flat, lines up with params.flat
     ring: CheckpointRing | None = None
     rmean: RunningMean | None = None
-    pending: int = 0                   # micro-batches summed in grad_sum
     teacher: ParameterSet | None = None  # the sda average, set by absorb
     counters: dict = field(default_factory=lambda: {
         "student_forwards": 0, "teacher_forwards": 0,
@@ -274,10 +273,11 @@ class StepWorker:
         up_r, up_w = os.pipe()
         try:
             self.pid = os.fork()
-        except OSError:   # e.g. a process limit: no worker, and no stray pipe
+        except OSError as exc:   # e.g. a process limit: no stray pipe
             for fd in (down_r, down_w, up_r, up_w):
                 os.close(fd)
-            raise
+            raise SelfDistillError(f"cannot start the step worker: {exc}; "
+                                   f"--accum-steps 1 runs without one") from exc
         if self.pid == 0:   # the worker: never returns into the caller
             code = 1
             try:
@@ -381,10 +381,8 @@ def _step_worker_main(state: TrainState, requests, replies, grads) -> None:
                 rows = []
                 for micro, (batch, grad) in enumerate(zip(batches, grads),
                                                       first):
-                    by_tensor, ce, mse = _micro_batch(state, batch, micro)
                     grad.fill(0.0)
-                    accumulate(state.params, by_tensor, grad)
-                    rows.append((ce, mse))
+                    rows.append(_micro_batch(state, batch, micro, grad))
                 value = (rows, state.counters)
             reply = ("ok", value)
         except Exception as exc:   # re-raised in the training process
@@ -435,23 +433,13 @@ def sda_loss(student_logits: Tensor, teacher_logits: Tensor, labels,
     return total, ce, m
 
 
-def step_plan(state: TrainState,
-              force_flush: bool = False) -> tuple[bool, bool]:
-    """(flush, snapshot) for the micro-batch ``train_step`` runs next:
-    whether it ends with an optimizer step, and whether ``absorb`` then
-    takes the new parameters."""
-    cfg = state.distill_config
-    flush = force_flush or state.pending + 1 >= state.train_config.accum_steps
-    snapshot = (flush and cfg.mode != "baseline"
-                and (state.opt.t + 1) % cfg.snapshot_every == 0)
-    return flush, snapshot
-
-
-def _micro_batch(state: TrainState, batch, micro: int):
+def _micro_batch(state: TrainState, batch, micro: int,
+                 into: np.ndarray) -> tuple[float, float]:
     """Forward, teacher signal, loss and backward of the run's micro-batch
-    number ``micro``: (gradients by tensor, ce, mse). Its dropout masks come
-    from a generator keyed by (seed, 1, micro), so they depend neither on
-    the process it runs in nor on the batches before it."""
+    number ``micro``; adds its flat gradients to ``into`` and returns
+    (ce, mse). Its dropout masks come from a generator keyed by
+    (seed, 1, micro), so they depend neither on the process it runs in nor
+    on the batches before it."""
     cfg = state.distill_config
     rng = (np.random.default_rng([state.seed, 1, micro])
            if state.model_config.dropout_p > 0.0 else None)
@@ -483,71 +471,53 @@ def _micro_batch(state: TrainState, batch, micro: int):
             f"non-finite loss at optimizer step {state.opt.t} "
             f"(ce={ce_val}, mse={mse_val})"
         )
-    return ad.backward(total, tape), ce_val, mse_val
+    accumulate(state.params, ad.backward(total, tape), into)
+    return ce_val, mse_val
 
 
-def _finish_step(state: TrainState, snapshot: bool) -> float:
-    """The optimizer step on the averaged ``grad_sum``, then ``absorb`` when
-    ``snapshot``; returns the step's learning rate."""
-    lr = adamw_step(state.params, state.grad_sum / state.pending, state.opt)
-    state.grad_sum.fill(0.0)
-    state.pending = 0
-    if snapshot:
-        absorb(state, state.params)
-    return lr
+def train_step(state: TrainState, micro_batches: list,
+               worker: StepWorker | None = None) -> list[StepPoint]:
+    """One optimizer step over its micro-batches, 1 to ``accum_steps``.
 
-
-def train_step(state: TrainState, batch, force_flush: bool = False) -> StepPoint:
-    """One micro-batch: forward, teacher signal, loss, backward, accumulate.
-
-    On an accumulation boundary (or ``force_flush`` at epoch end) the
-    averaged gradients feed one AdamW step and the fresh parameters are
-    absorbed into the teacher state. Returns the micro-batch's step-curve
-    row; its ``step`` counts the run's micro-batches from 0.
+    Every micro-batch reads the same parameters. With ``worker``, the run's
+    step worker, the training process runs the first half (rounded up)
+    while the worker runs the rest; without one, it runs them all. The
+    gradients are added in micro-batch order, averaged, and feed one AdamW
+    step. On a snapshot step the new parameters are absorbed into the
+    teacher state, at once without a worker and with the worker's next
+    request (or at the run's end) with one. Returns one step-curve row per
+    micro-batch; its ``step`` counts the run's micro-batches from 0.
     """
-    flush, snapshot = step_plan(state, force_flush)
-    micro = state.counters["student_forwards"]   # micro-batches run so far
-    grads, ce, mse = _micro_batch(state, batch, micro)
-    accumulate(state.params, grads, state.grad_sum)
-    state.pending += 1
-    if flush:
-        lr = _finish_step(state, snapshot)
-    else:
-        lr = lr_at(min(state.opt.t + 1, state.opt.total_steps),
-                   state.opt.total_steps, state.train_config.lr_encoder,
-                   state.train_config.warmup_prop)
-    return StepPoint(step=micro, ce=ce, mse=mse, lr=lr)
-
-
-def train_group(state: TrainState, group: list,
-                worker: StepWorker | None = None) -> list[StepPoint]:
-    """The micro-batches of one optimizer step, ending with its flush.
-
-    With a worker, the training process runs the first half (rounded up)
-    through ``train_step`` while the worker runs the rest; the worker's
-    gradients are then added in micro-batch order before the one step. The
-    step's ``absorb`` waits for the worker's next request (or the run's
-    end), where the training process and the worker take it at the same
-    time."""
-    if worker is None:
-        return [train_step(state, batch, force_flush=i == len(group) - 1)
-                for i, batch in enumerate(group)]
-    mine = (len(group) + 1) // 2
-    step = state.counters["student_forwards"] + mine   # the worker's first
-    worker.request(state, "step", state.opt.t, step, group[mine:])
-    # fewer than accum_steps micro-batches: none of these flushes
-    points = [train_step(state, batch) for batch in group[:mine]]
-    rows, counts = worker.reply()
-    for i, (ce, mse) in enumerate(rows):
-        state.grad_sum += worker.grads[i]
-        points.append(StepPoint(step=step + i, ce=ce, mse=mse,
-                                lr=points[0].lr))
-    state.pending += len(rows)
-    for name, count in counts.items():
-        state.counters[name] += count
-    worker.absorb_due = step_plan(state, force_flush=True)[1]
-    points[-1] = replace(points[-1], lr=_finish_step(state, snapshot=False))
-    return points
+    n = len(micro_batches)
+    if not 1 <= n <= state.train_config.accum_steps:
+        raise UsageError(f"an optimizer step takes 1 to "
+                         f"{state.train_config.accum_steps} micro-batches, "
+                         f"got {n}")
+    first = state.counters["student_forwards"]   # micro-batches run so far
+    mine = n if worker is None else (n + 1) // 2
+    if worker is not None:
+        worker.request(state, "step", state.opt.t, first + mine,
+                       micro_batches[mine:])
+    rows = [_micro_batch(state, batch, micro, state.grad_sum)
+            for micro, batch in enumerate(micro_batches[:mine], first)]
+    if worker is not None:
+        theirs, counts = worker.reply()
+        for grad in worker.grads[:len(theirs)]:
+            state.grad_sum += grad
+        rows += theirs
+        for name, count in counts.items():
+            state.counters[name] += count
+    state.grad_sum /= n
+    lr = adamw_step(state.params, state.grad_sum, state.opt)
+    state.grad_sum.fill(0.0)
+    cfg = state.distill_config
+    if cfg.mode != "baseline" and state.opt.t % cfg.snapshot_every == 0:
+        if worker is None:
+            absorb(state, state.params)
+        else:
+            worker.absorb_due = True
+    return [StepPoint(step=micro, ce=ce, mse=mse, lr=lr)
+            for micro, (ce, mse) in enumerate(rows, first)]
 
 
 def _count_correct(params: ParameterSet, config: ModelConfig, split, vocab,
@@ -637,7 +607,7 @@ def fine_tune(model_config: ModelConfig, distill_config: DistillConfig,
             points: list[StepPoint] = []
             # one optimizer step's micro-batches; an epoch's last may be fewer
             while group := list(islice(batches, train_config.accum_steps)):
-                points += train_group(state, group, worker)
+                points += train_step(state, group, worker)
             step_curve += points
             ce_sum, mse_sum = 0.0, 0.0
             for point in points:
@@ -653,7 +623,7 @@ def fine_tune(model_config: ModelConfig, distill_config: DistillConfig,
                 test_accuracy=test_acc,
                 mean_ce=ce_sum / micro_per_epoch,
                 mean_mse=mse_sum / micro_per_epoch,
-                lr=point.lr,     # the epoch's last step always flushes
+                lr=point.lr,     # the rate of the epoch's last step
             ))
             if select_best_dev:
                 dev_acc, _ = evaluate_params(state.params, model_config,
@@ -666,9 +636,8 @@ def fine_tune(model_config: ModelConfig, distill_config: DistillConfig,
                     best_params = (state.params.copy()
                                    if epoch < train_config.epochs - 1 else None)
             if checkpoint_dir is not None:
-                out = Path(checkpoint_dir)
-                out.mkdir(parents=True, exist_ok=True)
-                save_params(state.params, out / f"epoch_{epoch:03d}.ckpt")
+                save_params(state.params, make_dir(checkpoint_dir)
+                            / f"epoch_{epoch:03d}.ckpt")
         if worker is not None and worker.absorb_due:
             # no evaluation request took the last step's snapshot along, so
             # the test split is one batch and the teacher's sends none either

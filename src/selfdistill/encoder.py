@@ -287,9 +287,12 @@ def save_params(params: ParameterSet, path) -> None:
                for s in params.layout]
     header = json.dumps({"format": _CHECKPOINT_MAGIC, "entries": entries},
                         sort_keys=True)
-    with open(path, "wb") as fh:
-        fh.write(header.encode("utf-8") + b"\n")
-        fh.write(params.flat.astype(_CHECKPOINT_DTYPE, copy=False).tobytes())
+    try:
+        with open(path, "wb") as fh:
+            fh.write(header.encode("utf-8") + b"\n")
+            fh.write(params.flat.astype(_CHECKPOINT_DTYPE, copy=False).tobytes())
+    except OSError as exc:
+        raise InputError(f"cannot write checkpoint to {path}: {exc}") from exc
 
 
 def load_params(path) -> ParameterSet:

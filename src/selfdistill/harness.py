@@ -40,6 +40,7 @@ from .reporting import (
     StepPoint,
     SweepTable,
     load_json,
+    make_dir,
     save_json,
 )
 
@@ -290,8 +291,7 @@ def emit_report(obj, out_dir) -> list[Path]:
     (separate CE and MSE columns); sweeps and stability results produce a
     single JSON document.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = make_dir(out_dir)
     written: list[Path] = []
 
     if isinstance(obj, TrainResult):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -98,6 +99,16 @@ class StabilityResult:
 
 def canonical_json(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def make_dir(path) -> Path:
+    """``path`` as a directory, created with its parents if missing."""
+    path = Path(path)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"cannot create directory {path}: {exc}") from exc
+    return path
 
 
 def save_json(payload: dict, path) -> None:

@@ -181,7 +181,7 @@ def _drive(model, distill, train, task, seed, n_steps):
         order = permutation_with_seed(len(task.train), [seed, epoch])
         for batch in iter_batches(task.train, task.vocab, model.max_len,
                                   train.micro_batch, order):
-            m = train_step(state, batch)
+            (m,) = train_step(state, [batch])
             losses.append((m.ce, m.mse))
             if state.opt.t >= n_steps:
                 break

@@ -14,6 +14,7 @@ import signal
 import time
 import weakref
 from dataclasses import replace
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -175,8 +176,9 @@ class TestSdaTeacherCache:
             return teacher
 
         monkeypatch.setattr(distill, "sda_teacher", checked)
-        for batch in iter_batches(task.train, task.vocab, MODEL.max_len, 4):
-            train_step(state, batch)
+        batches = iter_batches(task.train, task.vocab, MODEL.max_len, 4)
+        while group := list(islice(batches, 2)):
+            train_step(state, group)
         assert len(matches) == 10
         assert all(matches)
         assert state.ring.insertions == 1 + 5
@@ -391,8 +393,9 @@ def hand_fine_tune(model, distill_config, train, task, seed):
         order = permutation_with_seed(len(task.train), [seed, epoch])
         batches = iter_batches(task.train, task.vocab, model.max_len,
                                train.micro_batch, order)
-        points = [train_step(state, batch, force_flush=i == micro - 1)
-                  for i, batch in enumerate(batches)]
+        points = []
+        while group := list(islice(batches, train.accum_steps)):
+            points += train_step(state, group)
         acc, err = evaluate_params(state.params, model, task.test, task.vocab,
                                    train.eval_batch_size)
         ce_sum, mse_sum = 0.0, 0.0
@@ -580,7 +583,7 @@ class TestSdvWorker:
             group = list(iter_batches(task.train, task.vocab,
                                       MODEL_NODROP.max_len, 4))[:3]
             with pytest.raises(SelfDistillError, match="exited with code -9"):
-                distill.train_group(state, group, worker)
+                distill.train_step(state, group, worker)
         finally:
             worker.close(state)
 
@@ -746,9 +749,14 @@ class TestStepWorker:
 
         monkeypatch.setattr(os, "fork", failing)
         open_fds = set(os.listdir("/proc/self/fd"))
-        with pytest.raises(BlockingIOError):
+        with pytest.raises(SelfDistillError) as caught:
             fine_tune(MODEL, DistillConfig(), TrainConfig(epochs=1, micro_batch=4),
                       small_task(n_train=16, n_test=8), seed=0)
+        assert type(caught.value) is SelfDistillError
+        assert str(caught.value) == (
+            "cannot start the step worker: [Errno 11] Resource temporarily "
+            "unavailable; --accum-steps 1 runs without one")
+        assert isinstance(caught.value.__cause__, BlockingIOError)
         assert set(os.listdir("/proc/self/fd")) == open_fds
 
     def test_the_worker_ignores_sigint_and_exits_on_eof(self, two_cpus):
@@ -760,7 +768,7 @@ class TestStepWorker:
         try:
             group = list(iter_batches(task.train, task.vocab,
                                       MODEL_NODROP.max_len, 4))[:2]
-            distill.train_group(state, group, worker)   # the worker is up
+            distill.train_step(state, group, worker)   # the worker is up
             os.kill(worker.pid, signal.SIGINT)
             worker.requests.close()
             for _ in range(3000):   # 30 s at most
@@ -916,7 +924,7 @@ def run_steps(model, distill, train, task, seed, n_steps):
         order = permutation_with_seed(len(task.train), [seed, epoch])
         for batch in iter_batches(task.train, task.vocab, model.max_len,
                                   train.micro_batch, order):
-            metrics = train_step(state, batch)
+            (metrics,) = train_step(state, [batch])
             losses.append((metrics.ce, metrics.mse))
             if state.opt.t >= n_steps:
                 break
@@ -990,7 +998,7 @@ class TestTrainStep:
                                  TrainConfig(epochs=1, micro_batch=4),
                                  n_train=len(task.train), seed=9)
         batch = make_batch(task.train.examples[:4], task.vocab, MODEL.max_len)
-        metrics = train_step(state, batch)
+        (metrics,) = train_step(state, [batch])
         assert metrics.mse == 0.0
         assert metrics.ce > 0.0
 
@@ -1030,7 +1038,7 @@ class TestTrainStep:
                                  n_train=64, seed=1)
         rng = np.random.default_rng(0)
         for _ in range(6):
-            train_step(state, small_batch(rng))
+            train_step(state, [small_batch(rng)])
         # seeded theta_0 plus one absorption per 2 optimizer steps
         assert state.ring.insertions == 1 + 3
 
@@ -1043,12 +1051,12 @@ class TestTrainStep:
         batch = make_batch(task.train.examples[:4], task.vocab, MODEL.max_len)
         from selfdistill.errors import DivergenceError
         with pytest.raises(DivergenceError):
-            train_step(state, batch)
+            train_step(state, [batch])
 
     def test_dropout_ignores_the_width_of_the_batch_before(self):
         """Each micro-batch's masks are keyed by its index: the second
         micro-batch's loss is the same after a first of 12 or 7 columns.
-        No optimizer step is taken in between."""
+        Both run in one optimizer step, so both read the same parameters."""
         rng = np.random.default_rng(8)
         second = small_batch(rng)
         ces = []
@@ -1061,15 +1069,15 @@ class TestTrainStep:
                                                  size=(4, width)),
                           mask=np.ones((4, width)),
                           labels=rng.integers(0, 4, 4))
-            train_step(state, first)
-            ces.append(train_step(state, second).ce)
-            assert state.opt.t == 0
+            ces.append(train_step(state, [first, second])[1].ce)
+            assert state.opt.t == 1
         assert ces[0] == ces[1]
 
 
 class TestGradientAccumulation:
     """train_step's flat gradient buffer against adamw_step on gradients
-    flattened and averaged by hand, bit for bit."""
+    flattened and averaged by hand, bit for bit; a short group (an epoch's
+    last) averages over its own length."""
 
     @staticmethod
     def _hand_grads(params, batch, rng):
@@ -1080,9 +1088,9 @@ class TestGradientAccumulation:
         return np.concatenate([grads[params[slot.name]].ravel()
                                for slot in params.layout])
 
-    @pytest.mark.parametrize("n_micro,force_flush", [(2, False), (1, True)])
+    @pytest.mark.parametrize("n_micro", [2, 1])
     def test_one_optimizer_step_matches_hand_averaged_gradients(
-            self, n_micro, force_flush):
+            self, n_micro):
         task = small_task()
         state = make_train_state(MODEL, DistillConfig(),
                                  TrainConfig(epochs=1, micro_batch=4,
@@ -1098,16 +1106,95 @@ class TestGradientAccumulation:
                 for i, batch in enumerate(batches)]
         lr = adamw_step(params, sum(hand[1:], hand[0]) / n_micro, opt)
 
-        for i, batch in enumerate(batches):
-            assert state.opt.t == 0
-            metrics = train_step(state, batch,
-                                 force_flush=force_flush and i == n_micro - 1)
-        assert state.opt.t == 1 and state.pending == 0
-        assert metrics.lr == lr
+        points = train_step(state, batches)
+        assert state.opt.t == 1
+        assert [point.lr for point in points] == [lr] * n_micro
         assert state.params.flat.tobytes() == params.flat.tobytes()
         assert state.opt.m.tobytes() == opt.m.tobytes()
         assert state.opt.v.tobytes() == opt.v.tobytes()
         assert not state.grad_sum.any()
+
+
+@pytest.mark.usefixtures("no_child_left")
+class TestOneOptimizerStep:
+    """train_step takes one optimizer step's micro-batches, 1 to
+    accum_steps of them, with or without the step worker."""
+
+    TRAIN = TrainConfig(epochs=1, micro_batch=4, accum_steps=3)
+    CONFIG = DistillConfig(mode="sda", teacher_size=2)
+
+    def state(self):
+        return make_train_state(MODEL, self.CONFIG, self.TRAIN, n_train=24,
+                                seed=3)
+
+    @staticmethod
+    def batches(n):
+        task = small_task(n_train=24)
+        return list(iter_batches(task.train, task.vocab, MODEL.max_len, 4))[:n]
+
+    @staticmethod
+    def recording(monkeypatch, worker, jobs):
+        """Record each job ``worker`` is sent, then send it."""
+        request = worker.request
+
+        def recorded(state, *job):
+            jobs.append(job)
+            request(state, *job)
+
+        monkeypatch.setattr(worker, "request", recorded)
+
+    @pytest.mark.parametrize("n", [0, 4])
+    @pytest.mark.parametrize("use_worker", [False, True],
+                             ids=["in_process", "worker"])
+    def test_a_group_outside_1_to_accum_steps_is_a_usage_error(
+            self, monkeypatch, n, use_worker):
+        state = self.state()
+        batches = self.batches(n)
+        worker = distill.StepWorker(state) if use_worker else None
+        jobs, forwards = [], []
+        if worker is not None:
+            self.recording(monkeypatch, worker, jobs)
+        monkeypatch.setattr(distill, "classify",
+                            lambda *args, **kw: forwards.append(args))
+        try:
+            with pytest.raises(UsageError, match=f"takes 1 to 3 micro-batches, "
+                                                 f"got {n}$"):
+                train_step(state, batches, worker)
+        finally:
+            if worker is not None:
+                worker.close(state)
+        assert jobs == [] and forwards == []
+        assert state.opt.t == 0 and state.counters["student_forwards"] == 0
+        assert not state.grad_sum.any()
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_a_group_gives_the_same_bytes_with_and_without_a_worker(
+            self, monkeypatch, n):
+        """Two steps of ``n`` micro-batches, with dropout: the second reads
+        the sda teacher the first one's snapshot made. The worker runs the
+        last ``n // 2`` micro-batches of each; a group of 1 sends it none."""
+        batches = self.batches(2 * n)
+        runs, jobs = [], []
+        for use_worker in (False, True):
+            state = self.state()
+            worker = distill.StepWorker(state) if use_worker else None
+            if worker is not None:
+                self.recording(monkeypatch, worker, jobs)
+            try:
+                points = [train_step(state, batches[:n], worker),
+                          train_step(state, batches[n:], worker)]
+            finally:
+                if worker is not None:
+                    worker.close(state)
+            runs.append((points, state.params.flat.tobytes(),
+                         state.opt.m.tobytes(), state.opt.v.tobytes(),
+                         state.counters))
+        assert runs[0] == runs[1]
+        assert [point.step for step in runs[0][0] for point in step] == list(
+            range(2 * n))
+        assert jobs == [("step", 0, (n + 1) // 2, batches[(n + 1) // 2:n]),
+                        ("step", 1, n + (n + 1) // 2,
+                         batches[n + (n + 1) // 2:])]
 
 
 class TestFineTune:

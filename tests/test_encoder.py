@@ -439,6 +439,14 @@ class TestCheckpoint:
             assert loaded[name].data.dtype == params[name].data.dtype
         assert loaded.layout == params.layout   # names, shapes and groups
 
+    @pytest.mark.parametrize("where", ["a directory", "under a file"])
+    def test_an_unwritable_path_is_an_input_error(self, tmp_path, where):
+        (tmp_path / "file").write_text("")
+        path = tmp_path if where == "a directory" else tmp_path / "file" / "m"
+        with pytest.raises(InputError, match=f"cannot write checkpoint to "
+                                             f"{path}: "):
+            save_params(init_params(TINY, seed=11), path)
+
     def test_rejects_non_checkpoint(self, tmp_path):
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b'{"format": "something-else"}\n')

@@ -19,7 +19,7 @@ from selfdistill.data import (
 )
 from selfdistill.distill import DistillConfig, TrainConfig, evaluate_params
 from selfdistill.encoder import ModelConfig, init_params
-from selfdistill.errors import ConfigError
+from selfdistill.errors import ConfigError, InputError
 from selfdistill.harness import (
     DatasetConfig,
     ExperimentConfig,
@@ -326,6 +326,26 @@ class TestEmission:
         text = render_summary(tmp_path)
         assert "final student" in text
 
+    @pytest.mark.parametrize("where", ["a file", "under a file"])
+    def test_an_output_path_that_is_no_directory_is_an_input_error(
+            self, tmp_path, where):
+        blocker = tmp_path / "file"
+        blocker.write_text("kept\n")
+        out = blocker if where == "a file" else blocker / "run"
+        r = StabilityResult.from_accuracies("baseline", [0, 1], [0.8, 0.9])
+        with pytest.raises(InputError, match=f"cannot create directory {out}: "):
+            emit_report([r], out)
+        assert blocker.read_text() == "kept\n"
+
+    def test_a_checkpoint_directory_that_is_a_file_is_an_input_error(
+            self, tmp_path):
+        blocker = tmp_path / "checkpoints"
+        blocker.write_text("kept\n")
+        with pytest.raises(InputError, match=f"cannot create directory "
+                                             f"{blocker}: "):
+            run_experiment(fast_config(), checkpoint_dir=blocker)
+        assert blocker.read_text() == "kept\n"
+
     def test_relative_error_change(self):
         assert relative_error_change(0.10, 0.08) == pytest.approx(0.2)
         assert relative_error_change(0.10, 0.12) == pytest.approx(-0.2)
@@ -347,6 +367,65 @@ class TestCli:
         assert code == 0
         assert (out / "report.json").exists()
         assert (out / "curves_epoch.csv").exists()
+
+    @staticmethod
+    def _no_work(monkeypatch):
+        import selfdistill.harness as harness
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("the command started work it cannot save")
+
+        monkeypatch.setattr(harness, "build_task", no_work)
+        monkeypatch.setattr(harness, "fine_tune", no_work)
+
+    @pytest.mark.parametrize("command", ["train", "stability"])
+    @pytest.mark.parametrize("where", ["a file", "under a file"])
+    def test_an_out_path_that_cannot_be_a_directory_exits_1_before_any_work(
+            self, tmp_path, capsys, monkeypatch, command, where):
+        self._no_work(monkeypatch)
+        blocker = tmp_path / "file"
+        blocker.write_text("kept\n")
+        out = blocker if where == "a file" else blocker / "run"
+        code = cli_main([command, *SMALL_CLI_ARGS, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == (f"error: --out: cannot write {out}: {blocker} is not "
+                       f"a directory\n")
+        assert blocker.read_text() == "kept\n"
+
+    def test_a_checkpoint_path_that_is_a_file_exits_1_before_any_work(
+            self, tmp_path, capsys, monkeypatch):
+        self._no_work(monkeypatch)
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "checkpoints").write_text("kept\n")
+        code = cli_main(["train", *SMALL_CLI_ARGS, "--save-checkpoints",
+                         "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == (f"error: --save-checkpoints: cannot write "
+                       f"{out / 'checkpoints'}: {out / 'checkpoints'} is not "
+                       f"a directory\n")
+        assert [p.name for p in out.iterdir()] == ["checkpoints"]
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="starts no worker")
+    def test_a_failed_fork_exits_2_with_one_error_line(self, tmp_path, capsys,
+                                                       monkeypatch):
+        def failing():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", failing)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        out = tmp_path / "run"
+        code = cli_main(["train", *SMALL_CLI_ARGS, "--accum-steps", "2",
+                         "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == ("error: cannot start the step worker: [Errno 11] "
+                       "Resource temporarily unavailable; --accum-steps 1 "
+                       "runs without one\n")
+        assert not (out / "report.json").exists()
 
     def test_determinism_byte_identical_reports(self, tmp_path):
         outs = [tmp_path / "r1", tmp_path / "r2"]

@@ -84,6 +84,13 @@ MATRIX = [
                             "--dev-dataset", "{dev_csv}", *MODEL,
                             "--mode", "sda", "--teacher-size", "3",
                             "--select-by", "best_dev"]),
+    # sdv K=3 with accumulation 3 on ragged rows: each step trains two
+    # micro-batches in the training process and one in the step worker,
+    # and the teacher's forwards see padded keys
+    ("train_csv_sdv_k3_accum3", ["train", "--dataset", "{train_csv}",
+                                 "--eval-dataset", "{test_csv}", *MODEL,
+                                 "--mode", "sdv", "--teacher-size", "3",
+                                 "--accum-steps", "3"]),
     ("sweep_k", [*SWEEP, "--mode", "sda", "--axis", "k", "--grid", "1,all",
                  "--seeds", "0,1"]),
     ("sweep_lambda", [*SWEEP, "--mode", "sdv", "--axis", "lambda",
