@@ -27,10 +27,13 @@ accumulation over two or more micro-batches, ``fine_tune`` trains each step
 on two CPUs where the process can use a second one. Every micro-batch of a
 step reads the same parameters, so a forked worker process trains the later
 half of the step's micro-batches while the training process trains the
-earlier half. The training process then adds the worker's gradients in
-micro-batch order and takes the one AdamW step, so every sum runs in the
-same order as in one process and results do not depend on where a
-micro-batch ran. The same worker scores the later half of each
+earlier half. The end of the step is split too: adding the gradients in
+micro-batch order, their mean and the AdamW update are elementwise over
+the flat vectors, so the training process takes the entries ``[0, h)``
+and the worker ``[h, size)``, with ``h = size // 2``. Every entry is
+computed with the same operations in the same order as in one process, so
+results depend neither on where a micro-batch ran nor on which process
+updated an entry. The same worker scores the later half of each
 evaluation's batches (the student's after every epoch, on dev under
 ``best_dev``, and the final sda teacher's); correct counts are integers, so
 their sum is the one-process count.
@@ -248,24 +251,39 @@ def sdv_teacher_logits(state: TrainState, batch,
 
 class StepWorker:
     """A forked process that trains the later micro-batches of each
-    optimizer step while the training process trains the earlier ones, and
-    scores the later batches of each evaluation.
+    optimizer step while the training process trains the earlier ones,
+    updates the upper half ``[half, size)`` of the flat vectors while the
+    training process updates the lower one, and scores the later batches of
+    each evaluation.
 
-    ``params.flat`` and one gradient row per worker micro-batch live in an
-    anonymous shared mapping made before the fork; the pipes carry only
-    batches, names, losses, counters and counts. The worker keeps its own
-    teacher state, fed by the same ``absorb`` calls, and its own copy of the
-    task; each micro-batch's dropout is keyed by its index, wherever it
-    runs. It ignores SIGINT and exits when ``close`` shuts the request pipe.
+    ``params.flat``, the run's ``grad_sum``, AdamW's ``m`` and ``v`` and
+    one gradient row per worker micro-batch live in an anonymous shared
+    mapping made before the fork; the pipes carry only batches, names,
+    losses, counters and counts. A step is one exchange: the step request;
+    the training process's "gradients in" message, which carries the
+    step's micro-batch count; the worker's losses and counters; and its
+    "upper half done". The worker keeps its own teacher state, fed by the
+    same ``absorb`` calls, and its own copy of the task; each micro-batch's
+    dropout is keyed by its index, wherever it runs. It ignores SIGINT and
+    exits when ``close`` shuts the request pipe, also while it waits at a
+    step's barrier.
     """
 
     def __init__(self, state: TrainState):
-        rows = 1 + state.train_config.accum_steps // 2
-        shared = np.frombuffer(mmap.mmap(-1, 8 * rows * state.params.flat.size))
+        size = state.params.flat.size
+        rows = 4 + state.train_config.accum_steps // 2
+        shared = np.frombuffer(mmap.mmap(-1, 8 * rows * size))
         shared = shared.reshape(rows, -1)
+        # kept alive while the worker runs, so that ``close`` copies into
+        # them instead of allocating the run's largest arrays anew
+        self._private = (state.grad_sum, state.opt.m, state.opt.v)
+        for row, private in zip(shared[1:4], self._private):
+            row[...] = private
         shared[0] = state.params.flat
         state.params = state.params.with_flat(shared[0])
-        self.grads = shared[1:]
+        state.grad_sum, state.opt.m, state.opt.v = shared[1:4]
+        self.grads = shared[4:]
+        self.half = size // 2     # the worker updates [half, size)
         self.absorb_due = False   # the last step's snapshot, for both sides
         self._state = weakref.ref(state)   # names what ``score`` is given
         self.exitcode = None
@@ -284,7 +302,7 @@ class StepWorker:
                 os.close(down_w)
                 os.close(up_r)
                 _step_worker_main(state, open(down_r, "rb"), open(up_w, "wb"),
-                                  self.grads)
+                                  self.grads, self.half)
                 code = 0
             finally:
                 os._exit(code)
@@ -298,11 +316,7 @@ class StepWorker:
         ``t``; ("score", "student" or "teacher", split name, first) scores
         a split's batches from index ``first`` on. A pending absorb goes
         with either, and the training process takes it at the same time."""
-        try:
-            pickle.dump((self.absorb_due, *job), self.requests)
-            self.requests.flush()
-        except BrokenPipeError:
-            raise self._lost() from None
+        self.send((self.absorb_due, *job))
         if self.absorb_due:
             absorb(state, state.params)
             self.absorb_due = False
@@ -325,10 +339,19 @@ class StepWorker:
                              "eval batch size")
         self.request(state, "score", which[0], name[0], first)
 
+    def send(self, message) -> None:
+        """Write one message to the worker; a worker that has gone is a
+        ``SelfDistillError`` naming its exit."""
+        try:
+            _send(self.requests, message)
+        except BrokenPipeError:
+            raise self._lost() from None
+
     def reply(self):
-        """The answer to the last request: (ce, mse) per worker micro-batch
-        and the worker's counter increments, or a correct count; re-raises
-        an error the worker met with its type and message."""
+        """The worker's next answer: to a step, (ce, mse) per worker
+        micro-batch and its counter increments, then None once its half of
+        the update is done; to a score, a correct count. Re-raises an error
+        the worker met with its type and message."""
         try:
             status, value = pickle.load(self.replies)
         except EOFError:
@@ -338,13 +361,18 @@ class StepWorker:
         return value
 
     def close(self, state: TrainState) -> None:
-        """Stop the worker and move the parameters back to private memory."""
-        state.params = state.params.with_flat(state.params.flat.copy())
-        self.grads = None   # with the parameters, the last hold on the mapping
+        """Stop the worker, then move the run's arrays back to private
+        memory."""
         with suppress(BrokenPipeError):   # a request the worker never read
             self.requests.close()
         self.replies.close()
-        self._wait()
+        self._wait()   # the mapping is this process's alone from here on
+        state.params = state.params.with_flat(state.params.flat.copy())
+        shared = (state.grad_sum, state.opt.m, state.opt.v)
+        for private, row in zip(self._private, shared):
+            private[...] = row
+        state.grad_sum, state.opt.m, state.opt.v = self._private
+        self.grads = None   # the mapping's last holder in this process
 
     def _wait(self) -> None:
         if self.exitcode is None:
@@ -356,39 +384,66 @@ class StepWorker:
                                 f"{self.exitcode}")
 
 
-def _step_worker_main(state: TrainState, requests, replies, grads) -> None:
+def _step_worker_main(state: TrainState, requests, replies, grads,
+                      half: int) -> None:
     # the training process handles Ctrl-C; this one ends when the pipe closes
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    messages = _received(requests)
+    with suppress(BrokenPipeError):   # ``close`` shut the replies: run over
+        for absorb_due, job, *args in messages:
+            reply = _attempt(_worker_job, state, grads, absorb_due, job, *args)
+            _send(replies, reply)
+            if job != "step":
+                continue
+            # the barrier: the training process's gradients are in, and it
+            # sends the step's micro-batch count; read after an error too,
+            # so that it is never taken for the next job
+            n = next(messages, None)
+            if n is not None and reply[0] == "ok":
+                theirs = grads[:len(reply[1][0])]
+                _send(replies, _attempt(_update, state, theirs, n, half))
+
+
+def _received(pipe):
+    """The messages on ``pipe`` until its writer closes it."""
     while True:
         try:
-            absorb_due, job, *args = pickle.load(requests)
+            yield pickle.load(pipe)
         except EOFError:
             return
-        try:
-            if absorb_due:
-                absorb(state, state.params)
-            if job == "score":
-                which, split, first = args
-                params = state.params if which == "student" else state.teacher
-                value = _count_correct(params, state.model_config,
-                                       state.task.splits[split],
-                                       state.task.vocab,
-                                       state.train_config.eval_batch_size,
-                                       first)
-            else:
-                state.opt.t, first, batches = args
-                state.counters = dict.fromkeys(state.counters, 0)
-                rows = []
-                for micro, (batch, grad) in enumerate(zip(batches, grads),
-                                                      first):
-                    grad.fill(0.0)
-                    rows.append(_micro_batch(state, batch, micro, grad))
-                value = (rows, state.counters)
-            reply = ("ok", value)
-        except Exception as exc:   # re-raised in the training process
-            reply = ("error", exc)
-        pickle.dump(reply, replies)
-        replies.flush()
+
+
+def _send(pipe, message) -> None:
+    pickle.dump(message, pipe)
+    pipe.flush()
+
+
+def _attempt(run, *args) -> tuple:
+    """("ok", value) or ("error", exc), re-raised in the training process."""
+    try:
+        return "ok", run(*args)
+    except Exception as exc:
+        return "error", exc
+
+
+def _worker_job(state: TrainState, grads, absorb_due: bool, job: str, *args):
+    """One request in the worker: a correct count, or (ce, mse) per
+    micro-batch and the counter increments of a step."""
+    if absorb_due:
+        absorb(state, state.params)
+    if job == "score":
+        which, split, first = args
+        params = state.params if which == "student" else state.teacher
+        return _count_correct(params, state.model_config,
+                              state.task.splits[split], state.task.vocab,
+                              state.train_config.eval_batch_size, first)
+    state.opt.t, first, batches = args
+    state.counters = dict.fromkeys(state.counters, 0)
+    rows = []
+    for micro, (batch, grad) in enumerate(zip(batches, grads), first):
+        grad.fill(0.0)
+        rows.append(_micro_batch(state, batch, micro, grad))
+    return rows, state.counters
 
 
 def start_step_worker(state: TrainState) -> StepWorker | None:
@@ -475,6 +530,22 @@ def _micro_batch(state: TrainState, batch, micro: int,
     return ce_val, mse_val
 
 
+def _update(state: TrainState, rows, n: int, lo: int = 0,
+            hi: int | None = None) -> float:
+    """The end of an optimizer step on the entries ``[lo, hi)`` (all by
+    default) of the flat vectors: adds the gradient ``rows`` to
+    ``grad_sum`` in micro-batch order, averages it over the step's ``n``
+    micro-batches, takes AdamW and zeroes it. Returns the encoder-group
+    learning rate."""
+    part = state.grad_sum[lo:hi]
+    for row in rows:
+        part += row[lo:hi]
+    part /= n
+    lr = adamw_step(state.params, state.grad_sum, state.opt, lo, hi)
+    part.fill(0.0)
+    return lr
+
+
 def train_step(state: TrainState, micro_batches: list,
                worker: StepWorker | None = None) -> list[StepPoint]:
     """One optimizer step over its micro-batches, 1 to ``accum_steps``.
@@ -483,7 +554,9 @@ def train_step(state: TrainState, micro_batches: list,
     step worker, the training process runs the first half (rounded up)
     while the worker runs the rest; without one, it runs them all. The
     gradients are added in micro-batch order, averaged, and feed one AdamW
-    step. On a snapshot step the new parameters are absorbed into the
+    step; with a worker each process does this on its half of the flat
+    vectors, and the step returns once both halves are done. On a snapshot
+    step the new parameters are absorbed into the
     teacher state, at once without a worker and with the worker's next
     request (or at the run's end) with one. Returns one step-curve row per
     micro-batch; its ``step`` counts the run's micro-batches from 0.
@@ -500,16 +573,16 @@ def train_step(state: TrainState, micro_batches: list,
                        micro_batches[mine:])
     rows = [_micro_batch(state, batch, micro, state.grad_sum)
             for micro, batch in enumerate(micro_batches[:mine], first)]
-    if worker is not None:
+    if worker is None:
+        lr = _update(state, [], n)
+    else:
+        worker.send(n)   # this side's gradients are in
         theirs, counts = worker.reply()
-        for grad in worker.grads[:len(theirs)]:
-            state.grad_sum += grad
         rows += theirs
         for name, count in counts.items():
             state.counters[name] += count
-    state.grad_sum /= n
-    lr = adamw_step(state.params, state.grad_sum, state.opt)
-    state.grad_sum.fill(0.0)
+        lr = _update(state, worker.grads[:len(theirs)], n, 0, worker.half)
+        worker.reply()   # the worker's half is done
     cfg = state.distill_config
     if cfg.mode != "baseline" and state.opt.t % cfg.snapshot_every == 0:
         if worker is None:

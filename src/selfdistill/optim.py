@@ -103,17 +103,29 @@ class OptimState:
                 else self.config.lr_encoder)
 
 
-def adamw_step(params: ParameterSet, grads: np.ndarray, state: OptimState) -> float:
+def adamw_step(params: ParameterSet, grads: np.ndarray, state: OptimState,
+               lo: int = 0, hi: int | None = None) -> float:
     """One decoupled-weight-decay Adam update of ``params.flat``, in place.
 
     ``grads`` is a flat gradient vector (see ``accumulate``). Group
     learning rate is ``lr_at`` of the post-increment step counter, so the
     first step trains at a nonzero (partially warmed) rate. Returns the
     encoder-group learning rate used, for metrics.
+
+    Only the entries in ``[lo, hi)`` (the whole vector by default) of the
+    parameters, ``m`` and ``v`` are updated, with each learning-rate and
+    decay run clipped to that range. Every operation is elementwise, so
+    two calls over ``[0, h)`` and ``[h, size)`` with the same step counter
+    write the bytes of one whole-vector call; the step worker and the
+    training process each take one such half.
     """
     if grads.shape != params.flat.shape:
         raise ContractError(f"gradient vector of shape {grads.shape} does not "
                             f"match parameters of shape {params.flat.shape}")
+    hi = grads.size if hi is None else hi
+    if not 0 <= lo <= hi <= grads.size:
+        raise ContractError(f"update range [{lo}, {hi}) is not within "
+                            f"[0, {grads.size})")
     state.t += 1
     t = state.t
     cfg = state.config
@@ -122,21 +134,29 @@ def adamw_step(params: ParameterSet, grads: np.ndarray, state: OptimState) -> fl
     lr = {group: lr_at(t, state.total_steps, state.base_lr(group),
                        cfg.warmup_prop)
           for _, _, group in state.lr_runs}
-    m, v = state.m, state.v
+    grads, m, v = grads[lo:hi], state.m[lo:hi], state.v[lo:hi]
     m *= cfg.beta1
     m += (1.0 - cfg.beta1) * grads
     v *= cfg.beta2
     v += (1.0 - cfg.beta2) * (grads * grads)
     update = (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
-    for start, stop, group in state.lr_runs:
+    for start, stop, group in _clipped(state.lr_runs, lo, hi):
         update[start:stop] *= lr[group]
-    flat = params.flat
+    flat = params.flat[lo:hi]
     flat -= update
     if cfg.weight_decay > 0.0:
-        for start, stop, group in state.decay_runs:
+        for start, stop, group in _clipped(state.decay_runs, lo, hi):
             seg = flat[start:stop]
             seg -= lr[group] * cfg.weight_decay * seg
     return lr.get(GROUP_ENCODER, 0.0)
+
+
+def _clipped(runs, lo: int, hi: int):
+    """The non-empty parts of ``runs`` inside ``[lo, hi)``, relative to lo."""
+    for start, stop, group in runs:
+        start, stop = max(start, lo), min(stop, hi)
+        if start < stop:
+            yield start - lo, stop - lo, group
 
 
 def accumulate(params: ParameterSet, grads: dict[Tensor, np.ndarray],

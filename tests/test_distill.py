@@ -455,12 +455,17 @@ def with_worker(monkeypatch, run):
         return run()
 
 
+def mapping_of(array: np.ndarray):
+    """The object at the end of an array's ``base`` chain: the mapping
+    behind a view of it, the array itself if it owns its memory."""
+    while isinstance(array, np.ndarray) and array.base is not None:
+        array = array.base
+    return array
+
+
 def shared_mapping(worker) -> weakref.ref:
     """A weak reference to the mapping behind a worker's shared buffers."""
-    base = worker.grads
-    while isinstance(base, np.ndarray):
-        base = base.base
-    return weakref.ref(base)
+    return weakref.ref(mapping_of(worker.grads))
 
 
 @pytest.mark.usefixtures("two_cpus", "no_child_left")
@@ -1195,6 +1200,149 @@ class TestOneOptimizerStep:
         assert jobs == [("step", 0, (n + 1) // 2, batches[(n + 1) // 2:n]),
                         ("step", 1, n + (n + 1) // 2,
                          batches[n + (n + 1) // 2:])]
+
+
+@pytest.mark.usefixtures("no_child_left")
+class TestUpdateInHalves:
+    """With a step worker, each process adds up the gradients on, averages
+    and updates one half of the flat vectors; errors on either side leave
+    the worker's message stream in step."""
+
+    TRAIN = TrainConfig(epochs=2, micro_batch=4, accum_steps=3,
+                        eval_batch_size=8)
+
+    @staticmethod
+    def task():
+        return small_task(n_train=24, n_test=20)
+
+    def state(self, task, config=DistillConfig()):
+        state = make_train_state(MODEL, config, self.TRAIN,
+                                 n_train=len(task.train), seed=3)
+        state.task = task
+        return state
+
+    @staticmethod
+    def groups(task):
+        batches = list(iter_batches(task.train, task.vocab, MODEL.max_len, 4))
+        return [batches[:3], batches[3:5], batches[5:6]]
+
+    def test_close_copies_the_run_arrays_into_its_private_ones(self):
+        """Steps of 3, 2 and 1 micro-batches: during the run grad_sum, m and
+        v live in the mapping; after close they are the arrays the run
+        started with, holding the in-process run's bytes."""
+        task = self.task()
+        runs = []
+        for use_worker in (False, True):
+            state = self.state(task, DistillConfig(mode="sda", teacher_size=2))
+            private = (state.grad_sum, state.opt.m, state.opt.v)
+            worker = distill.StepWorker(state) if use_worker else None
+            try:
+                for group in self.groups(task):
+                    train_step(state, group, worker)
+                if worker is not None:
+                    mapping = mapping_of(worker.grads)
+                    assert all(mapping_of(array) is mapping for array in
+                               (state.grad_sum, state.opt.m, state.opt.v))
+            finally:
+                if worker is not None:
+                    worker.close(state)
+            arrays = (state.grad_sum, state.opt.m, state.opt.v)
+            assert all(array is kept and array.base is None
+                       for array, kept in zip(arrays, private))
+            runs.append([state.params.flat.tobytes(), state.opt.t,
+                         *(array.tobytes() for array in arrays)])
+        assert runs[0] == runs[1]
+        assert not np.frombuffer(runs[1][2]).any()   # grad_sum, zeroed
+
+    def test_divergence_in_this_processs_micro_batch_reads_as_in_process(
+            self, monkeypatch):
+        """The third micro-batch of the epoch is the first of step 1, which
+        the training process runs; the worker, left at the barrier, exits 0
+        when the run closes its pipe."""
+        task = small_task(n_train=44, n_test=20)
+        train = TrainConfig(epochs=1, micro_batch=4, accum_steps=2)
+        order = distill.permutation_with_seed(len(task.train), [6, 0])
+        target = list(iter_batches(task.train, task.vocab, MODEL.max_len, 4,
+                                   order))[2].token_ids.tobytes()
+        classify_ = distill.classify
+        parent = os.getpid()
+        ran_in, workers, messages = [], [], []
+
+        def diverging(params, batch, model, train_mode=False, **kw):
+            out = classify_(params, batch, model, train_mode=train_mode, **kw)
+            if train_mode and batch.token_ids.tobytes() == target:
+                ran_in.append(os.getpid() == parent)
+                return ad.mul(out, np.nan)
+            return out
+
+        def recording(state):
+            workers.append(distill.StepWorker(state))
+            return workers[-1]
+
+        monkeypatch.setattr(distill, "classify", diverging)
+        for start in (lambda state: None, recording):
+            monkeypatch.setattr(distill, "start_step_worker", start)
+            with pytest.raises(DivergenceError) as caught:
+                fine_tune(MODEL, DistillConfig(mode="sda", teacher_size=3),
+                          train, task, seed=6)
+            messages.append(str(caught.value))
+        assert messages[0] == messages[1]
+        assert messages[0].startswith("non-finite loss at optimizer step 1 ")
+        assert ran_in == [True, True]
+        assert workers[0].exitcode == 0
+
+    def test_after_an_error_in_its_micro_batch_the_worker_reads_the_next_job(
+            self, monkeypatch):
+        """The worker's micro-batch diverges: it still reads the training
+        process's "gradients in" message, so the next request, an
+        evaluation, is answered as in one process."""
+        task = self.task()
+        (group, *_) = self.groups(task)
+        target = group[-1].token_ids.tobytes()   # the worker's micro-batch
+        classify_ = distill.classify
+
+        def diverging(params, batch, model, train_mode=False, **kw):
+            out = classify_(params, batch, model, train_mode=train_mode, **kw)
+            if train_mode and batch.token_ids.tobytes() == target:
+                return ad.mul(out, np.nan)
+            return out
+
+        monkeypatch.setattr(distill, "classify", diverging)
+        state = self.state(task)
+        worker = distill.StepWorker(state)
+        try:
+            with pytest.raises(DivergenceError, match="optimizer step 0 "):
+                train_step(state, group, worker)
+            assert state.opt.t == 0
+            assert (evaluate_params(state.params, MODEL, task.test, task.vocab,
+                                    8, worker)
+                    == evaluate_params(state.params, MODEL, task.test,
+                                       task.vocab, 8))
+        finally:
+            worker.close(state)
+        assert worker.exitcode == 0
+
+    def test_a_worker_lost_before_the_barrier_is_an_error_naming_its_exit(
+            self, monkeypatch):
+        """The worker dies while the training process trains its own
+        micro-batches, so the "gradients in" message meets a closed pipe."""
+        task = self.task()
+        state = self.state(task)
+        worker = distill.StepWorker(state)
+        micro_batch = distill._micro_batch
+
+        def killing(*args):
+            os.kill(worker.pid, signal.SIGKILL)
+            # wait for the exit without reaping it, so _lost reads its status
+            os.waitid(os.P_PID, worker.pid, os.WEXITED | os.WNOWAIT)
+            return micro_batch(*args)
+
+        monkeypatch.setattr(distill, "_micro_batch", killing)
+        try:
+            with pytest.raises(SelfDistillError, match="exited with code -9"):
+                train_step(state, self.groups(task)[0], worker)
+        finally:
+            worker.close(state)
 
 
 class TestFineTune:

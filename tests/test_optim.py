@@ -5,6 +5,9 @@ implementation on a 1-D quadratic, and the flat update against the
 per-tensor loop it replaced, bit for bit.
 """
 
+import copy
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -145,6 +148,52 @@ class TestAdamW:
         np.testing.assert_array_equal(params["tok_emb"].data, before)
         assert not np.allclose(params["head.W"].data,
                                init_params(cfg, seed=0)["head.W"].data)
+
+
+class TestAdamWInHalves:
+    """The training process and the step worker each update one half of
+    the flat vector: ``[0, h)`` then ``[h, size)`` with the same step
+    counter writes the bytes of one whole-vector step."""
+
+    MODEL = ModelConfig(vocab_size=20, max_len=4, dim=4, n_layers=1,
+                        n_heads=1, ffn_dim=8, n_classes=2, dropout_p=0.0)
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    def test_every_split_point_gives_the_whole_step_bit_for_bit(
+            self, weight_decay):
+        """Every h from 0 to size, so every h at, just before and just
+        after each learning-rate and decay run's boundary."""
+        params = init_params(self.MODEL, seed=0)
+        state = OptimState.init(params, 10, TrainConfig(
+            lr_encoder=1e-3, lr_head=5e-2, weight_decay=weight_decay))
+        size = params.flat.size
+        bounds = {edge for start, stop, _ in state.lr_runs + state.decay_runs
+                  for edge in (start, stop)}
+        assert len(state.lr_runs) == 2 and len(bounds - {0, size}) > 4
+        rng = np.random.default_rng(0)
+        adamw_step(params, rng.normal(size=size), state)   # m, v nonzero
+        grads = rng.normal(size=size)
+        whole_params, whole = params.copy(), copy.deepcopy(state)
+        lr = adamw_step(whole_params, grads, whole)
+        for h in range(size + 1):
+            halves = params.copy()
+            lower = copy.deepcopy(state)
+            upper = replace(lower)   # its own counter, the same m and v
+            assert adamw_step(halves, grads, lower, 0, h) == lr
+            assert adamw_step(halves, grads, upper, h) == lr
+            assert halves.flat.tobytes() == whole_params.flat.tobytes(), h
+            assert lower.m.tobytes() == whole.m.tobytes(), h
+            assert lower.v.tobytes() == whole.v.tobytes(), h
+            assert lower.t == upper.t == whole.t == 2
+
+    @pytest.mark.parametrize("lo,hi", [(-1, 1), (1, 0), (0, 3)])
+    def test_a_range_outside_the_vector_is_a_contract_error(self, lo, hi):
+        params = single_param([1.0, 2.0])
+        state = OptimState.init(params, 10, TrainConfig(lr_encoder=0.1,
+                                                        lr_head=0.1))
+        with pytest.raises(ContractError, match="is not within"):
+            adamw_step(params, np.ones(2), state, lo, hi)
+        assert state.t == 0
 
 
 class TestDecayMask:
