@@ -16,11 +16,14 @@ seeded with the initial parameters, which makes a teacher available from
 the very first step (and makes the MSE term exactly zero there when
 dropout is off).
 
-Snapshot absorption happens right after each optimizer step, so during the
-step that produces theta_t the window holds theta_{t-1}..theta_{t-K}. The
-k=1 entry is the parameter vector currently in hand: with dropout disabled,
-K=1 distillation reduces to the plain run exactly, and with dropout enabled
-it acts as a consistency regularizer against the clean-forward logits.
+Snapshot absorption happens right after each optimizer step (in
+``_update``), so during the step that produces theta_t the window holds
+theta_{t-1}..theta_{t-K}. The k=1 entry is the parameter vector currently
+in hand: with dropout disabled, K=1 distillation reduces to the plain run
+exactly, and with dropout enabled it acts as a consistency regularizer
+against the clean-forward logits. The teacher state keeps its vectors in
+fixed rows (the ring's K slots and the sda window mean, or the running
+mean), rewritten in place by every absorb.
 
 ``train_step`` is one optimizer step over its micro-batches. With
 accumulation over two or more micro-batches, ``fine_tune`` trains each step
@@ -28,15 +31,16 @@ on two CPUs where the process can use a second one. Every micro-batch of a
 step reads the same parameters, so a forked worker process trains the later
 half of the step's micro-batches while the training process trains the
 earlier half. The end of the step is split too: adding the gradients in
-micro-batch order, their mean and the AdamW update are elementwise over
-the flat vectors, so the training process takes the entries ``[0, h)``
-and the worker ``[h, size)``, with ``h = size // 2``. Every entry is
-computed with the same operations in the same order as in one process, so
-results depend neither on where a micro-batch ran nor on which process
-updated an entry. The same worker scores the later half of each
-evaluation's batches (the student's after every epoch, on dev under
-``best_dev``, and the final sda teacher's); correct counts are integers, so
-their sum is the one-process count.
+micro-batch order, their mean, the AdamW update and the absorb of a
+snapshot into the teacher state are elementwise over the flat vectors, so
+the training process takes the entries ``[0, h)`` and the worker
+``[h, size)``, with ``h = size // 2``. Every entry is computed with the
+same operations in the same order as in one process, so results depend
+neither on where a micro-batch ran nor on which process updated an
+entry. The same worker scores the later half of each evaluation's batches
+(the student's after every epoch, on dev under ``best_dev``, and the final
+sda teacher's); correct counts are integers, so their sum is the
+one-process count.
 """
 
 from __future__ import annotations
@@ -164,11 +168,22 @@ class TrainState:
     grad_sum: np.ndarray               # flat, lines up with params.flat
     ring: CheckpointRing | None = None
     rmean: RunningMean | None = None
-    teacher: ParameterSet | None = None  # the sda average, set by absorb
     counters: dict = field(default_factory=lambda: {
         "student_forwards": 0, "teacher_forwards": 0,
     })
     task: TaskData | None = None       # the splits a step worker scores
+
+    @property
+    def teacher_state(self) -> CheckpointRing | RunningMean | None:
+        """The ring of snapshots or the running mean; None in baseline."""
+        return self.ring if self.rmean is None else self.rmean
+
+    @property
+    def teacher(self) -> ParameterSet | None:
+        """The sda average, a row of the teacher state that ``absorb``
+        rewrites; None in baseline and sdv mode."""
+        held = self.teacher_state
+        return None if held is None else held.mean
 
 
 @dataclass
@@ -199,21 +214,22 @@ def make_train_state(model_config: ModelConfig, distill_config: DistillConfig,
     if distill_config.teacher_size == TEACHER_ALL:   # sda only
         state.rmean = RunningMean()
     else:
-        state.ring = CheckpointRing(int(distill_config.teacher_size))
+        state.ring = CheckpointRing(int(distill_config.teacher_size),
+                                    with_mean=distill_config.mode == "sda")
     absorb(state, params)
     return state
 
 
 def absorb(state: TrainState, params: ParameterSet) -> None:
-    """Snapshot ``params`` into the teacher state; in sda mode the teacher
-    average is taken here, once per snapshot."""
+    """Snapshot ``params`` into the teacher state, on the entries of its
+    rows that this process writes; in sda mode the teacher average is
+    taken here, once per snapshot."""
     if state.rmean is not None:
         running_mean_update(state.rmean, params)
-        state.teacher = state.rmean.mean
         return
-    ring_push(state.ring, params.copy())
-    if state.distill_config.mode == "sda":
-        state.teacher = window_mean(state.ring)
+    ring_push(state.ring, params)
+    if state.ring.with_mean:
+        window_mean(state.ring)
 
 
 def sda_teacher(state: TrainState) -> ParameterSet:
@@ -252,26 +268,30 @@ def sdv_teacher_logits(state: TrainState, batch,
 class StepWorker:
     """A forked process that trains the later micro-batches of each
     optimizer step while the training process trains the earlier ones,
-    updates the upper half ``[half, size)`` of the flat vectors while the
-    training process updates the lower one, and scores the later batches of
-    each evaluation.
+    updates and absorbs the upper half ``[half, size)`` of the flat vectors
+    while the training process does the lower one, and scores the later
+    batches of each evaluation.
 
-    ``params.flat``, the run's ``grad_sum``, AdamW's ``m`` and ``v`` and
-    one gradient row per worker micro-batch live in an anonymous shared
-    mapping made before the fork; the pipes carry only batches, names,
-    losses, counters and counts. A step is one exchange: the step request;
-    the training process's "gradients in" message, which carries the
-    step's micro-batch count; the worker's losses and counters; and its
-    "upper half done". The worker keeps its own teacher state, fed by the
-    same ``absorb`` calls, and its own copy of the task; each micro-batch's
-    dropout is keyed by its index, wherever it runs. It ignores SIGINT and
-    exits when ``close`` shuts the request pipe, also while it waits at a
-    step's barrier.
+    ``params.flat``, the run's ``grad_sum``, AdamW's ``m`` and ``v``, the
+    rows of the teacher state (the ring's slots and sda window mean, or the
+    running mean) and one gradient row per worker micro-batch live in an
+    anonymous shared mapping made before the fork; the pipes carry only
+    batches, names, losses, counters and counts. A step is one exchange:
+    the step request; the training process's "gradients in" message, which
+    carries the step's micro-batch count; the worker's losses and
+    counters; and its "upper half done", which also covers its half of a
+    snapshot. Each process keeps the teacher state's bookkeeping (which
+    slot is oldest, the counts) by the same calls, and the worker its own
+    copy of the task; each micro-batch's dropout is keyed by its index,
+    wherever it runs. It ignores SIGINT and exits when ``close`` shuts the
+    request pipe, also while it waits at a step's barrier.
     """
 
     def __init__(self, state: TrainState):
         size = state.params.flat.size
-        rows = 4 + state.train_config.accum_steps // 2
+        held = state.teacher_state
+        teacher_rows = 0 if held is None else len(held.rows)
+        rows = 4 + teacher_rows + state.train_config.accum_steps // 2
         shared = np.frombuffer(mmap.mmap(-1, 8 * rows * size))
         shared = shared.reshape(rows, -1)
         # kept alive while the worker runs, so that ``close`` copies into
@@ -282,9 +302,10 @@ class StepWorker:
         shared[0] = state.params.flat
         state.params = state.params.with_flat(shared[0])
         state.grad_sum, state.opt.m, state.opt.v = shared[1:4]
-        self.grads = shared[4:]
         self.half = size // 2     # the worker updates [half, size)
-        self.absorb_due = False   # the last step's snapshot, for both sides
+        if held is not None:
+            held.move_to(shared[4:4 + teacher_rows], 0, self.half)
+        self.grads = shared[4 + teacher_rows:]
         self._state = weakref.ref(state)   # names what ``score`` is given
         self.exitcode = None
         down_r, down_w = os.pipe()
@@ -301,6 +322,8 @@ class StepWorker:
             try:
                 os.close(down_w)
                 os.close(up_r)
+                if held is not None:
+                    held.lo, held.hi = self.half, None
                 _step_worker_main(state, open(down_r, "rb"), open(up_w, "wb"),
                                   self.grads, self.half)
                 code = 0
@@ -310,22 +333,18 @@ class StepWorker:
         os.close(up_w)
         self.requests, self.replies = open(down_w, "wb"), open(up_r, "rb")
 
-    def request(self, state: TrainState, *job) -> None:
+    def request(self, *job) -> None:
         """Start the worker on ``job``: ("step", t, first, batches) trains
         the run's micro-batches from index ``first`` on in optimizer step
         ``t``; ("score", "student" or "teacher", split name, first) scores
-        a split's batches from index ``first`` on. A pending absorb goes
-        with either, and the training process takes it at the same time."""
-        self.send((self.absorb_due, *job))
-        if self.absorb_due:
-            absorb(state, state.params)
-            self.absorb_due = False
+        a split's batches from index ``first`` on."""
+        self.send(job)
 
     def score(self, params: ParameterSet, split, batch_size: int,
               first: int) -> None:
         """Start the worker scoring ``split`` from batch ``first`` on with
-        its side of ``params``: the run's student, which is shared, or its
-        sda teacher, which it mirrors."""
+        its side of ``params``: the run's student or its sda teacher, both
+        shared."""
         state = self._state()
         splits = state.task.splits if state.task is not None else {}
         which = [role for role, held in (("student", state.params),
@@ -337,7 +356,7 @@ class StepWorker:
             raise UsageError("the step worker scores only the run's student "
                              "or sda teacher on a split of its task, at its "
                              "eval batch size")
-        self.request(state, "score", which[0], name[0], first)
+        self.request("score", which[0], name[0], first)
 
     def send(self, message) -> None:
         """Write one message to the worker; a worker that has gone is a
@@ -372,6 +391,9 @@ class StepWorker:
         for private, row in zip(self._private, shared):
             private[...] = row
         state.grad_sum, state.opt.m, state.opt.v = self._private
+        held = state.teacher_state
+        if held is not None:
+            held.move_to(np.empty_like(held.rows))
         self.grads = None   # the mapping's last holder in this process
 
     def _wait(self) -> None:
@@ -390,8 +412,8 @@ def _step_worker_main(state: TrainState, requests, replies, grads,
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     messages = _received(requests)
     with suppress(BrokenPipeError):   # ``close`` shut the replies: run over
-        for absorb_due, job, *args in messages:
-            reply = _attempt(_worker_job, state, grads, absorb_due, job, *args)
+        for job, *args in messages:
+            reply = _attempt(_worker_job, state, grads, job, *args)
             _send(replies, reply)
             if job != "step":
                 continue
@@ -426,11 +448,9 @@ def _attempt(run, *args) -> tuple:
         return "error", exc
 
 
-def _worker_job(state: TrainState, grads, absorb_due: bool, job: str, *args):
+def _worker_job(state: TrainState, grads, job: str, *args):
     """One request in the worker: a correct count, or (ce, mse) per
     micro-batch and the counter increments of a step."""
-    if absorb_due:
-        absorb(state, state.params)
     if job == "score":
         which, split, first = args
         params = state.params if which == "student" else state.teacher
@@ -535,14 +555,19 @@ def _update(state: TrainState, rows, n: int, lo: int = 0,
     """The end of an optimizer step on the entries ``[lo, hi)`` (all by
     default) of the flat vectors: adds the gradient ``rows`` to
     ``grad_sum`` in micro-batch order, averages it over the step's ``n``
-    micro-batches, takes AdamW and zeroes it. Returns the encoder-group
-    learning rate."""
+    micro-batches, takes AdamW and zeroes it. On a snapshot step it then
+    absorbs the new parameters into the teacher state, whose rows this
+    process writes on the same entries. Returns the encoder-group learning
+    rate."""
     part = state.grad_sum[lo:hi]
     for row in rows:
         part += row[lo:hi]
     part /= n
     lr = adamw_step(state.params, state.grad_sum, state.opt, lo, hi)
     part.fill(0.0)
+    cfg = state.distill_config
+    if cfg.mode != "baseline" and state.opt.t % cfg.snapshot_every == 0:
+        absorb(state, state.params)
     return lr
 
 
@@ -554,12 +579,11 @@ def train_step(state: TrainState, micro_batches: list,
     step worker, the training process runs the first half (rounded up)
     while the worker runs the rest; without one, it runs them all. The
     gradients are added in micro-batch order, averaged, and feed one AdamW
-    step; with a worker each process does this on its half of the flat
-    vectors, and the step returns once both halves are done. On a snapshot
-    step the new parameters are absorbed into the
-    teacher state, at once without a worker and with the worker's next
-    request (or at the run's end) with one. Returns one step-curve row per
-    micro-batch; its ``step`` counts the run's micro-batches from 0.
+    step, and on a snapshot step the new parameters are absorbed into the
+    teacher state; with a worker each process does this on its half of the
+    flat vectors, and the step returns once both halves are done. Returns
+    one step-curve row per micro-batch; its ``step`` counts the run's
+    micro-batches from 0.
     """
     n = len(micro_batches)
     if not 1 <= n <= state.train_config.accum_steps:
@@ -569,7 +593,7 @@ def train_step(state: TrainState, micro_batches: list,
     first = state.counters["student_forwards"]   # micro-batches run so far
     mine = n if worker is None else (n + 1) // 2
     if worker is not None:
-        worker.request(state, "step", state.opt.t, first + mine,
+        worker.request("step", state.opt.t, first + mine,
                        micro_batches[mine:])
     rows = [_micro_batch(state, batch, micro, state.grad_sum)
             for micro, batch in enumerate(micro_batches[:mine], first)]
@@ -583,12 +607,6 @@ def train_step(state: TrainState, micro_batches: list,
             state.counters[name] += count
         lr = _update(state, worker.grads[:len(theirs)], n, 0, worker.half)
         worker.reply()   # the worker's half is done
-    cfg = state.distill_config
-    if cfg.mode != "baseline" and state.opt.t % cfg.snapshot_every == 0:
-        if worker is None:
-            absorb(state, state.params)
-        else:
-            worker.absorb_due = True
     return [StepPoint(step=micro, ce=ce, mse=mse, lr=lr)
             for micro, (ce, mse) in enumerate(rows, first)]
 
@@ -671,7 +689,7 @@ def fine_tune(model_config: ModelConfig, distill_config: DistillConfig,
     n_train = len(task.train)
     micro_per_epoch = math.ceil(n_train / train_config.micro_batch)
     worker = start_step_worker(state)
-    teacher, final_teacher = None, None
+    final_teacher = None
     try:
         for epoch in range(train_config.epochs):
             order = permutation_with_seed(n_train, [data_seed, epoch])
@@ -711,21 +729,19 @@ def fine_tune(model_config: ModelConfig, distill_config: DistillConfig,
             if checkpoint_dir is not None:
                 save_params(state.params, make_dir(checkpoint_dir)
                             / f"epoch_{epoch:03d}.ckpt")
-        if worker is not None and worker.absorb_due:
-            # no evaluation request took the last step's snapshot along, so
-            # the test split is one batch and the teacher's sends none either
-            absorb(state, state.params)
         if distill_config.mode == "sda" and train_config.epochs > 0:
-            teacher = sda_teacher(state)
-            tacc, terr = evaluate_params(teacher, model_config, task.test,
-                                         vocab, train_config.eval_batch_size,
-                                         worker)
+            tacc, terr = evaluate_params(sda_teacher(state), model_config,
+                                         task.test, vocab,
+                                         train_config.eval_batch_size, worker)
             final_teacher = {"test_accuracy": tacc, "test_error": terr}
     finally:
         if worker is not None:
             worker.close(state)
 
     student = state.params if best_params is None else best_params
+    # a vector of its own, so that the result holds one row and not every
+    # row of the teacher state
+    teacher = None if final_teacher is None else state.teacher.copy()
 
     final_student = {}
     if train_config.epochs > 0:

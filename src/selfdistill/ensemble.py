@@ -3,18 +3,32 @@
 Covers the three ways this package combines models: probability voting over
 independently trained models, elementwise parameter averaging, and the two
 streaming teacher states used during self-distillation (a sliding window of
-recent snapshots and a cumulative running mean over every snapshot).
+recent snapshots and a cumulative running mean over every snapshot). Each
+teacher state keeps its vectors in fixed rows and writes only the entries
+``[lo, hi)`` of them, so that two processes sharing the rows can each
+update one half.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 import numpy as np
 
 from .encoder import ModelConfig, ParameterSet, predict_proba
 from .errors import UsageError
+
+
+def _mean_into(out: np.ndarray, rows: list) -> np.ndarray:
+    """Write the mean of ``rows`` to ``out``: the rows added in list order,
+    then divided once. This is np.mean over axis 0 of the stacked rows bit
+    for bit, without the stacked copy; the mean of one, two or four
+    identical vectors is exact."""
+    out[...] = rows[0]
+    for row in rows[1:]:
+        out += row
+    out /= len(rows)
+    return out
 
 
 def average_parameters(sets: list[ParameterSet]) -> ParameterSet:
@@ -24,14 +38,8 @@ def average_parameters(sets: list[ParameterSet]) -> ParameterSet:
     first = sets[0]
     for other in sets[1:]:
         first.require_compatible(other)
-    # the rows added in list order, then divided once: np.mean over axis 0
-    # of the stacked rows bit for bit, without the stacked copy; the mean of
-    # one, two or four identical vectors is exact
-    total = first.flat.copy()
-    for other in sets[1:]:
-        total += other.flat
-    total /= len(sets)
-    return first.with_flat(total)
+    return first.with_flat(_mean_into(np.empty_like(first.flat),
+                                      [s.flat for s in sets]))
 
 
 def voted_predict(members: list[ParameterSet], batch, config: ModelConfig):
@@ -55,16 +63,27 @@ def voted_predict(members: list[ParameterSet], batch, config: ModelConfig):
 class CheckpointRing:
     """FIFO buffer of the last K parameter snapshots.
 
-    Eviction is strictly oldest-first; the insertion counter keeps counting
-    across evictions.
+    The snapshots live in K fixed slots, the rows of one array that the
+    first push allocates; with ``with_mean`` (the sda teacher) a last row
+    holds their window mean. Each slot is one ParameterSet for the ring's
+    life, so its named views are built once. ``lo`` and ``hi`` bound the
+    entries of each row that this process writes: all of them, unless a
+    step worker writes the upper half of the same rows. Eviction is
+    strictly oldest-first; the insertion counter keeps counting across
+    evictions.
     """
 
-    def __init__(self, capacity: int):
+    def __init__(self, capacity: int, with_mean: bool = True):
         if capacity < 1:
             raise UsageError(f"ring capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self._buf: deque[ParameterSet] = deque()
+        self.with_mean = with_mean
         self.insertions = 0
+        self.rows: np.ndarray | None = None
+        self.lo, self.hi = 0, None
+        self.mean: ParameterSet | None = None   # the window mean's row
+        self._slots: list[ParameterSet] = []
+        self._buf: deque[ParameterSet] = deque()   # held slots, oldest first
 
     def __len__(self) -> int:
         return len(self._buf)
@@ -72,43 +91,86 @@ class CheckpointRing:
     def snapshots(self) -> list[ParameterSet]:
         return list(self._buf)
 
+    def move_to(self, rows: np.ndarray, lo: int = 0,
+                hi: int | None = None) -> None:
+        """Keep the ring in ``rows`` from now on, its vectors copied there,
+        and write the entries ``[lo, hi)`` of them."""
+        rows[...] = self.rows
+        self.lo, self.hi = lo, hi
+        held = [self._slots.index(slot) for slot in self._buf]
+        self._bind(rows, self._slots[0])
+        self._buf = deque(self._slots[i] for i in held)
+
+    def _bind(self, rows: np.ndarray, like: ParameterSet) -> None:
+        self.rows = rows
+        self._slots = [like.with_flat(row) for row in rows[:self.capacity]]
+        self.mean = like.with_flat(rows[-1]) if self.with_mean else None
+
 
 def ring_push(ring: CheckpointRing, snapshot: ParameterSet) -> CheckpointRing:
-    """Append a snapshot, evicting the oldest entry once over capacity."""
-    if ring._buf:
-        ring._buf[0].require_compatible(snapshot)
-    ring._buf.append(snapshot)
+    """Copy the entries ``[ring.lo, ring.hi)`` of a snapshot into the next
+    free slot, or into the oldest one once the ring is full."""
+    if ring.rows is None:
+        rows = ring.capacity + (1 if ring.with_mean else 0)
+        ring._bind(np.zeros((rows, snapshot.flat.size)), snapshot)
+    ring._slots[0].require_compatible(snapshot)
+    if len(ring._buf) == ring.capacity:
+        slot = ring._buf.popleft()
+    else:
+        slot = ring._slots[len(ring._buf)]
+    slot.flat[ring.lo:ring.hi] = snapshot.flat[ring.lo:ring.hi]
+    ring._buf.append(slot)
     ring.insertions += 1
-    if len(ring._buf) > ring.capacity:
-        ring._buf.popleft()
     return ring
 
 
 def window_mean(ring: CheckpointRing) -> ParameterSet:
-    """Mean over the currently held snapshots (fewer than K during warm-in)."""
+    """Mean over the currently held snapshots (fewer than K during
+    warm-in), written to the entries ``[ring.lo, ring.hi)`` of the ring's
+    mean row with ``average_parameters``' operations in the same order;
+    returns that row's ParameterSet."""
     if not ring._buf:
         raise UsageError("window_mean: empty ring")
-    return average_parameters(list(ring._buf))
+    if ring.mean is None:
+        raise UsageError("window_mean: the ring keeps no mean row")
+    lo, hi = ring.lo, ring.hi
+    _mean_into(ring.mean.flat[lo:hi], [slot.flat[lo:hi] for slot in ring._buf])
+    return ring.mean
 
 
-@dataclass
 class RunningMean:
-    """Cumulative mean of every absorbed snapshot, updated in O(size)."""
+    """Cumulative mean of every absorbed snapshot, updated in O(size) in
+    one row that the first snapshot allocates; ``lo`` and ``hi`` bound the
+    entries this process writes, as in ``CheckpointRing``."""
 
-    mean: ParameterSet | None = None
-    count: int = 0
+    def __init__(self):
+        self.mean: ParameterSet | None = None
+        self.count = 0
+        self.rows: np.ndarray | None = None
+        self.lo, self.hi = 0, None
+
+    def move_to(self, rows: np.ndarray, lo: int = 0,
+                hi: int | None = None) -> None:
+        """Keep the mean in ``rows`` from now on, its vector copied there,
+        and write the entries ``[lo, hi)`` of it."""
+        rows[...] = self.rows
+        self.lo, self.hi = lo, hi
+        self.rows = rows
+        self.mean = self.mean.with_flat(rows[0])
 
 
 def running_mean_update(rm: RunningMean, snapshot: ParameterSet) -> RunningMean:
-    """mean += (snapshot - mean) / (count + 1); count += 1."""
+    """mean += (snapshot - mean) / (count + 1); count += 1, on the entries
+    ``[rm.lo, rm.hi)``; the first snapshot is copied."""
     if rm.mean is None:
-        rm.mean = snapshot.copy()
-        rm.count = 1
-        return rm
+        rm.rows = np.zeros((1, snapshot.flat.size))
+        rm.mean = snapshot.with_flat(rm.rows[0])
     rm.mean.require_compatible(snapshot)
-    new_count = rm.count + 1
-    m = rm.mean.flat
-    m += (snapshot.flat - m) / new_count
-    rm.count = new_count
+    m = rm.mean.flat[rm.lo:rm.hi]
+    part = snapshot.flat[rm.lo:rm.hi]
+    if rm.count == 0:
+        m[...] = part
+    else:
+        m += (part - m) / (rm.count + 1)
+    rm.count += 1
     return rm
-

@@ -6,9 +6,11 @@ they check.
 """
 
 import math
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -386,9 +388,14 @@ def test_criterion_8_cli_determinism(tmp_path):
         "--vocab-size", "150", "--max-len", "12", "--dim", "16",
         "--n-layers", "1", "--n-heads", "2", "--ffn-dim", "32",
     ]
+    # the package's source first on the child's import path, as pytest's
+    # ``pythonpath`` setting puts it on this process's
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     for out in outs:
         proc = subprocess.run([*argv, "--out", str(out)],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
     identical = all(
         (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()

@@ -197,17 +197,19 @@ class TestSdaTeacherCache:
         assert len(calls) == 1 + 10
 
     def test_absorbed_snapshot_is_seen_by_the_next_call(self):
+        """The teacher is one row of the ring, rewritten by each absorb."""
         state = make_train_state(MODEL, DistillConfig(mode="sda", teacher_size=2),
                                  TrainConfig(epochs=1), n_train=32, seed=5)
-        before = sda_teacher(state)
+        teacher = sda_teacher(state)
+        before = {name: t.data.copy() for name, t in teacher.items()}
         snap = init_params(MODEL, seed=6)
         absorb(state, snap)
         after = sda_teacher(state)
-        assert after is not before
+        assert after is teacher
         for name in after:
             np.testing.assert_array_equal(
                 after[name].data,
-                np.mean(np.stack([before[name].data, snap[name].data]), axis=0))
+                np.mean(np.stack([before[name], snap[name].data]), axis=0))
 
     def test_all_mode_returns_the_running_mean_itself(self):
         state = make_train_state(MODEL, DistillConfig(mode="sda",
@@ -216,8 +218,8 @@ class TestSdaTeacherCache:
         assert sda_teacher(state) is state.rmean.mean
 
     def test_all_mode_fine_tune_copies_the_parameters_once(self, monkeypatch):
-        """The running mean copies its first snapshot and no later one, and
-        the returned teacher is that mean itself."""
+        """No snapshot is copied as a ParameterSet: the one copy is the
+        returned teacher's, taken from the running mean's row."""
         copies = []
         original = distill.ParameterSet.copy
         monkeypatch.setattr(distill.ParameterSet, "copy",
@@ -1142,9 +1144,9 @@ class TestOneOptimizerStep:
         """Record each job ``worker`` is sent, then send it."""
         request = worker.request
 
-        def recorded(state, *job):
+        def recorded(*job):
             jobs.append(job)
-            request(state, *job)
+            request(*job)
 
         monkeypatch.setattr(worker, "request", recorded)
 
@@ -1343,6 +1345,109 @@ class TestUpdateInHalves:
                 train_step(state, self.groups(task)[0], worker)
         finally:
             worker.close(state)
+
+
+def teacher_bytes(state):
+    """Every held slot and the teacher by bytes, with the ring's insertion
+    count or the running mean's count."""
+    if state.ring is not None:
+        slots = [slot.flat.tobytes() for slot in state.ring.snapshots()]
+        counted = state.ring.insertions
+    else:
+        slots, counted = [], state.rmean.count
+    teacher = None if state.teacher is None else state.teacher.flat.tobytes()
+    return slots, teacher, counted
+
+
+TEACHER_CONFIGS = [
+    DistillConfig(mode="sda", teacher_size=3, snapshot_every=2),
+    DistillConfig(mode="sda", teacher_size=TEACHER_ALL, snapshot_every=2),
+    DistillConfig(mode="sdv", teacher_size=3, snapshot_every=2),
+]
+TEACHER_IDS = ["sda3", "sda_all", "sdv3"]
+
+
+@pytest.mark.usefixtures("no_child_left")
+class TestTeacherStateInHalves:
+    """With a step worker, the teacher state's rows live in the shared
+    mapping, and each process absorbs its half of a snapshot right after
+    its AdamW half; ``close`` moves the rows back to private memory."""
+
+    TRAIN = TrainConfig(epochs=2, micro_batch=4, accum_steps=3)
+
+    def state(self, config):
+        return make_train_state(MODEL, config, self.TRAIN, n_train=44, seed=3)
+
+    @staticmethod
+    def groups():
+        """Eleven micro-batches in steps of 3, 3, 3 and 2, twice over."""
+        task = small_task(n_train=44)
+        batches = list(iter_batches(task.train, task.vocab, MODEL.max_len, 4))
+        return 2 * [batches[i:i + 3] for i in range(0, len(batches), 3)]
+
+    @pytest.mark.parametrize("config", TEACHER_CONFIGS, ids=TEACHER_IDS)
+    def test_every_step_equals_the_in_process_step(self, config):
+        """Eight steps, a snapshot after every second: the ring warms in
+        and evicts. After every step and after close, every slot, the
+        teacher and the counts hold the in-process bytes."""
+        runs = []
+        for use_worker in (False, True):
+            state = self.state(config)
+            worker = distill.StepWorker(state) if use_worker else None
+            seen = []
+            try:
+                for group in self.groups():
+                    train_step(state, group, worker)
+                    seen.append(teacher_bytes(state))
+            finally:
+                if worker is not None:
+                    worker.close(state)
+            seen.append(teacher_bytes(state))
+            runs.append(seen)
+        assert runs[0] == runs[1]
+        assert runs[0][-1][2] == 1 + 4
+
+    @pytest.mark.parametrize("config", TEACHER_CONFIGS, ids=TEACHER_IDS)
+    def test_nothing_views_the_mapping_after_close(self, config):
+        state = self.state(config)
+        worker = distill.StepWorker(state)
+        mapping = mapping_of(worker.grads)
+        held = state.teacher_state
+        try:
+            assert mapping_of(held.rows) is mapping
+            for group in self.groups()[:2]:
+                train_step(state, group, worker)
+        finally:
+            worker.close(state)
+        arrays = [held.rows, state.params.flat, state.grad_sum, state.opt.m,
+                  state.opt.v]
+        if state.ring is not None:
+            arrays += [slot.flat for slot in state.ring.snapshots()]
+        if state.teacher is not None:
+            arrays.append(state.teacher.flat)
+        assert all(mapping_of(array) is not mapping for array in arrays)
+
+    @pytest.mark.parametrize("config", TEACHER_CONFIGS[:2], ids=TEACHER_IDS[:2])
+    def test_fine_tune_returns_a_teacher_of_its_own(self, monkeypatch,
+                                                    config):
+        """The returned teacher owns its vector, and with the collector off
+        the mapping is gone once fine_tune returns."""
+        mappings = []
+
+        def mapped(state):
+            worker = distill.StepWorker(state)
+            mappings.append(weakref.ref(mapping_of(worker.grads)))
+            return worker
+
+        monkeypatch.setattr(distill, "start_step_worker", mapped)
+        gc.disable()
+        try:
+            result = fine_tune(MODEL, config, self.TRAIN,
+                               small_task(n_train=24, n_test=8), seed=1)
+            assert len(mappings) == 1 and mappings[0]() is None
+        finally:
+            gc.enable()
+        assert result.teacher.flat.base is None
 
 
 class TestFineTune:

@@ -5,6 +5,8 @@ means at every step, and the flat-vector averages against the per-tensor
 loops they replaced, bit for bit.
 """
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -303,3 +305,97 @@ class TestFlatMatchesPerTensorLoops:
                     m += (snap[name].data - m) / count
             for name, m in reference.items():
                 np.testing.assert_array_equal(rm.mean[name].data, m)
+
+
+class TestTeacherStateInHalves:
+    """A step worker and the training process share a teacher state's rows
+    and each writes the entries ``[lo, hi)`` of them. At every split point
+    of a 17-entry layout, the two halves give the bytes of one
+    whole-vector call: every slot, the mean and the counts, through the
+    ring's warm-in and its evictions. Neither half writes an entry of the
+    other's."""
+
+    @staticmethod
+    def stream(n):
+        rng = np.random.default_rng(40)
+        # mixed magnitudes, whose sums round differently in another order
+        return [ParameterSet({
+            "a.W": Tensor(rng.normal(0.0, 10.0 ** (i % 4 - 2), (3, 4))),
+            "b.b": Tensor(rng.normal(0.0, 1.0, 5))}) for i in range(n)]
+
+    @staticmethod
+    def halves(held, h):
+        """``held`` as the training process keeps it, writing ``[0, h)``,
+        and a copy over the same rows as the worker keeps it."""
+        worker = copy.deepcopy(held)
+        worker.move_to(held.rows, h)
+        held.lo, held.hi = 0, h
+        return held, worker
+
+    @staticmethod
+    def in_turn(halves, update):
+        """``update`` each half, the lower first, as the processes would;
+        neither may touch the other's entries."""
+        for half, other in zip(halves, halves[::-1]):
+            before = half.rows.copy()
+            update(half)
+            assert (half.rows[:, other.lo:other.hi].tobytes()
+                    == before[:, other.lo:other.hi].tobytes())
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_ring_push_and_window_mean(self, k):
+        snaps = self.stream(k + 3)
+        for h in range(snaps[0].flat.size + 1):
+            # the first snapshot goes in whole, before the worker starts
+            whole = ring_push(CheckpointRing(k), snaps[0])
+            window_mean(whole)
+            split = ring_push(CheckpointRing(k), snaps[0])
+            window_mean(split)
+            halves = self.halves(split, h)
+            for snap in snaps[1:]:
+                ring_push(whole, snap)
+                window_mean(whole)
+                self.in_turn(halves, lambda half: window_mean(
+                    ring_push(half, snap)))
+                assert split.rows.tobytes() == whole.rows.tobytes()
+                for half in halves:
+                    assert ([s.flat.tobytes() for s in half.snapshots()]
+                            == [s.flat.tobytes() for s in whole.snapshots()])
+                    assert half.insertions == whole.insertions
+                    assert len(half) == len(whole)
+
+    def test_running_mean_update(self):
+        snaps = self.stream(6)
+        for h in range(snaps[0].flat.size + 1):
+            whole = running_mean_update(RunningMean(), snaps[0])
+            split = running_mean_update(RunningMean(), snaps[0])
+            halves = self.halves(split, h)
+            for snap in snaps[1:]:
+                running_mean_update(whole, snap)
+                self.in_turn(halves, lambda half: running_mean_update(
+                    half, snap))
+                assert split.rows.tobytes() == whole.rows.tobytes()
+                assert halves[1].mean.flat.tobytes() == whole.mean.flat.tobytes()
+                assert halves[0].count == halves[1].count == whole.count
+
+    def test_move_to_keeps_the_ring_order_and_the_mean(self):
+        ring = CheckpointRing(3)
+        for snap in self.stream(5):
+            ring_push(ring, snap)
+        before = [s.flat.copy() for s in ring.snapshots()]
+        mean = window_mean(ring).flat.copy()
+        rows = np.empty_like(ring.rows)
+        ring.move_to(rows)
+        assert all(s.flat.base is rows for s in ring.snapshots())
+        assert [s.flat.tobytes() for s in ring.snapshots()] == [
+            b.tobytes() for b in before]
+        assert ring.mean.flat.tobytes() == mean.tobytes()
+        ring_push(ring, self.stream(1)[0])   # evicts the oldest slot
+        assert ring.snapshots()[-1].flat.base is rows
+
+    def test_a_sdv_ring_keeps_no_mean_row(self):
+        ring = ring_push(CheckpointRing(2, with_mean=False),
+                         self.stream(1)[0])
+        assert ring.rows.shape[0] == 2 and ring.mean is None
+        with pytest.raises(UsageError, match="no mean row"):
+            window_mean(ring)

@@ -65,6 +65,12 @@ MATRIX = [
                              "--accum-steps", "3"]),
     ("train_sda_k4_every2", [*TRAIN, "--mode", "sda", "--teacher-size", "4",
                              "--snapshot-every", "2"]),
+    # the running mean with steps that absorb no snapshot, and steps of
+    # three micro-batches, one of them in the step worker
+    ("train_sda_all_every2_accum3", [*TRAIN, "--mode", "sda",
+                                     "--teacher-size", "all",
+                                     "--snapshot-every", "2",
+                                     "--accum-steps", "3"]),
     # sdv runs with steps that absorb no snapshot
     ("train_sdv_k4_every2", [*TRAIN, "--mode", "sdv", "--teacher-size", "4",
                              "--snapshot-every", "2"]),
