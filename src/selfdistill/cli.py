@@ -20,7 +20,7 @@ import sys
 from dataclasses import fields
 from functools import partial
 from pathlib import Path
-from typing import get_args, get_type_hints
+from typing import get_type_hints
 
 from .data import CsvSchema, SyntheticSpec, require_seed
 from .distill import DistillConfig, TrainConfig
@@ -31,6 +31,7 @@ from .errors import (
     InputError,
     SelfDistillError,
     UsageError,
+    check_types,
 )
 from .harness import (
     DEFAULT_K_GRID,
@@ -122,16 +123,13 @@ def _parse_seeds(flag: str, raw: str) -> list[int]:
     return [_parse_seed(flag, tok) for tok in raw.split(",") if tok != ""]
 
 
-# The flags that set a config field, one tuple of field names per config.
-# Each flag is the field name with dashes, or its entry in _FLAG_NAMES, and
-# takes its default and type from the field unless _FLAG_OPTIONS sets them.
-_CONFIG_FLAGS = {
-    ModelConfig: ("vocab_size", "max_len", "dim", "n_layers", "n_heads",
-                  "ffn_dim", "dropout_p"),
-    DistillConfig: ("mode", "lam", "teacher_size", "snapshot_every"),
-    TrainConfig: ("epochs", "micro_batch", "accum_steps", "lr_encoder",
-                  "lr_head", "warmup_prop", "weight_decay", "select_by"),
-}
+# The flags that set a config field: every field of the three run configs
+# but n_classes, which the dataset sets. Each flag is the field name with
+# dashes, or its entry in _FLAG_NAMES, and takes its default and type from
+# the field unless _FLAG_OPTIONS sets them.
+_CONFIG_FLAGS = {config: tuple(f.name for f in fields(config)
+                               if f.name != "n_classes")
+                 for config in (ModelConfig, DistillConfig, TrainConfig)}
 _FLAG_NAMES = {"lam": "lambda", "dropout_p": "dropout"}
 _FLAG_OPTIONS = {
     "mode": {"choices": ["baseline", "sda", "sdv"]},
@@ -201,25 +199,6 @@ def _require_dir(flag: str, path: Path) -> None:
                              f"a directory")
 
 
-def _check_spec_types(path, raw: dict) -> None:
-    """Each value must fit its SyntheticSpec field: an int field takes an
-    int, a float field an int or a float, and only an optional field takes
-    null. A bool is not a number here."""
-    hints = get_type_hints(SyntheticSpec)
-    for key, value in raw.items():
-        allowed = get_args(hints[key]) or (hints[key],)
-        number = (int, float) if float in allowed else int
-        if value is None:
-            ok = type(None) in allowed
-        else:
-            ok = isinstance(value, number) and not isinstance(value, bool)
-        if not ok:
-            expected = ("a number" if float in allowed else "an integer") + (
-                " or null" if type(None) in allowed else "")
-            raise ConfigError(f"{path}: synthetic-spec key {key!r} must be "
-                              f"{expected}, got {value!r}")
-
-
 # The dataset flags only a csv --dataset reads, by dest.
 _CSV_FLAGS = ("eval_dataset", "dev_dataset", "label_col", "text_cols",
               "delimiter", "label_base")
@@ -255,7 +234,7 @@ def _dataset_config(args) -> DatasetConfig:
         if unknown:
             raise ConfigError(f"{path}: unknown synthetic-spec key(s): "
                               f"{', '.join(unknown)}")
-        _check_spec_types(path, raw)
+        check_types(SyntheticSpec, raw, f"{path}: synthetic-spec key ")
         spec = SyntheticSpec(**raw)
     else:
         if args.dataset_seed is not None:

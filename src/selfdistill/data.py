@@ -46,11 +46,12 @@ def _split(text: str) -> list[str]:
     return text.lower().split()
 
 
-def build_vocab(corpus, max_size: int, min_freq: int = 1) -> Vocab:
+def build_vocab(corpus, max_size: int) -> Vocab:
     """Frequency-ranked vocabulary; ties broken lexicographically.
 
-    ``corpus`` is an iterable of raw texts. Tokens seen fewer than
-    ``min_freq`` times are left out and map to UNK at encode time.
+    ``corpus`` is an iterable of raw texts. Every token seen is kept, up to
+    ``max_size`` entries with the reserved ones; a token left out maps to
+    UNK at encode time.
     """
     if max_size < N_RESERVED + 1:
         raise ConfigError(f"max_size must be >= {N_RESERVED + 1}, got {max_size}")
@@ -62,8 +63,7 @@ def build_vocab(corpus, max_size: int, min_freq: int = 1) -> Vocab:
     if n_texts == 0:
         raise InputError("build_vocab: empty corpus")
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    kept = [tok for tok, freq in ranked if freq >= min_freq]
-    return Vocab(kept[: max_size - N_RESERVED])
+    return Vocab([tok for tok, _ in ranked[: max_size - N_RESERVED]])
 
 
 @dataclass(frozen=True)
@@ -313,11 +313,9 @@ class TaskData:
         return self.splits.get("dev")
 
 
-def prepare_task(splits: dict[str, DatasetSplit], vocab_size: int,
-                 min_freq: int = 1) -> TaskData:
+def prepare_task(splits: dict[str, DatasetSplit], vocab_size: int) -> TaskData:
     """Build the vocabulary from the train split and bundle the task."""
     if "train" not in splits or len(splits["train"]) == 0:
         raise InputError("prepare_task needs a non-empty train split")
-    vocab = build_vocab(splits["train"].texts(), max_size=vocab_size,
-                        min_freq=min_freq)
+    vocab = build_vocab(splits["train"].texts(), max_size=vocab_size)
     return TaskData(vocab=vocab, splits=dict(splits))

@@ -83,11 +83,13 @@ from .errors import (
     InputError,
     SelfDistillError,
     UsageError,
+    check_types,
 )
 from .optim import OptimState, accumulate, adamw_step
 from .reporting import EpochPoint, RunReport, StepPoint, make_dir
 
 TEACHER_ALL = "all"
+EVAL_BATCH_SIZE = 64   # rows per evaluation batch
 
 
 @dataclass(frozen=True)
@@ -100,6 +102,7 @@ class DistillConfig:
     snapshot_every: int = 1
 
     def __post_init__(self):
+        check_types(DistillConfig, vars(self), "DistillConfig field ")
         if self.mode not in ("baseline", "sda", "sdv"):
             raise ConfigError(f"unknown mode {self.mode!r}")
         if not (math.isfinite(self.lam) and self.lam >= 0.0):
@@ -118,7 +121,8 @@ class DistillConfig:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Protocol knobs: epochs, batching, schedule, optimizer."""
+    """Protocol knobs: epochs, batching, schedule, optimizer. Adam's betas
+    and eps are ``optim``'s constants."""
 
     epochs: int = 4
     micro_batch: int = 8
@@ -126,14 +130,11 @@ class TrainConfig:
     lr_encoder: float = 1e-3
     lr_head: float = 5e-2     # keeps the 50x head:encoder ratio
     warmup_prop: float = 0.1
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     weight_decay: float = 0.01
-    eval_batch_size: int = 64
     select_by: str = "final"    # final | best_dev
 
     def __post_init__(self):
+        check_types(TrainConfig, vars(self), "TrainConfig field ")
         if self.epochs < 0:
             raise ConfigError("epochs must be >= 0")
         if self.micro_batch < 1 or self.accum_steps < 1:
@@ -146,13 +147,6 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be finite and >= 0, got {value}")
         if not 0.0 < self.warmup_prop < 1.0:
             raise ConfigError(f"warmup_prop must be in (0, 1), got {self.warmup_prop}")
-        if self.eval_batch_size < 1:
-            raise ConfigError("eval_batch_size must be >= 1")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ConfigError(f"beta1 and beta2 must be in [0, 1), got "
-                              f"{self.beta1} and {self.beta2}")
-        if not self.eps > 0.0:
-            raise ConfigError(f"eps must be > 0, got {self.eps}")
 
 
 @dataclass
@@ -165,6 +159,7 @@ class TrainState:
     params: ParameterSet
     opt: OptimState
     seed: int                          # keys each micro-batch's dropout
+    micro_per_epoch: int               # an epoch's training micro-batches
     grad_sum: np.ndarray               # flat, lines up with params.flat
     ring: CheckpointRing | None = None
     rmean: RunningMean | None = None
@@ -207,6 +202,7 @@ def make_train_state(model_config: ModelConfig, distill_config: DistillConfig,
         params=params,
         opt=opt,
         seed=seed,
+        micro_per_epoch=micro_per_epoch,
         grad_sum=np.zeros_like(params.flat),
     )
     if distill_config.mode == "baseline":
@@ -274,13 +270,13 @@ class StepWorker:
 
     ``params.flat``, the run's ``grad_sum``, AdamW's ``m`` and ``v``, the
     rows of the teacher state (the ring's slots and sda window mean, or the
-    running mean) and one gradient row per worker micro-batch live in an
-    anonymous shared mapping made before the fork; the pipes carry only
-    batches, names, losses, counters and counts. A step is one exchange:
-    the step request; the training process's "gradients in" message, which
-    carries the step's micro-batch count; the worker's losses and
-    counters; and its "upper half done", which also covers its half of a
-    snapshot. Each process keeps the teacher state's bookkeeping (which
+    running mean) and one gradient row per worker micro-batch of the
+    largest step the run takes live in an anonymous shared mapping made
+    before the fork; the pipes carry only batches, names, losses, counters
+    and counts. A step is one exchange: the step request; the training
+    process's "gradients in" message, which carries the step's micro-batch
+    count; the worker's losses and counters; and its "upper half done",
+    which also covers its half of a snapshot. Each process keeps the teacher state's bookkeeping (which
     slot is oldest, the counts) by the same calls, and the worker its own
     copy of the task; each micro-batch's dropout is keyed by its index,
     wherever it runs. It ignores SIGINT and exits when ``close`` shuts the
@@ -291,11 +287,19 @@ class StepWorker:
         size = state.params.flat.size
         held = state.teacher_state
         teacher_rows = 0 if held is None else len(held.rows)
-        rows = 4 + teacher_rows + state.train_config.accum_steps // 2
-        shared = np.frombuffer(mmap.mmap(-1, 8 * rows * size))
+        largest = min(state.train_config.accum_steps, state.micro_per_epoch)
+        rows = 4 + teacher_rows + largest // 2
+        try:
+            shared = np.frombuffer(mmap.mmap(-1, 8 * rows * size))
+        except OSError as exc:   # e.g. out of memory; nothing started yet
+            raise SelfDistillError(f"cannot map the step worker's memory: "
+                                   f"{exc}; --accum-steps 1 runs without "
+                                   f"one") from exc
         shared = shared.reshape(rows, -1)
-        # kept alive while the worker runs, so that ``close`` copies into
-        # them instead of allocating the run's largest arrays anew
+        # kept allocated while the worker runs, and ``close`` copies back
+        # into them: the training process's page faults depend on these
+        # arrays staying allocated (25-29k minor faults per benchmark
+        # ``baseline`` run with them, 87-95k when ``close`` made new ones)
         self._private = (state.grad_sum, state.opt.m, state.opt.v)
         for row, private in zip(shared[1:4], self._private):
             row[...] = private
@@ -351,8 +355,7 @@ class StepWorker:
                                          ("teacher", state.teacher))
                  if held is params]
         name = [key for key, held in splits.items() if held is split]
-        if not (which and name
-                and batch_size == state.train_config.eval_batch_size):
+        if not (which and name and batch_size == EVAL_BATCH_SIZE):
             raise UsageError("the step worker scores only the run's student "
                              "or sda teacher on a split of its task, at its "
                              "eval batch size")
@@ -456,7 +459,7 @@ def _worker_job(state: TrainState, grads, job: str, *args):
         params = state.params if which == "student" else state.teacher
         return _count_correct(params, state.model_config,
                               state.task.splits[split], state.task.vocab,
-                              state.train_config.eval_batch_size, first)
+                              EVAL_BATCH_SIZE, first)
     state.opt.t, first, batches = args
     state.counters = dict.fromkeys(state.counters, 0)
     rows = []
@@ -626,7 +629,8 @@ def _count_correct(params: ParameterSet, config: ModelConfig, split, vocab,
 
 
 def evaluate_params(params: ParameterSet, config: ModelConfig, split, vocab,
-                    batch_size: int = 64, worker: StepWorker | None = None):
+                    batch_size: int = EVAL_BATCH_SIZE,
+                    worker: StepWorker | None = None):
     """(accuracy, error) on a split, eval mode, fixed-width batches.
 
     With ``worker``, the run's step worker, a split of two batches or more
@@ -634,7 +638,7 @@ def evaluate_params(params: ParameterSet, config: ModelConfig, split, vocab,
     of the batches (rounded up) while the worker scores the rest. Both
     counts are integers, so the accuracy is the one-process accuracy.
     ``params`` is then the run's student or its sda teacher, ``split`` a
-    split of its task and ``batch_size`` its eval batch size.
+    split of its task and ``batch_size`` is ``EVAL_BATCH_SIZE``.
     """
     if len(split) == 0:
         raise InputError("evaluate: empty split")
@@ -687,7 +691,6 @@ def fine_tune(model_config: ModelConfig, distill_config: DistillConfig,
     best_dev_acc, best_params, best_epoch = -1.0, None, None
 
     n_train = len(task.train)
-    micro_per_epoch = math.ceil(n_train / train_config.micro_batch)
     worker = start_step_worker(state)
     final_teacher = None
     try:
@@ -706,20 +709,18 @@ def fine_tune(model_config: ModelConfig, distill_config: DistillConfig,
                 mse_sum += point.mse
             test_acc, test_err = evaluate_params(state.params, model_config,
                                                  task.test, vocab,
-                                                 train_config.eval_batch_size,
-                                                 worker)
+                                                 EVAL_BATCH_SIZE, worker)
             epoch_curve.append(EpochPoint(
                 epoch=epoch,
                 test_error=test_err,
                 test_accuracy=test_acc,
-                mean_ce=ce_sum / micro_per_epoch,
-                mean_mse=mse_sum / micro_per_epoch,
+                mean_ce=ce_sum / state.micro_per_epoch,
+                mean_mse=mse_sum / state.micro_per_epoch,
                 lr=point.lr,     # the rate of the epoch's last step
             ))
             if select_best_dev:
                 dev_acc, _ = evaluate_params(state.params, model_config,
-                                             task.dev, vocab,
-                                             train_config.eval_batch_size,
+                                             task.dev, vocab, EVAL_BATCH_SIZE,
                                              worker)
                 if dev_acc > best_dev_acc:
                     best_dev_acc, best_epoch = dev_acc, epoch
@@ -731,8 +732,8 @@ def fine_tune(model_config: ModelConfig, distill_config: DistillConfig,
                             / f"epoch_{epoch:03d}.ckpt")
         if distill_config.mode == "sda" and train_config.epochs > 0:
             tacc, terr = evaluate_params(sda_teacher(state), model_config,
-                                         task.test, vocab,
-                                         train_config.eval_batch_size, worker)
+                                         task.test, vocab, EVAL_BATCH_SIZE,
+                                         worker)
             final_teacher = {"test_accuracy": tacc, "test_error": terr}
     finally:
         if worker is not None:

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
-from .errors import ConfigError, InputError, ShapeError
+from .errors import ConfigError, InputError, ShapeError, check_types
 
 GROUP_ENCODER = "encoder"
 GROUP_HEAD = "head"
@@ -48,6 +48,7 @@ class ModelConfig:
     dropout_p: float = 0.1
 
     def __post_init__(self):
+        check_types(ModelConfig, vars(self), "ModelConfig field ")
         if min(self.vocab_size, self.max_len, self.dim, self.n_layers,
                self.n_heads, self.ffn_dim, self.n_classes) <= 0:
             raise ConfigError(f"all size fields must be positive: {self}")

@@ -24,6 +24,7 @@ from .data import (
     require_seed,
 )
 from .distill import (
+    EVAL_BATCH_SIZE,
     DistillConfig,
     TrainConfig,
     TrainResult,
@@ -174,7 +175,7 @@ def ensemble_experiment(config: ExperimentConfig,
     correct = 0
     test = task.test
     for batch in iter_batches(test, task.vocab, config.model.max_len,
-                              config.train.eval_batch_size):
+                              EVAL_BATCH_SIZE):
         _, labels = voted_predict(members, batch, config.model)
         correct += int((labels == batch.labels).sum())
     voted_acc = correct / len(test)
@@ -182,7 +183,7 @@ def ensemble_experiment(config: ExperimentConfig,
 
     avg_params = average_parameters(members)
     avg_acc, avg_err = evaluate_params(avg_params, config.model, test,
-                                       task.vocab, config.train.eval_batch_size)
+                                       task.vocab)
     averaged = {"test_accuracy": avg_acc, "test_error": avg_err}
     return EnsembleReport(member_reports=[r.report for r in results],
                           voted=voted, averaged=averaged,
@@ -209,8 +210,8 @@ def sweep(base_config: ExperimentConfig, axis: str, grid: list,
         raise ConfigError("sweep varies the teacher's lambda or K, so it needs "
                           "mode sda or sdv, not baseline")
     field_name = "lam" if axis == "lambda" else "teacher_size"
-    cell_values = [float(v) if axis == "lambda" else (v if v == "all" else int(v))
-                   for v in grid]
+    # a K is passed as given, so that DistillConfig rejects one such as 2.5
+    cell_values = [float(v) if axis == "lambda" else v for v in grid]
     if len(set(cell_values)) < len(grid):
         raise ConfigError(f"sweep grid repeats a value: {list(grid)}")
     if len(set(seeds)) < len(seeds):

@@ -4,7 +4,10 @@ gradient accumulation, all over the flat parameter vector.
 Decoupled weight decay is applied to weight matrices only; biases and
 layer-norm parameters (names whose last component is ``b`` or ``g``) are
 exempt. The learning-rate schedule is isolated in ``lr_at`` so the
-post-warmup shape can be swapped without touching the update rule.
+post-warmup shape can be swapped without touching the update rule. Adam's
+betas and eps are the constants below, the standard setting that the
+paper's fine-tuning keeps; the rates, warmup and weight decay are the
+run's ``TrainConfig``.
 """
 
 from __future__ import annotations
@@ -21,6 +24,10 @@ from .errors import ConfigError, ContractError
 
 if TYPE_CHECKING:  # distill imports this module
     from .distill import TrainConfig
+
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
 
 
 def lr_at(step: int, total_steps: int, base_lr: float, warmup_prop: float) -> float:
@@ -71,8 +78,8 @@ class OptimState:
     ``m`` and ``v`` are flat like ``ParameterSet.flat``. ``lr_runs`` holds
     the (start, stop, group) offset runs of each learning-rate group and
     ``decay_runs`` those of the weight-decayed tensors, both fixed by the
-    layout. Learning rates, schedule, betas, eps and weight decay are read
-    from the run's ``config``.
+    layout. Learning rates, warmup and weight decay are read from the run's
+    ``config``; the betas and eps are this module's constants.
     """
 
     m: np.ndarray
@@ -129,17 +136,17 @@ def adamw_step(params: ParameterSet, grads: np.ndarray, state: OptimState,
     state.t += 1
     t = state.t
     cfg = state.config
-    bc1 = 1.0 - cfg.beta1 ** t
-    bc2 = 1.0 - cfg.beta2 ** t
+    bc1 = 1.0 - BETA1 ** t
+    bc2 = 1.0 - BETA2 ** t
     lr = {group: lr_at(t, state.total_steps, state.base_lr(group),
                        cfg.warmup_prop)
           for _, _, group in state.lr_runs}
     grads, m, v = grads[lo:hi], state.m[lo:hi], state.v[lo:hi]
-    m *= cfg.beta1
-    m += (1.0 - cfg.beta1) * grads
-    v *= cfg.beta2
-    v += (1.0 - cfg.beta2) * (grads * grads)
-    update = (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
+    m *= BETA1
+    m += (1.0 - BETA1) * grads
+    v *= BETA2
+    v += (1.0 - BETA2) * (grads * grads)
+    update = (m / bc1) / (np.sqrt(v / bc2) + EPS)
     for start, stop, group in _clipped(state.lr_runs, lo, hi):
         update[start:stop] *= lr[group]
     flat = params.flat[lo:hi]

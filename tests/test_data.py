@@ -38,11 +38,6 @@ class TestBuildVocab:
         assert vocab.token_to_id["z"] == 5
         assert vocab.token_to_id["m"] == 6
 
-    def test_min_freq_drops_rare_tokens_to_unk(self):
-        vocab = build_vocab(["common common rare"], max_size=10, min_freq=2)
-        assert "rare" not in vocab.token_to_id
-        assert vocab.lookup("rare") == UNK_ID
-
     def test_deterministic_rebuild(self):
         corpus = ["the cat sat", "the dog sat", "a cat ran"]
         v1 = build_vocab(corpus, max_size=20)

@@ -97,20 +97,48 @@ class TestDistillConfig:
             DistillConfig(mode="distill-harder")
 
 
+class TestFieldTypes:
+    """An int field of a run config takes an integer, a numpy one too, and
+    a float field any number; a bool is neither. A misfit would run with
+    another value (K=2 for 2.5, K=1 for True), so it is a ConfigError."""
+
+    @pytest.mark.parametrize("config,name,value", [
+        (DistillConfig, "teacher_size", 2.5),
+        (DistillConfig, "teacher_size", True),
+        (DistillConfig, "snapshot_every", 1.5),
+        (DistillConfig, "lam", True),
+        (TrainConfig, "epochs", 2.0),
+        (TrainConfig, "accum_steps", False),
+        (TrainConfig, "lr_head", True),
+        (ModelConfig, "dim", 16.0),
+        (ModelConfig, "n_classes", True),
+        (ModelConfig, "dropout_p", False),
+    ])
+    def test_a_misfit_is_a_config_error_naming_the_field(self, config, name,
+                                                         value):
+        with pytest.raises(ConfigError,
+                           match=f"^{config.__name__} field '{name}' must be"):
+            config(**{name: value})
+
+    def test_numpy_numbers_are_valid(self):
+        DistillConfig(mode="sda", lam=np.float32(0.5),
+                      teacher_size=np.int64(3), snapshot_every=np.int32(2))
+        TrainConfig(epochs=np.int64(1), lr_head=np.float64(0.1), lr_encoder=0)
+        ModelConfig(dim=np.int64(16), n_heads=np.int8(2))
+
+
 class TestTrainConfig:
     @pytest.mark.parametrize("field,value", [
         ("lr_encoder", -1e-3), ("lr_head", float("nan")),
         ("weight_decay", -5.0), ("weight_decay", float("inf")),
-        ("warmup_prop", 0.0), ("warmup_prop", 1.0), ("eval_batch_size", 0),
-        ("beta1", 1.0), ("beta2", -0.1), ("eps", 0.0),
+        ("warmup_prop", 0.0), ("warmup_prop", 1.0),
     ])
     def test_out_of_range_optimizer_setting_is_config_error(self, field, value):
         with pytest.raises(ConfigError, match=field):
             TrainConfig(**{field: value})
 
     def test_zero_learning_rates_and_decay_are_valid(self):
-        TrainConfig(lr_encoder=0.0, lr_head=0.0, weight_decay=0.0, beta1=0.0,
-                    beta2=0.0)
+        TrainConfig(lr_encoder=0.0, lr_head=0.0, weight_decay=0.0)
 
 
 class TestSdaTeacher:
@@ -399,7 +427,7 @@ def hand_fine_tune(model, distill_config, train, task, seed):
         while group := list(islice(batches, train.accum_steps)):
             points += train_step(state, group)
         acc, err = evaluate_params(state.params, model, task.test, task.vocab,
-                                   train.eval_batch_size)
+                                   distill.EVAL_BATCH_SIZE)
         ce_sum, mse_sum = 0.0, 0.0
         for point in points:
             ce_sum += point.ce
@@ -432,6 +460,13 @@ def two_cpus(monkeypatch):
     the suite on one CPU, where the selection would skip it."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
                         raising=False)
+
+
+@pytest.fixture
+def eval_batches_of_8(monkeypatch):
+    """Evaluations in batches of 8, so that small splits take several; a
+    forked worker inherits the value."""
+    monkeypatch.setattr(distill, "EVAL_BATCH_SIZE", 8)
 
 
 @pytest.fixture
@@ -687,6 +722,23 @@ class TestStepWorker:
                                        tmp_path)
         assert inside == worker
 
+    def test_an_accumulation_above_an_epoch_maps_only_the_rows_it_needs(
+            self, monkeypatch):
+        """accum_steps 1000 over 11 micro-batches per epoch: each step is
+        the whole epoch, so the worker maps 11 // 2 gradient rows, not 500,
+        and the run equals the in-process one."""
+        task = small_task(n_train=44, n_test=20)
+        train = TrainConfig(epochs=2, micro_batch=4, accum_steps=1000)
+        config = DistillConfig(mode="sda", teacher_size=3)
+        state = make_train_state(MODEL, config, train, n_train=44, seed=0)
+        worker = distill.StepWorker(state)
+        try:
+            assert worker.grads.shape == (5, state.params.flat.size)
+        finally:
+            worker.close(state)
+        inside, worker = run_both_ways(monkeypatch, MODEL, config, train, task)
+        assert inside == worker
+
     def test_skipping_the_newest_sdv_forward_changes_no_bit(self, monkeypatch):
         """With no dropout and a snapshot every step, the newest snapshot's
         forward is the student's: a run that computes it anyway gives the
@@ -791,13 +843,12 @@ class TestStepWorker:
             worker.close(state)
 
 
-@pytest.mark.usefixtures("no_child_left")
+@pytest.mark.usefixtures("no_child_left", "eval_batches_of_8")
 class TestSplitEvaluation:
     """With a step worker, the training process scores the first half of
     each evaluation's batches (rounded up) and the worker the rest."""
 
-    TRAIN = TrainConfig(epochs=2, micro_batch=4, accum_steps=2,
-                        eval_batch_size=8)
+    TRAIN = TrainConfig(epochs=2, micro_batch=4, accum_steps=2)
 
     @staticmethod
     def task(n_test):
@@ -1204,14 +1255,13 @@ class TestOneOptimizerStep:
                          batches[n + (n + 1) // 2:])]
 
 
-@pytest.mark.usefixtures("no_child_left")
+@pytest.mark.usefixtures("no_child_left", "eval_batches_of_8")
 class TestUpdateInHalves:
     """With a step worker, each process adds up the gradients on, averages
     and updates one half of the flat vectors; errors on either side leave
     the worker's message stream in step."""
 
-    TRAIN = TrainConfig(epochs=2, micro_batch=4, accum_steps=3,
-                        eval_batch_size=8)
+    TRAIN = TrainConfig(epochs=2, micro_batch=4, accum_steps=3)
 
     @staticmethod
     def task():

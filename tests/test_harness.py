@@ -256,6 +256,17 @@ class TestSweep:
         assert "failed" in table.cells["all"]
         assert "mean_test_error" in table.cells["1"]
 
+    @pytest.mark.parametrize("k", [2.5, True])
+    def test_a_k_that_is_not_an_integer_marks_its_cell_failed(self, k):
+        """2.5 is not run as K=2 (nor taken for a repeat of the cell 2), and
+        True not as K=1."""
+        config = fast_config(distill=DistillConfig(mode="sdv", teacher_size=3))
+        table = sweep(config, "k", [k, 2], [0])
+        assert table.cells[str(k)] == {
+            "failed": f"DistillConfig field 'teacher_size' must be an "
+                      f"integer, got {k!r}", "per_seed": {}}
+        assert "mean_test_error" in table.cells["2"]
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_lambda_cell_fails_before_its_seeds(self, monkeypatch,
                                                             value):
@@ -426,6 +437,34 @@ class TestCli:
                        "Resource temporarily unavailable; --accum-steps 1 "
                        "runs without one\n")
         assert not (out / "report.json").exists()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="lists open descriptors through /proc")
+    def test_a_failed_mapping_exits_2_with_one_error_line(
+            self, tmp_path, capsys, monkeypatch):
+        """The step worker's shared memory cannot be mapped: no child is
+        forked and no pipe is left open."""
+        import mmap
+
+        def failing(*args):
+            raise OSError(12, "Cannot allocate memory")
+
+        monkeypatch.setattr(mmap, "mmap", failing)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        open_fds = set(os.listdir("/proc/self/fd"))
+        out = tmp_path / "run"
+        code = cli_main(["train", *SMALL_CLI_ARGS, "--accum-steps", "2",
+                         "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == ("error: cannot map the step worker's memory: [Errno 12] "
+                       "Cannot allocate memory; --accum-steps 1 runs without "
+                       "one\n")
+        assert not (out / "report.json").exists()
+        assert set(os.listdir("/proc/self/fd")) == open_fds
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_determinism_byte_identical_reports(self, tmp_path):
         outs = [tmp_path / "r1", tmp_path / "r2"]

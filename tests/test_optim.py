@@ -16,6 +16,9 @@ from selfdistill.distill import TrainConfig
 from selfdistill.encoder import ModelConfig, ParameterSet, init_params
 from selfdistill.errors import ConfigError, ContractError
 from selfdistill.optim import (
+    BETA1,
+    BETA2,
+    EPS,
     OptimState,
     accumulate,
     adamw_step,
@@ -106,8 +109,8 @@ class TestAdamW:
 
         params = single_param([10.0])
         state = OptimState.init(params, total, TrainConfig(
-            lr_encoder=base_lr, lr_head=base_lr, warmup_prop=warm, beta1=beta1,
-            beta2=beta2, eps=eps, weight_decay=wd))
+            lr_encoder=base_lr, lr_head=base_lr, warmup_prop=warm,
+            weight_decay=wd))
         for _ in range(total):
             g = params["w.W"].data - 3.0
             adamw_step(params, g.copy(), state)
@@ -223,8 +226,8 @@ class ReferenceAdamW:
         c = s.config
         self.t += 1
         t = self.t
-        bc1 = 1.0 - c.beta1 ** t
-        bc2 = 1.0 - c.beta2 ** t
+        bc1 = 1.0 - BETA1 ** t
+        bc2 = 1.0 - BETA2 ** t
         lr_used = {}
         for name, p in self.p.items():
             g = grads[name]
@@ -232,11 +235,11 @@ class ReferenceAdamW:
                        c.warmup_prop)
             lr_used[self.group[name]] = lr
             m, v = self.m[name], self.v[name]
-            m *= c.beta1
-            m += (1.0 - c.beta1) * g
-            v *= c.beta2
-            v += (1.0 - c.beta2) * (g * g)
-            update = (m / bc1) / (np.sqrt(v / bc2) + c.eps)
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * (g * g)
+            update = (m / bc1) / (np.sqrt(v / bc2) + EPS)
             p -= lr * update
             if c.weight_decay > 0.0 and decay_applies(name):
                 p -= lr * c.weight_decay * p
