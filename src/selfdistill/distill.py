@@ -276,11 +276,13 @@ class StepWorker:
     and counts. A step is one exchange: the step request; the training
     process's "gradients in" message, which carries the step's micro-batch
     count; the worker's losses and counters; and its "upper half done",
-    which also covers its half of a snapshot. Each process keeps the teacher state's bookkeeping (which
-    slot is oldest, the counts) by the same calls, and the worker its own
-    copy of the task; each micro-batch's dropout is keyed by its index,
-    wherever it runs. It ignores SIGINT and exits when ``close`` shuts the
-    request pipe, also while it waits at a step's barrier.
+    which also covers its half of a snapshot. Each process keeps the
+    teacher state's count (the ring's insertions, from which the oldest
+    slot follows, or the running mean's count) by the same calls, and the
+    worker its own copy of the task; each micro-batch's dropout is keyed
+    by its index, wherever it runs. It ignores SIGINT and exits when
+    ``close`` shuts the request pipe, also while it waits at a step's
+    barrier.
     """
 
     def __init__(self, state: TrainState):
@@ -299,7 +301,9 @@ class StepWorker:
         # kept allocated while the worker runs, and ``close`` copies back
         # into them: the training process's page faults depend on these
         # arrays staying allocated (25-29k minor faults per benchmark
-        # ``baseline`` run with them, 87-95k when ``close`` made new ones)
+        # ``baseline`` run with them, 87-95k when ``close`` made new ones,
+        # as first measured; the counts move with the heap's layout, and a
+        # later probe read 43k with them and about 90k without)
         self._private = (state.grad_sum, state.opt.m, state.opt.v)
         for row, private in zip(shared[1:4], self._private):
             row[...] = private
@@ -344,8 +348,7 @@ class StepWorker:
         a split's batches from index ``first`` on."""
         self.send(job)
 
-    def score(self, params: ParameterSet, split, batch_size: int,
-              first: int) -> None:
+    def score(self, params: ParameterSet, split, first: int) -> None:
         """Start the worker scoring ``split`` from batch ``first`` on with
         its side of ``params``: the run's student or its sda teacher, both
         shared."""
@@ -355,10 +358,9 @@ class StepWorker:
                                          ("teacher", state.teacher))
                  if held is params]
         name = [key for key, held in splits.items() if held is split]
-        if not (which and name and batch_size == EVAL_BATCH_SIZE):
+        if not (which and name):
             raise UsageError("the step worker scores only the run's student "
-                             "or sda teacher on a split of its task, at its "
-                             "eval batch size")
+                             "or sda teacher on a split of its task")
         self.request("score", which[0], name[0], first)
 
     def send(self, message) -> None:
@@ -459,7 +461,7 @@ def _worker_job(state: TrainState, grads, job: str, *args):
         params = state.params if which == "student" else state.teacher
         return _count_correct(params, state.model_config,
                               state.task.splits[split], state.task.vocab,
-                              EVAL_BATCH_SIZE, first)
+                              first)
     state.opt.t, first, batches = args
     state.counters = dict.fromkeys(state.counters, 0)
     rows = []
@@ -615,10 +617,10 @@ def train_step(state: TrainState, micro_batches: list,
 
 
 def _count_correct(params: ParameterSet, config: ModelConfig, split, vocab,
-                   batch_size: int, first: int = 0,
-                   stop: int | None = None) -> int:
-    """Correct eval-mode predictions on ``split``'s batches from index
+                   first: int = 0, stop: int | None = None) -> int:
+    """Correct eval-mode predictions on ``split``'s eval batches from index
     ``first`` up to ``stop`` (to the end if None)."""
+    batch_size = EVAL_BATCH_SIZE
     rows = np.arange(len(split))[first * batch_size:
                                  None if stop is None else stop * batch_size]
     correct = 0
@@ -629,25 +631,24 @@ def _count_correct(params: ParameterSet, config: ModelConfig, split, vocab,
 
 
 def evaluate_params(params: ParameterSet, config: ModelConfig, split, vocab,
-                    batch_size: int = EVAL_BATCH_SIZE,
                     worker: StepWorker | None = None):
-    """(accuracy, error) on a split, eval mode, fixed-width batches.
+    """(accuracy, error) on a split, eval mode, in batches of
+    ``EVAL_BATCH_SIZE`` rows (read at each call).
 
     With ``worker``, the run's step worker, a split of two batches or more
     is scored in two processes: the training process scores the first half
     of the batches (rounded up) while the worker scores the rest. Both
     counts are integers, so the accuracy is the one-process accuracy.
-    ``params`` is then the run's student or its sda teacher, ``split`` a
-    split of its task and ``batch_size`` is ``EVAL_BATCH_SIZE``.
+    ``params`` is then the run's student or its sda teacher and ``split``
+    a split of its task.
     """
     if len(split) == 0:
         raise InputError("evaluate: empty split")
-    n_batches = math.ceil(len(split) / batch_size)
+    n_batches = math.ceil(len(split) / EVAL_BATCH_SIZE)
     mine = n_batches if worker is None else (n_batches + 1) // 2
     if mine < n_batches:
-        worker.score(params, split, batch_size, mine)
-    correct = _count_correct(params, config, split, vocab, batch_size,
-                             stop=mine)
+        worker.score(params, split, mine)
+    correct = _count_correct(params, config, split, vocab, stop=mine)
     if mine < n_batches:
         correct += worker.reply()
     accuracy = correct / len(split)
@@ -708,8 +709,7 @@ def fine_tune(model_config: ModelConfig, distill_config: DistillConfig,
                 ce_sum += point.ce
                 mse_sum += point.mse
             test_acc, test_err = evaluate_params(state.params, model_config,
-                                                 task.test, vocab,
-                                                 EVAL_BATCH_SIZE, worker)
+                                                 task.test, vocab, worker)
             epoch_curve.append(EpochPoint(
                 epoch=epoch,
                 test_error=test_err,
@@ -720,8 +720,7 @@ def fine_tune(model_config: ModelConfig, distill_config: DistillConfig,
             ))
             if select_best_dev:
                 dev_acc, _ = evaluate_params(state.params, model_config,
-                                             task.dev, vocab, EVAL_BATCH_SIZE,
-                                             worker)
+                                             task.dev, vocab, worker)
                 if dev_acc > best_dev_acc:
                     best_dev_acc, best_epoch = dev_acc, epoch
                     # the last epoch's parameters are returned as state.params
@@ -732,8 +731,7 @@ def fine_tune(model_config: ModelConfig, distill_config: DistillConfig,
                             / f"epoch_{epoch:03d}.ckpt")
         if distill_config.mode == "sda" and train_config.epochs > 0:
             tacc, terr = evaluate_params(sda_teacher(state), model_config,
-                                         task.test, vocab, EVAL_BATCH_SIZE,
-                                         worker)
+                                         task.test, vocab, worker)
             final_teacher = {"test_accuracy": tacc, "test_error": terr}
     finally:
         if worker is not None:

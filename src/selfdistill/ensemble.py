@@ -11,8 +11,6 @@ update one half.
 
 from __future__ import annotations
 
-from collections import deque
-
 import numpy as np
 
 from .encoder import ModelConfig, ParameterSet, predict_proba
@@ -66,11 +64,12 @@ class CheckpointRing:
     The snapshots live in K fixed slots, the rows of one array that the
     first push allocates; with ``with_mean`` (the sda teacher) a last row
     holds their window mean. Each slot is one ParameterSet for the ring's
-    life, so its named views are built once. ``lo`` and ``hi`` bound the
-    entries of each row that this process writes: all of them, unless a
-    step worker writes the upper half of the same rows. Eviction is
-    strictly oldest-first; the insertion counter keeps counting across
-    evictions.
+    life, so its named views are built once. Snapshot ``i`` (counting from
+    0) lives in slot ``i % K``, so the insertion count alone says which
+    slots are held and which is oldest; it keeps counting across
+    evictions. ``lo`` and ``hi`` bound the entries of each row that this
+    process writes: all of them, unless a step worker writes the upper
+    half of the same rows.
     """
 
     def __init__(self, capacity: int, with_mean: bool = True):
@@ -83,13 +82,14 @@ class CheckpointRing:
         self.lo, self.hi = 0, None
         self.mean: ParameterSet | None = None   # the window mean's row
         self._slots: list[ParameterSet] = []
-        self._buf: deque[ParameterSet] = deque()   # held slots, oldest first
 
     def __len__(self) -> int:
-        return len(self._buf)
+        return min(self.insertions, self.capacity)
 
     def snapshots(self) -> list[ParameterSet]:
-        return list(self._buf)
+        """The held snapshots, oldest first."""
+        n = self.insertions
+        return [self._slots[i % self.capacity] for i in range(n - len(self), n)]
 
     def move_to(self, rows: np.ndarray, lo: int = 0,
                 hi: int | None = None) -> None:
@@ -97,9 +97,7 @@ class CheckpointRing:
         and write the entries ``[lo, hi)`` of them."""
         rows[...] = self.rows
         self.lo, self.hi = lo, hi
-        held = [self._slots.index(slot) for slot in self._buf]
         self._bind(rows, self._slots[0])
-        self._buf = deque(self._slots[i] for i in held)
 
     def _bind(self, rows: np.ndarray, like: ParameterSet) -> None:
         self.rows = rows
@@ -108,33 +106,30 @@ class CheckpointRing:
 
 
 def ring_push(ring: CheckpointRing, snapshot: ParameterSet) -> CheckpointRing:
-    """Copy the entries ``[ring.lo, ring.hi)`` of a snapshot into the next
-    free slot, or into the oldest one once the ring is full."""
+    """Copy the entries ``[ring.lo, ring.hi)`` of a snapshot into slot
+    ``insertions % K``, which holds the oldest snapshot once K are held."""
     if ring.rows is None:
         rows = ring.capacity + (1 if ring.with_mean else 0)
         ring._bind(np.zeros((rows, snapshot.flat.size)), snapshot)
-    ring._slots[0].require_compatible(snapshot)
-    if len(ring._buf) == ring.capacity:
-        slot = ring._buf.popleft()
-    else:
-        slot = ring._slots[len(ring._buf)]
+    slot = ring._slots[ring.insertions % ring.capacity]
+    slot.require_compatible(snapshot)
     slot.flat[ring.lo:ring.hi] = snapshot.flat[ring.lo:ring.hi]
-    ring._buf.append(slot)
     ring.insertions += 1
     return ring
 
 
 def window_mean(ring: CheckpointRing) -> ParameterSet:
-    """Mean over the currently held snapshots (fewer than K during
-    warm-in), written to the entries ``[ring.lo, ring.hi)`` of the ring's
-    mean row with ``average_parameters``' operations in the same order;
-    returns that row's ParameterSet."""
-    if not ring._buf:
+    """Mean over the held snapshots (fewer than K during warm-in), added
+    oldest first and written to the entries ``[ring.lo, ring.hi)`` of the
+    ring's mean row with ``average_parameters``' operations in the same
+    order; returns that row's ParameterSet."""
+    if not len(ring):
         raise UsageError("window_mean: empty ring")
     if ring.mean is None:
         raise UsageError("window_mean: the ring keeps no mean row")
     lo, hi = ring.lo, ring.hi
-    _mean_into(ring.mean.flat[lo:hi], [slot.flat[lo:hi] for slot in ring._buf])
+    _mean_into(ring.mean.flat[lo:hi],
+               [slot.flat[lo:hi] for slot in ring.snapshots()])
     return ring.mean
 
 

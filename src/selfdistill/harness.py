@@ -195,7 +195,7 @@ def sweep(base_config: ExperimentConfig, axis: str, grid: list,
     """One run per (grid cell, seed); cell metric is the mean over seeds.
 
     Each cell replaces one field of the sda or sdv ``base_config.distill``:
-    ``lam`` as a float, or ``teacher_size`` as an int or ``"all"``. Cells and
+    ``lam`` as a number, or ``teacher_size`` as an int or ``"all"``. Cells and
     seeds are keyed by value, so a grid value or a seed given twice is a
     ConfigError before any run. A cell value the config rejects marks that
     cell failed, and a diverged run marks its seed failed; the sweep
@@ -210,17 +210,17 @@ def sweep(base_config: ExperimentConfig, axis: str, grid: list,
         raise ConfigError("sweep varies the teacher's lambda or K, so it needs "
                           "mode sda or sdv, not baseline")
     field_name = "lam" if axis == "lambda" else "teacher_size"
-    # a K is passed as given, so that DistillConfig rejects one such as 2.5
-    cell_values = [float(v) if axis == "lambda" else v for v in grid]
-    if len(set(cell_values)) < len(grid):
+    # each value is passed as given, so that DistillConfig rejects a K such
+    # as 2.5 and a bool on either axis
+    if len(set(grid)) < len(grid):
         raise ConfigError(f"sweep grid repeats a value: {list(grid)}")
     if len(set(seeds)) < len(seeds):
         raise ConfigError(f"sweep seeds repeat a value: {list(seeds)}")
     task = _study_task(base_config)
     table = SweepTable(axis=axis, grid=list(grid), seeds=list(seeds))
-    for value, cell_value in zip(grid, cell_values):
+    for value in grid:
         try:
-            distill = replace(dc, **{field_name: cell_value})
+            distill = replace(dc, **{field_name: value})
         except ConfigError as exc:
             table.cells[str(value)] = {"failed": str(exc), "per_seed": {}}
             continue

@@ -257,6 +257,18 @@ class TestSynthetic:
         with pytest.raises(ConfigError, match="^seed: a seed must be >= 0"):
             make_synthetic(SyntheticSpec(n_train=4, n_test=4), seed=-1)
 
+    @pytest.mark.parametrize("seed", [1.5, 1.0, True, "1"])
+    def test_a_seed_that_is_not_an_integer_is_config_error(self, seed):
+        """True would draw the seed 1's examples, and 1.5 fail inside numpy."""
+        with pytest.raises(ConfigError, match="^seed: a seed must be an "
+                                              "integer, got "):
+            make_synthetic(SyntheticSpec(n_train=4, n_test=4), seed=seed)
+
+    def test_a_numpy_integer_seed_is_the_same_seed(self):
+        spec = SyntheticSpec(n_train=4, n_test=4)
+        assert make_synthetic(spec, seed=np.int64(3)) == make_synthetic(
+            spec, seed=3)
+
 
 class TestBatching:
     def test_iter_batches_covers_split_in_order(self):

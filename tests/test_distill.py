@@ -45,7 +45,7 @@ from selfdistill.distill import (
     train_step,
 )
 from selfdistill.encoder import ModelConfig, classify, init_params
-from selfdistill.ensemble import average_parameters, ring_push
+from selfdistill.ensemble import CheckpointRing, average_parameters, ring_push
 from selfdistill.optim import adamw_step
 from selfdistill.errors import (
     ConfigError,
@@ -386,7 +386,7 @@ class TestSdvTeacher:
         state = make_train_state(MODEL_NODROP,
                                  DistillConfig(mode="sdv", teacher_size=1),
                                  TrainConfig(epochs=1), n_train=32, seed=5)
-        state.ring._buf.clear()
+        state.ring = CheckpointRing(1, with_mean=False)
         with pytest.raises(UsageError, match="empty"):
             sdv_teacher_logits(state, small_batch(rng))
 
@@ -394,20 +394,24 @@ class TestSdvTeacher:
     @pytest.mark.parametrize("rows", [8, 64])
     def test_combine_rule_is_the_stacked_mean_bitwise(self, monkeypatch, k,
                                                       rows):
-        """The teacher of k snapshots, the newest one's logits given, is the
-        np.mean of the k logits stacked in ring order, bit for bit."""
+        """The teacher of the last k of k + 2 snapshots, the newest one's
+        logits given, is the np.mean of their k logits stacked oldest
+        first, bit for bit."""
         rng = np.random.default_rng([k, rows])
-        outs = [rng.normal(0.0, 3.0, (rows, 4)) for _ in range(k)]
+        outs = [rng.normal(0.0, 3.0, (rows, 4)) for _ in range(k + 2)]
         state = make_train_state(MODEL_NODROP,
                                  DistillConfig(mode="sdv", teacher_size=k),
                                  TrainConfig(epochs=1), n_train=32, seed=5)
-        state.ring._buf.clear()
-        state.ring._buf.extend(outs)   # each "snapshot" is its own logits
+        state.ring = CheckpointRing(k, with_mean=False)
+        for i in range(len(outs)):   # snapshot i holds i in every entry
+            ring_push(state.ring, state.params.with_flat(
+                np.full_like(state.params.flat, i)))
         monkeypatch.setattr(
             distill, "classify",
-            lambda snap, batch, config, train_mode: Tensor(snap))
+            lambda snap, batch, config, train_mode: Tensor(
+                outs[int(snap.flat[0])]))
         combined = sdv_teacher_logits(state, None, newest=outs[-1]).data
-        expected = np.mean(np.stack(outs, axis=0), axis=0)
+        expected = np.mean(np.stack(outs[-k:], axis=0), axis=0)
         assert combined.tobytes() == expected.tobytes()
 
 
@@ -426,8 +430,7 @@ def hand_fine_tune(model, distill_config, train, task, seed):
         points = []
         while group := list(islice(batches, train.accum_steps)):
             points += train_step(state, group)
-        acc, err = evaluate_params(state.params, model, task.test, task.vocab,
-                                   distill.EVAL_BATCH_SIZE)
+        acc, err = evaluate_params(state.params, model, task.test, task.vocab)
         ce_sum, mse_sum = 0.0, 0.0
         for point in points:
             ce_sum += point.ce
@@ -940,33 +943,32 @@ class TestSplitEvaluation:
             worker_half = DatasetSplit(task.test.examples[24:],
                                        task.test.n_classes)
             assert (evaluate_params(state.params, MODEL, worker_half,
-                                    task.vocab, 8)
+                                    task.vocab)
                     != evaluate_params(state.teacher, MODEL, worker_half,
-                                       task.vocab, 8))
+                                       task.vocab))
             for params in (state.params, state.teacher, state.params):
                 assert (evaluate_params(params, MODEL, task.test, task.vocab,
-                                        8, worker)
+                                        worker)
                         == evaluate_params(params, MODEL, task.test,
-                                           task.vocab, 8))
+                                           task.vocab))
         finally:
             worker.close(state)
 
-    @pytest.mark.parametrize("wrong", ["params", "split", "batch_size"])
+    @pytest.mark.parametrize("wrong", ["params", "split"])
     def test_the_worker_scores_only_what_it_holds(self, wrong):
         task = self.task(20)
         state = make_train_state(MODEL, DistillConfig(), self.TRAIN,
                                  n_train=len(task.train), seed=6)
         state.task = task
         worker = distill.StepWorker(state)
-        args = {"params": state.params, "split": task.test, "batch_size": 8}
+        args = {"params": state.params, "split": task.test}
         args[wrong] = {"params": state.params.copy(),
                        "split": DatasetSplit(task.test.examples,
-                                             task.test.n_classes),
-                       "batch_size": 4}[wrong]
+                                             task.test.n_classes)}[wrong]
         try:
             with pytest.raises(UsageError, match="scores only"):
                 evaluate_params(args["params"], MODEL, args["split"],
-                                task.vocab, args["batch_size"], worker)
+                                task.vocab, worker)
         finally:
             worker.close(state)
 
@@ -1032,6 +1034,7 @@ class TestTrajectoryEquivalences:
             assert mse_a == pytest.approx(mse_v, abs=1e-9)
 
 
+@pytest.mark.usefixtures("eval_batches_of_8")
 def test_evaluate_rejects_a_row_without_a_real_token(monkeypatch):
     """No tokenized example has an empty mask (CLS is always real), so the
     batches are emptied on the way in, to show the error reaches the caller."""
@@ -1045,7 +1048,7 @@ def test_evaluate_rejects_a_row_without_a_real_token(monkeypatch):
     monkeypatch.setattr(distill, "iter_batches", emptied)
     with pytest.raises(InputError, match="row 7 has no real token"):
         evaluate_params(init_params(MODEL, seed=0), MODEL, task.test,
-                        task.vocab, batch_size=8)
+                        task.vocab)
 
 
 class TestTrainStep:
@@ -1367,9 +1370,9 @@ class TestUpdateInHalves:
                 train_step(state, group, worker)
             assert state.opt.t == 0
             assert (evaluate_params(state.params, MODEL, task.test, task.vocab,
-                                    8, worker)
+                                    worker)
                     == evaluate_params(state.params, MODEL, task.test,
-                                       task.vocab, 8))
+                                       task.vocab))
         finally:
             worker.close(state)
         assert worker.exitcode == 0
@@ -1550,6 +1553,17 @@ class TestFineTune:
                       TrainConfig(epochs=1), small_task(n_train=16, n_test=8),
                       **seeds)
 
+    @pytest.mark.parametrize("field", ["seed", "data_seed"])
+    @pytest.mark.parametrize("value", [1.5, True])
+    def test_a_seed_that_is_not_an_integer_is_config_error(self, field,
+                                                           value):
+        seeds = {"seed": 0, field: value}
+        with pytest.raises(ConfigError, match=f"^{field}: a seed must be an "
+                                              f"integer, got {value!r}$"):
+            fine_tune(MODEL, DistillConfig(mode="baseline"),
+                      TrainConfig(epochs=1), small_task(n_train=16, n_test=8),
+                      **seeds)
+
     def test_best_dev_without_dev_split_is_config_error(self):
         with pytest.raises(ConfigError, match="dev split"):
             fine_tune(MODEL, DistillConfig(mode="baseline"),
@@ -1592,7 +1606,7 @@ class TestFineTune:
         scripted = iter(dev_accs)
         evaluated = []
 
-        def fake(params, config, split, vocab, batch_size=64, worker=None):
+        def fake(params, config, split, vocab, worker=None):
             if split is task.dev:
                 acc = next(scripted)
             else:  # a distinct test accuracy per epoch

@@ -176,16 +176,21 @@ class TestVotedPredict:
 
 
 class TestCheckpointRing:
-    def test_fifo_semantics(self):
+    @pytest.mark.parametrize("k", range(1, 5))
+    def test_fifo_semantics(self, k):
+        """After every push the ring holds the last k snapshots, oldest
+        first, as a plain list that drops its head would."""
         rng = np.random.default_rng(9)
-        ring = CheckpointRing(3)
-        snaps = [random_set(rng) for _ in range(5)]
-        for s in snaps:
-            ring_push(ring, s)
-        held = ring.snapshots()
-        assert len(held) == 3
-        for got, expect in zip(held, snaps[2:]):
-            assert sets_equal(got, expect)
+        ring = CheckpointRing(k)
+        model: list[ParameterSet] = []
+        for _ in range(2 * k + 1):
+            snap = random_set(rng)
+            ring_push(ring, snap)
+            model = (model + [snap])[-k:]
+            held = ring.snapshots()
+            assert len(ring) == len(held) == len(model)
+            assert all(got.flat.tobytes() == expect.flat.tobytes()
+                       for got, expect in zip(held, model))
 
     def test_push_into_empty(self):
         rng = np.random.default_rng(10)
@@ -378,19 +383,25 @@ class TestTeacherStateInHalves:
                 assert halves[1].mean.flat.tobytes() == whole.mean.flat.tobytes()
                 assert halves[0].count == halves[1].count == whole.count
 
-    def test_move_to_keeps_the_ring_order_and_the_mean(self):
+    @pytest.mark.parametrize("pushes", [1, 3, 5, 7])
+    def test_move_to_keeps_the_ring_order_and_the_mean(self, pushes):
+        """Moved while warming in, full or wrapped, the ring holds the same
+        snapshots in the same order, and the next push evicts the oldest
+        one once it is full."""
+        *snaps, newest = self.stream(pushes + 1)
         ring = CheckpointRing(3)
-        for snap in self.stream(5):
+        for snap in snaps:
             ring_push(ring, snap)
-        before = [s.flat.copy() for s in ring.snapshots()]
+        before = [s.flat.tobytes() for s in ring.snapshots()]
         mean = window_mean(ring).flat.copy()
         rows = np.empty_like(ring.rows)
         ring.move_to(rows)
         assert all(s.flat.base is rows for s in ring.snapshots())
-        assert [s.flat.tobytes() for s in ring.snapshots()] == [
-            b.tobytes() for b in before]
+        assert [s.flat.tobytes() for s in ring.snapshots()] == before
         assert ring.mean.flat.tobytes() == mean.tobytes()
-        ring_push(ring, self.stream(1)[0])   # evicts the oldest slot
+        ring_push(ring, newest)
+        assert [s.flat.tobytes() for s in ring.snapshots()] == (
+            before + [newest.flat.tobytes()])[-3:]
         assert ring.snapshots()[-1].flat.base is rows
 
     def test_a_sdv_ring_keeps_no_mean_row(self):

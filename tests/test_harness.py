@@ -8,7 +8,7 @@ import os
 import numpy as np
 import pytest
 
-from selfdistill import cli
+from selfdistill import cli, distill
 from selfdistill.cli import main as cli_main
 from selfdistill.data import (
     CsvSchema,
@@ -76,14 +76,17 @@ class TestEvaluate:
         acc, err = evaluate_params(params, MODEL, task.test, task.vocab)
         assert acc + err == pytest.approx(1.0, abs=1e-12)
 
-    def test_batching_invariance(self):
-        """batch_size 1 vs 64 produce identical metrics."""
+    def test_batching_invariance(self, monkeypatch):
+        """Eval batches of 1 and of 64 produce identical metrics."""
         config = fast_config()
         task = build_task(config)
         params = init_params(MODEL, seed=2)
-        a1 = evaluate_params(params, MODEL, task.test, task.vocab, batch_size=1)
-        a64 = evaluate_params(params, MODEL, task.test, task.vocab, batch_size=64)
-        assert a1 == a64
+        metrics = []
+        for size in (1, 64):
+            monkeypatch.setattr(distill, "EVAL_BATCH_SIZE", size)
+            metrics.append(evaluate_params(params, MODEL, task.test,
+                                           task.vocab))
+        assert metrics[0] == metrics[1]
 
 
 class TestRunExperiment:
@@ -95,6 +98,26 @@ class TestRunExperiment:
     def test_negative_dataset_seed_is_config_error(self):
         with pytest.raises(ConfigError, match="^dataset_seed: a seed must be >= 0"):
             DatasetConfig(dataset_seed=-1)
+
+    @pytest.mark.parametrize("field", ["seed", "data_seed"])
+    @pytest.mark.parametrize("value", [1.5, True])
+    def test_a_seed_that_is_not_an_integer_is_config_error(self, field,
+                                                           value):
+        with pytest.raises(ConfigError, match=f"^{field}: a seed must be an "
+                                              f"integer, got {value!r}$"):
+            fast_config(**{field: value})
+
+    @pytest.mark.parametrize("value", [2.5, False])
+    def test_a_dataset_seed_that_is_not_an_integer_is_config_error(self,
+                                                                   value):
+        with pytest.raises(ConfigError, match="^dataset_seed: a seed must be "
+                                              f"an integer, got {value!r}$"):
+            DatasetConfig(dataset_seed=value)
+
+    def test_numpy_integer_and_absent_seeds_stay_valid(self):
+        config = fast_config(seed=np.int64(2), data_seed=None)
+        assert config.seed == 2 and config.data_seed is None
+        assert DatasetConfig(dataset_seed=np.int32(7)).dataset_seed == 7
 
     def test_separable_run_reaches_low_error(self):
         result = run_experiment(fast_config())
@@ -266,6 +289,24 @@ class TestSweep:
             "failed": f"DistillConfig field 'teacher_size' must be an "
                       f"integer, got {k!r}", "per_seed": {}}
         assert "mean_test_error" in table.cells["2"]
+
+    def test_a_bool_lambda_marks_its_cell_failed(self, monkeypatch):
+        """True is not run as lambda 1.0."""
+        import selfdistill.harness as harness
+        runs = []
+        run = harness.fine_tune
+
+        def counted(model, distill, *args, **kwargs):
+            runs.append(distill.lam)
+            return run(model, distill, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "fine_tune", counted)
+        config = fast_config(distill=DistillConfig(mode="sda", teacher_size=2))
+        table = sweep(config, "lambda", [True, 0.5], [0])
+        assert table.cells["True"] == {
+            "failed": "DistillConfig field 'lam' must be a number, got True",
+            "per_seed": {}}
+        assert runs == [0.5]
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_lambda_cell_fails_before_its_seeds(self, monkeypatch,
