@@ -145,13 +145,13 @@ def permutation_with_seed(n: int, seed) -> np.ndarray:
 
 
 def require_seed(name: str, seed) -> None:
-    """A seed other than None or an integer >= 0 (a numpy one too) is a
-    ConfigError naming ``name``: numpy seeds no generator with a negative
-    one or a float, and a bool would run as the seed 0 or 1."""
-    integer = isinstance(seed, (int, np.integer)) and not isinstance(seed, bool)
-    if not (integer or seed is None):
+    """A seed other than an integer >= 0 (a numpy one too) is a ConfigError
+    naming ``name``: None would draw fresh entropy, numpy seeds no generator
+    with a negative one or a float, and a bool would run as the seed 0 or 1.
+    The caller of an optional seed checks it only when it is set."""
+    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
         raise ConfigError(f"{name}: a seed must be an integer, got {seed!r}")
-    if integer and seed < 0:
+    if seed < 0:
         raise ConfigError(f"{name}: a seed must be >= 0, got {seed}")
 
 

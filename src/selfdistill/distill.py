@@ -151,7 +151,9 @@ class TrainConfig:
 
 @dataclass
 class TrainState:
-    """Mutable state of one run: student, optimizer, teacher, counters."""
+    """Mutable state of one run: student, optimizer, teacher, counters.
+    ``teacher_state``, the snapshots both teachers read, is None in
+    baseline, a ring in sda K and sdv, and a running mean in sda "all"."""
 
     model_config: ModelConfig
     distill_config: DistillConfig
@@ -161,17 +163,11 @@ class TrainState:
     seed: int                          # keys each micro-batch's dropout
     micro_per_epoch: int               # an epoch's training micro-batches
     grad_sum: np.ndarray               # flat, lines up with params.flat
-    ring: CheckpointRing | None = None
-    rmean: RunningMean | None = None
+    teacher_state: CheckpointRing | RunningMean | None = None
     counters: dict = field(default_factory=lambda: {
         "student_forwards": 0, "teacher_forwards": 0,
     })
     task: TaskData | None = None       # the splits a step worker scores
-
-    @property
-    def teacher_state(self) -> CheckpointRing | RunningMean | None:
-        """The ring of snapshots or the running mean; None in baseline."""
-        return self.ring if self.rmean is None else self.rmean
 
     @property
     def teacher(self) -> ParameterSet | None:
@@ -207,25 +203,24 @@ def make_train_state(model_config: ModelConfig, distill_config: DistillConfig,
     )
     if distill_config.mode == "baseline":
         return state
-    if distill_config.teacher_size == TEACHER_ALL:   # sda only
-        state.rmean = RunningMean()
-    else:
-        state.ring = CheckpointRing(int(distill_config.teacher_size),
-                                    with_mean=distill_config.mode == "sda")
+    k, sda = distill_config.teacher_size, distill_config.mode == "sda"
+    state.teacher_state = (RunningMean() if k == TEACHER_ALL   # sda only
+                           else CheckpointRing(int(k), with_mean=sda))
     absorb(state, params)
     return state
 
 
 def absorb(state: TrainState, params: ParameterSet) -> None:
-    """Snapshot ``params`` into the teacher state, on the entries of its
-    rows that this process writes; in sda mode the teacher average is
-    taken here, once per snapshot."""
-    if state.rmean is not None:
-        running_mean_update(state.rmean, params)
+    """Snapshot ``params`` into the teacher state, its only writer, on the
+    entries of its rows that this process writes; a ring with a mean row
+    (sda) takes the teacher average here, once per snapshot."""
+    held = state.teacher_state
+    if isinstance(held, RunningMean):
+        running_mean_update(held, params)
         return
-    ring_push(state.ring, params)
-    if state.ring.with_mean:
-        window_mean(state.ring)
+    ring_push(held, params)
+    if held.with_mean:
+        window_mean(held)
 
 
 def sda_teacher(state: TrainState) -> ParameterSet:
@@ -245,13 +240,15 @@ def newest_is_student(state: TrainState) -> bool:
 
 def sdv_teacher_logits(state: TrainState, batch,
                        newest: np.ndarray | None = None) -> Tensor:
-    """Mean of the retained snapshots' logits on this batch, added in ring
-    order; a constant. ``newest``, the newest snapshot's logits, is computed
-    if not given; ``teacher_forwards`` counts the logits averaged, not the
-    forwards run."""
-    if state.ring is None or len(state.ring) == 0:
+    """Mean of the logits of the snapshots in the run's ring, its teacher
+    state, on this batch, added in ring order; a constant. ``newest``, the
+    newest snapshot's logits, is computed if not given; ``teacher_forwards``
+    counts the logits averaged, not the forwards run. No ring, or an empty
+    one, is a ``UsageError``."""
+    ring = state.teacher_state
+    if not isinstance(ring, CheckpointRing) or len(ring) == 0:
         raise UsageError("sdv teacher ring is empty")
-    snaps = state.ring.snapshots()
+    snaps = ring.snapshots()
     if newest is None:
         newest = classify(snaps[-1], batch, state.model_config,
                           train_mode=False).data
@@ -273,16 +270,16 @@ class StepWorker:
     running mean) and one gradient row per worker micro-batch of the
     largest step the run takes live in an anonymous shared mapping made
     before the fork; the pipes carry only batches, names, losses, counters
-    and counts. A step is one exchange: the step request; the training
+    and counts. A step is one exchange: the step job; the training
     process's "gradients in" message, which carries the step's micro-batch
     count; the worker's losses and counters; and its "upper half done",
-    which also covers its half of a snapshot. Each process keeps the
-    teacher state's count (the ring's insertions, from which the oldest
-    slot follows, or the running mean's count) by the same calls, and the
-    worker its own copy of the task; each micro-batch's dropout is keyed
-    by its index, wherever it runs. It ignores SIGINT and exits when
-    ``close`` shuts the request pipe, also while it waits at a step's
-    barrier.
+    which also covers its half of a snapshot. Each process keeps by the
+    same calls the teacher state's count (the ring's insertions, from which
+    the oldest slot follows, or the running mean's count) and AdamW's step
+    count (``adamw_step`` in ``_update``), and the worker its own copy of
+    the task; each micro-batch's dropout is keyed by its index, wherever
+    it runs. It ignores SIGINT and exits when ``close`` shuts the request
+    pipe, also while it waits at a step's barrier.
     """
 
     def __init__(self, state: TrainState):
@@ -341,13 +338,6 @@ class StepWorker:
         os.close(up_w)
         self.requests, self.replies = open(down_w, "wb"), open(up_r, "rb")
 
-    def request(self, *job) -> None:
-        """Start the worker on ``job``: ("step", t, first, batches) trains
-        the run's micro-batches from index ``first`` on in optimizer step
-        ``t``; ("score", "student" or "teacher", split name, first) scores
-        a split's batches from index ``first`` on."""
-        self.send(job)
-
     def score(self, params: ParameterSet, split, first: int) -> None:
         """Start the worker scoring ``split`` from batch ``first`` on with
         its side of ``params``: the run's student or its sda teacher, both
@@ -361,11 +351,14 @@ class StepWorker:
         if not (which and name):
             raise UsageError("the step worker scores only the run's student "
                              "or sda teacher on a split of its task")
-        self.request("score", which[0], name[0], first)
+        self.send(("score", which[0], name[0], first))
 
     def send(self, message) -> None:
-        """Write one message to the worker; a worker that has gone is a
-        ``SelfDistillError`` naming its exit."""
+        """Write one message to the worker: ("step", first, batches) trains
+        the run's micro-batches from index ``first`` on; ("score", "student"
+        or "teacher", split name, first) scores a split's batches from index
+        ``first`` on; at a step's barrier, the step's micro-batch count. A
+        worker that has gone is a ``SelfDistillError`` naming its exit."""
         try:
             _send(self.requests, message)
         except BrokenPipeError:
@@ -462,7 +455,7 @@ def _worker_job(state: TrainState, grads, job: str, *args):
         return _count_correct(params, state.model_config,
                               state.task.splits[split], state.task.vocab,
                               first)
-    state.opt.t, first, batches = args
+    first, batches = args
     state.counters = dict.fromkeys(state.counters, 0)
     rows = []
     for micro, (batch, grad) in enumerate(zip(batches, grads), first):
@@ -598,8 +591,7 @@ def train_step(state: TrainState, micro_batches: list,
     first = state.counters["student_forwards"]   # micro-batches run so far
     mine = n if worker is None else (n + 1) // 2
     if worker is not None:
-        worker.request("step", state.opt.t, first + mine,
-                       micro_batches[mine:])
+        worker.send(("step", first + mine, micro_batches[mine:]))
     rows = [_micro_batch(state, batch, micro, state.grad_sum)
             for micro, batch in enumerate(micro_batches[:mine], first)]
     if worker is None:
@@ -668,7 +660,8 @@ def fine_tune(model_config: ModelConfig, distill_config: DistillConfig,
     boundary as ``epoch_NNN.ckpt``.
     """
     require_seed("seed", seed)
-    require_seed("data_seed", data_seed)
+    if data_seed is not None:
+        require_seed("data_seed", data_seed)
     if len(task.train) == 0:
         raise InputError("fine_tune: empty train split")
     if model_config.n_classes != task.train.n_classes:
@@ -704,19 +697,15 @@ def fine_tune(model_config: ModelConfig, distill_config: DistillConfig,
             while group := list(islice(batches, train_config.accum_steps)):
                 points += train_step(state, group, worker)
             step_curve += points
-            ce_sum, mse_sum = 0.0, 0.0
-            for point in points:
-                ce_sum += point.ce
-                mse_sum += point.mse
             test_acc, test_err = evaluate_params(state.params, model_config,
                                                  task.test, vocab, worker)
             epoch_curve.append(EpochPoint(
                 epoch=epoch,
                 test_error=test_err,
                 test_accuracy=test_acc,
-                mean_ce=ce_sum / state.micro_per_epoch,
-                mean_mse=mse_sum / state.micro_per_epoch,
-                lr=point.lr,     # the rate of the epoch's last step
+                mean_ce=sum(p.ce for p in points) / state.micro_per_epoch,
+                mean_mse=sum(p.mse for p in points) / state.micro_per_epoch,
+                lr=points[-1].lr,     # the rate of the epoch's last step
             ))
             if select_best_dev:
                 dev_acc, _ = evaluate_params(state.params, model_config,

@@ -25,6 +25,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
+from .data import require_seed
 from .errors import ConfigError, InputError, ShapeError, check_types
 
 GROUP_ENCODER = "encoder"
@@ -155,6 +156,7 @@ class ParameterSet:
 
 def init_params(config: ModelConfig, seed: int) -> ParameterSet:
     """Deterministic initialization: N(0, 0.02) weights, zero biases, unit gains."""
+    require_seed("seed", seed)
     rng = np.random.default_rng(seed)
     std = 0.02
     tensors: dict[str, Tensor] = {}

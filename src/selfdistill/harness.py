@@ -107,7 +107,8 @@ class ExperimentConfig:
 
     def __post_init__(self):
         require_seed("seed", self.seed)
-        require_seed("data_seed", self.data_seed)
+        if self.data_seed is not None:
+            require_seed("data_seed", self.data_seed)
 
 
 def build_task(config: ExperimentConfig) -> TaskData:

@@ -257,9 +257,10 @@ class TestSynthetic:
         with pytest.raises(ConfigError, match="^seed: a seed must be >= 0"):
             make_synthetic(SyntheticSpec(n_train=4, n_test=4), seed=-1)
 
-    @pytest.mark.parametrize("seed", [1.5, 1.0, True, "1"])
+    @pytest.mark.parametrize("seed", [1.5, 1.0, True, "1", None])
     def test_a_seed_that_is_not_an_integer_is_config_error(self, seed):
-        """True would draw the seed 1's examples, and 1.5 fail inside numpy."""
+        """True would draw the seed 1's examples, 1.5 fail inside numpy, and
+        None draw other examples on every call."""
         with pytest.raises(ConfigError, match="^seed: a seed must be an "
                                               "integer, got "):
             make_synthetic(SyntheticSpec(n_train=4, n_test=4), seed=seed)

@@ -45,7 +45,12 @@ from selfdistill.distill import (
     train_step,
 )
 from selfdistill.encoder import ModelConfig, classify, init_params
-from selfdistill.ensemble import CheckpointRing, average_parameters, ring_push
+from selfdistill.ensemble import (
+    CheckpointRing,
+    RunningMean,
+    average_parameters,
+    ring_push,
+)
 from selfdistill.optim import adamw_step
 from selfdistill.errors import (
     ConfigError,
@@ -183,6 +188,39 @@ class TestSdaTeacher:
             sda_teacher(state)
 
 
+@pytest.mark.parametrize("config,kind,mean_row", [
+    (DistillConfig(mode="baseline"), type(None), False),
+    (DistillConfig(mode="sda", teacher_size=3), CheckpointRing, True),
+    (DistillConfig(mode="sda", teacher_size=TEACHER_ALL), RunningMean, True),
+    (DistillConfig(mode="sdv", teacher_size=3), CheckpointRing, False),
+], ids=["baseline", "sda3", "sda_all", "sdv3"])
+def test_make_train_state_fills_the_one_teacher_field(config, kind, mean_row):
+    """None in baseline, a ring in sda K (with a mean row) and sdv
+    (without), a running mean in sda all; each holds the initial
+    parameters, and ``teacher`` is the mean row, if any."""
+    state = make_train_state(MODEL, config, TrainConfig(epochs=1),
+                             n_train=32, seed=5)
+    held = state.teacher_state
+    assert type(held) is kind
+    if held is None:
+        assert state.teacher is None
+        return
+    size = state.params.flat.size
+    if kind is CheckpointRing:
+        assert (held.capacity, held.with_mean, held.insertions) == (
+            3, mean_row, 1)
+        assert held.rows.shape == (3 + mean_row, size)
+        assert held.snapshots()[0].flat.tobytes() == (
+            state.params.flat.tobytes())
+    else:
+        assert held.count == 1 and held.rows.shape == (1, size)
+    if mean_row:
+        assert state.teacher is held.mean
+        assert held.mean.flat.tobytes() == state.params.flat.tobytes()
+    else:
+        assert held.mean is None and state.teacher is None
+
+
 class TestSdaTeacherCache:
     """The window teacher is recomputed once per ring insertion, never stale."""
 
@@ -198,7 +236,7 @@ class TestSdaTeacherCache:
 
         def checked(st):
             teacher = original(st)
-            oracle = average_parameters(st.ring.snapshots())
+            oracle = average_parameters(st.teacher_state.snapshots())
             matches.append(all(np.array_equal(teacher[n].data, oracle[n].data)
                                for n in oracle))
             return teacher
@@ -209,7 +247,7 @@ class TestSdaTeacherCache:
             train_step(state, group)
         assert len(matches) == 10
         assert all(matches)
-        assert state.ring.insertions == 1 + 5
+        assert state.teacher_state.insertions == 1 + 5
 
     def test_window_mean_runs_once_per_insertion(self, monkeypatch):
         calls = []
@@ -243,7 +281,7 @@ class TestSdaTeacherCache:
         state = make_train_state(MODEL, DistillConfig(mode="sda",
                                                       teacher_size="all"),
                                  TrainConfig(epochs=1), n_train=32, seed=5)
-        assert sda_teacher(state) is state.rmean.mean
+        assert sda_teacher(state) is state.teacher_state.mean
 
     def test_all_mode_fine_tune_copies_the_parameters_once(self, monkeypatch):
         """No snapshot is copied as a ParameterSet: the one copy is the
@@ -351,9 +389,9 @@ class TestSdvTeacher:
         state = make_train_state(MODEL_NODROP,
                                  DistillConfig(mode="sdv", teacher_size=3),
                                  TrainConfig(epochs=1), n_train=32, seed=5)
-        snap = state.ring.snapshots()[0]
+        snap = state.teacher_state.snapshots()[0]
         for _ in range(2):
-            ring_push(state.ring, snap.copy())
+            ring_push(state.teacher_state, snap.copy())
         batch = small_batch(rng)
         logits = sdv_teacher_logits(state, batch)
         single = classify(snap, batch, MODEL_NODROP).data
@@ -365,12 +403,12 @@ class TestSdvTeacher:
                                  DistillConfig(mode="sdv", teacher_size=3),
                                  TrainConfig(epochs=1), n_train=32, seed=5)
         for s in (21, 22):
-            ring_push(state.ring, init_params(MODEL_NODROP, seed=s))
+            ring_push(state.teacher_state, init_params(MODEL_NODROP, seed=s))
         batch = small_batch(rng)
         logits = sdv_teacher_logits(state, batch)
         oracle = np.mean(np.stack(
             [classify(s, batch, MODEL_NODROP).data
-             for s in state.ring.snapshots()]), axis=0)
+             for s in state.teacher_state.snapshots()]), axis=0)
         assert logits.data.tobytes() == oracle.tobytes()
 
     def test_teacher_logits_are_constant(self):
@@ -386,7 +424,7 @@ class TestSdvTeacher:
         state = make_train_state(MODEL_NODROP,
                                  DistillConfig(mode="sdv", teacher_size=1),
                                  TrainConfig(epochs=1), n_train=32, seed=5)
-        state.ring = CheckpointRing(1, with_mean=False)
+        state.teacher_state = CheckpointRing(1, with_mean=False)
         with pytest.raises(UsageError, match="empty"):
             sdv_teacher_logits(state, small_batch(rng))
 
@@ -402,9 +440,9 @@ class TestSdvTeacher:
         state = make_train_state(MODEL_NODROP,
                                  DistillConfig(mode="sdv", teacher_size=k),
                                  TrainConfig(epochs=1), n_train=32, seed=5)
-        state.ring = CheckpointRing(k, with_mean=False)
+        state.teacher_state = CheckpointRing(k, with_mean=False)
         for i in range(len(outs)):   # snapshot i holds i in every entry
-            ring_push(state.ring, state.params.with_flat(
+            ring_push(state.teacher_state, state.params.with_flat(
                 np.full_like(state.params.flat, i)))
         monkeypatch.setattr(
             distill, "classify",
@@ -633,7 +671,7 @@ class TestSdvWorker:
             worker.close(state)
 
 
-def sdv_k3_report(epochs, accum_steps=3):
+def small_run_report(epochs, accum_steps=3):
     """The report of a small sdv K=3 run, as a dict; module-level so that a
     process pool can run it."""
     return fine_tune(MODEL, DistillConfig(mode="sdv", teacher_size=3),
@@ -649,10 +687,10 @@ class TestSdvWorkerSelection:
 
     def test_a_pool_worker_runs_the_teacher_in_process(self, monkeypatch):
         """A Pool worker is a daemon, which may not start a process."""
-        expected = with_worker(monkeypatch, lambda: sdv_k3_report(2))
+        expected = with_worker(monkeypatch, lambda: small_run_report(2))
         pool = multiprocessing.get_context("fork").Pool(1)
         try:
-            report = pool.apply(sdv_k3_report, (2,))
+            report = pool.apply(small_run_report, (2,))
         finally:
             pool.close()
             pool.join()
@@ -660,23 +698,23 @@ class TestSdvWorkerSelection:
 
     def test_one_usable_cpu_runs_the_teacher_in_process(self, monkeypatch,
                                                         started_workers):
-        expected = with_worker(monkeypatch, lambda: sdv_k3_report(2))
+        expected = with_worker(monkeypatch, lambda: small_run_report(2))
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
                             raising=False)
-        assert sdv_k3_report(2) == expected
+        assert small_run_report(2) == expected
         assert started_workers == [None]
 
     def test_zero_epochs_start_no_worker(self, monkeypatch, two_cpus,
                                          started_workers):
-        expected = with_worker(monkeypatch, lambda: sdv_k3_report(0))
-        assert sdv_k3_report(0) == expected
+        expected = with_worker(monkeypatch, lambda: small_run_report(0))
+        assert small_run_report(0) == expected
         assert started_workers == [None]
 
     def test_accumulation_one_starts_no_worker(self, monkeypatch, two_cpus,
                                                started_workers):
         """Nothing to overlap: each optimizer step has one micro-batch."""
-        expected = in_process(monkeypatch, lambda: sdv_k3_report(2, 1))
-        assert sdv_k3_report(2, 1) == expected
+        expected = in_process(monkeypatch, lambda: small_run_report(2, 1))
+        assert small_run_report(2, 1) == expected
         assert started_workers == [None]
 
 
@@ -1101,7 +1139,7 @@ class TestTrainStep:
         for _ in range(6):
             train_step(state, [small_batch(rng)])
         # seeded theta_0 plus one absorption per 2 optimizer steps
-        assert state.ring.insertions == 1 + 3
+        assert state.teacher_state.insertions == 1 + 3
 
     def test_divergence_guard(self):
         task = small_task()
@@ -1195,14 +1233,16 @@ class TestOneOptimizerStep:
 
     @staticmethod
     def recording(monkeypatch, worker, jobs):
-        """Record each job ``worker`` is sent, then send it."""
-        request = worker.request
+        """Record each job ``worker`` is sent, then send it; the count sent
+        at a step's barrier is not a job."""
+        send = worker.send
 
-        def recorded(*job):
-            jobs.append(job)
-            request(*job)
+        def recorded(message):
+            if isinstance(message, tuple):
+                jobs.append(message)
+            send(message)
 
-        monkeypatch.setattr(worker, "request", recorded)
+        monkeypatch.setattr(worker, "send", recorded)
 
     @pytest.mark.parametrize("n", [0, 4])
     @pytest.mark.parametrize("use_worker", [False, True],
@@ -1253,9 +1293,8 @@ class TestOneOptimizerStep:
         assert runs[0] == runs[1]
         assert [point.step for step in runs[0][0] for point in step] == list(
             range(2 * n))
-        assert jobs == [("step", 0, (n + 1) // 2, batches[(n + 1) // 2:n]),
-                        ("step", 1, n + (n + 1) // 2,
-                         batches[n + (n + 1) // 2:])]
+        assert jobs == [("step", (n + 1) // 2, batches[(n + 1) // 2:n]),
+                        ("step", n + (n + 1) // 2, batches[n + (n + 1) // 2:])]
 
 
 @pytest.mark.usefixtures("no_child_left", "eval_batches_of_8")
@@ -1403,11 +1442,12 @@ class TestUpdateInHalves:
 def teacher_bytes(state):
     """Every held slot and the teacher by bytes, with the ring's insertion
     count or the running mean's count."""
-    if state.ring is not None:
-        slots = [slot.flat.tobytes() for slot in state.ring.snapshots()]
-        counted = state.ring.insertions
+    held = state.teacher_state
+    if isinstance(held, CheckpointRing):
+        slots = [slot.flat.tobytes() for slot in held.snapshots()]
+        counted = held.insertions
     else:
-        slots, counted = [], state.rmean.count
+        slots, counted = [], held.count
     teacher = None if state.teacher is None else state.teacher.flat.tobytes()
     return slots, teacher, counted
 
@@ -1474,8 +1514,8 @@ class TestTeacherStateInHalves:
             worker.close(state)
         arrays = [held.rows, state.params.flat, state.grad_sum, state.opt.m,
                   state.opt.v]
-        if state.ring is not None:
-            arrays += [slot.flat for slot in state.ring.snapshots()]
+        if isinstance(held, CheckpointRing):
+            arrays += [slot.flat for slot in held.snapshots()]
         if state.teacher is not None:
             arrays.append(state.teacher.flat)
         assert all(mapping_of(array) is not mapping for array in arrays)
@@ -1563,6 +1603,20 @@ class TestFineTune:
             fine_tune(MODEL, DistillConfig(mode="baseline"),
                       TrainConfig(epochs=1), small_task(n_train=16, n_test=8),
                       **seeds)
+
+    def test_a_seed_of_none_is_config_error_before_any_work(self,
+                                                             monkeypatch):
+        """None would draw random initial parameters, then fail inside
+        numpy; an absent data_seed stays valid."""
+        def no_work(*args, **kwargs):
+            raise AssertionError("fine_tune started work")
+
+        monkeypatch.setattr(distill, "make_train_state", no_work)
+        with pytest.raises(ConfigError, match="^seed: a seed must be an "
+                                              "integer, got None$"):
+            fine_tune(MODEL, DistillConfig(mode="baseline"),
+                      TrainConfig(epochs=1), small_task(n_train=16, n_test=8),
+                      seed=None, data_seed=None)
 
     def test_best_dev_without_dev_split_is_config_error(self):
         with pytest.raises(ConfigError, match="dev split"):

@@ -78,6 +78,13 @@ class TestInitParams:
         b = init_params(TINY, seed=2)
         assert any(not np.array_equal(a[n].data, b[n].data) for n in a)
 
+    @pytest.mark.parametrize("seed", [None, -1, 1.5, True])
+    def test_a_seed_that_is_not_an_integer_from_0_is_config_error(self,
+                                                                 seed):
+        """None would draw other parameters on every call."""
+        with pytest.raises(ConfigError, match="^seed: a seed must be "):
+            init_params(TINY, seed=seed)
+
     def test_head_shape(self):
         params = init_params(TINY, seed=0)
         assert params["head.W"].data.shape == (TINY.n_classes, TINY.dim)

@@ -107,12 +107,17 @@ class TestRunExperiment:
                                               f"integer, got {value!r}$"):
             fast_config(**{field: value})
 
-    @pytest.mark.parametrize("value", [2.5, False])
+    @pytest.mark.parametrize("value", [2.5, False, None])
     def test_a_dataset_seed_that_is_not_an_integer_is_config_error(self,
                                                                    value):
         with pytest.raises(ConfigError, match="^dataset_seed: a seed must be "
                                               f"an integer, got {value!r}$"):
             DatasetConfig(dataset_seed=value)
+
+    def test_a_seed_of_none_is_config_error(self):
+        with pytest.raises(ConfigError, match="^seed: a seed must be an "
+                                              "integer, got None$"):
+            fast_config(seed=None)
 
     def test_numpy_integer_and_absent_seeds_stay_valid(self):
         config = fast_config(seed=np.int64(2), data_seed=None)

@@ -106,6 +106,13 @@ MATRIX = [
                          "--seeds", "0,1,2"]),
     ("stability", ["stability", "--dataset", "{spec}", *MODEL,
                    "--lambda", "0.5"]),
+    # ragged csv rows in a study: giving every row row 0's mask bias
+    # changes this run's ensemble.json, but leaves csv-fed stability and
+    # sweep outputs (test accuracies only) byte-identical, so no other
+    # study here sees padded keys
+    ("ensemble_csv", ["ensemble", "--dataset", "{train_csv}",
+                      "--eval-dataset", "{test_csv}", *MODEL, "--mode", "sda",
+                      "--teacher-size", "3", "--seeds", "0,1"]),
 ]
 
 
