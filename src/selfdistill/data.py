@@ -260,15 +260,12 @@ class SyntheticSpec:
             raise ConfigError("sizes must be positive")
 
 
-def _token_name(i: int) -> str:
-    return f"w{i:04d}"
-
-
 def make_synthetic(spec: SyntheticSpec, seed) -> dict[str, DatasetSplit]:
     """Deterministic {train, test} splits drawn from ``spec``."""
     require_seed("seed", seed)
     rng = np.random.default_rng(seed)
     block = spec.vocab_span // spec.n_classes
+    names = [f"w{i:04d}" for i in range(spec.vocab_span)]   # token i's text
 
     def draw_split(n: int, noise: float) -> DatasetSplit:
         examples = []
@@ -285,7 +282,7 @@ def make_synthetic(spec: SyntheticSpec, seed) -> dict[str, DatasetSplit]:
             if noise > 0.0 and rng.random() < noise:
                 shift = 1 + int(rng.integers(spec.n_classes - 1))
                 label = (true_label + shift) % spec.n_classes
-            text = " ".join(_token_name(t) for t in toks)
+            text = " ".join([names[t] for t in toks.tolist()])
             examples.append(Example(text=text, label=label))
         return DatasetSplit(examples=examples, n_classes=spec.n_classes)
 

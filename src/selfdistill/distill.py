@@ -66,6 +66,7 @@ from .encoder import (
     ModelConfig,
     ParameterSet,
     classify,
+    classify_rows,
     init_params,
     predict_proba,
     save_params,
@@ -241,20 +242,20 @@ def newest_is_student(state: TrainState) -> bool:
 def sdv_teacher_logits(state: TrainState, batch,
                        newest: np.ndarray | None = None) -> Tensor:
     """Mean of the logits of the snapshots in the run's ring, its teacher
-    state, on this batch, added in ring order; a constant. ``newest``, the
-    newest snapshot's logits, is computed if not given; ``teacher_forwards``
-    counts the logits averaged, not the forwards run. No ring, or an empty
-    one, is a ``UsageError``."""
+    state, on this batch, added in ring order; a constant. The snapshots'
+    logits come from one ``classify_rows`` pass per run of the ring's rows,
+    read in place; ``newest``, the newest snapshot's logits, is computed
+    if not given. ``teacher_forwards`` counts the logits averaged, not the
+    forwards run. No ring, or an empty one, is a ``UsageError``."""
     ring = state.teacher_state
     if not isinstance(ring, CheckpointRing) or len(ring) == 0:
         raise UsageError("sdv teacher ring is empty")
-    snaps = ring.snapshots()
+    outs = [logits for run in ring.runs(skip_newest=newest is not None)
+            for logits in classify_rows(state.params.layout, run, batch,
+                                        state.model_config)]
     if newest is None:
-        newest = classify(snaps[-1], batch, state.model_config,
-                          train_mode=False).data
-    outs = [classify(snap, batch, state.model_config, train_mode=False).data
-            for snap in snaps[:-1]]
-    state.counters["teacher_forwards"] += len(snaps)
+        newest = outs.pop()
+    state.counters["teacher_forwards"] += len(ring)
     return Tensor(np.mean(np.stack([*outs, newest]), axis=0))
 
 
@@ -524,8 +525,10 @@ def _micro_batch(state: TrainState, batch, micro: int,
     # the teacher comes second: the sdv teacher may reuse the student's logits
     teacher_logits = None
     if cfg.mode == "sda":
-        teacher_logits = classify(sda_teacher(state), batch,
-                                  state.model_config, train_mode=False)
+        teacher = sda_teacher(state)
+        teacher_logits = Tensor(classify_rows(teacher.layout,
+                                              teacher.flat[None], batch,
+                                              state.model_config)[0])
         state.counters["teacher_forwards"] += 1
     elif cfg.mode == "sdv":
         newest = student_logits.data if newest_is_student(state) else None

@@ -10,7 +10,9 @@ on the whole vector at once.
 ``encode`` computes only what reaches the pooled vector: the last layer
 computes position 0 only, while its keys and values still see every
 position. A row with no real token has nothing to attend to and is an
-``InputError``.
+``InputError``. ``classify_rows`` is the eval-mode forward without a tape:
+it runs several flat vectors, the rows of one array, in one pass, and
+every teacher and evaluation forward goes through it.
 """
 
 from __future__ import annotations
@@ -270,10 +272,114 @@ def classify(params: ParameterSet, batch, config: ModelConfig,
     return ad.matmul(h, ad.transpose(params["head.W"], (1, 0)))
 
 
+def classify_rows(layout: tuple[Slot, ...], rows: np.ndarray, batch,
+                  config: ModelConfig) -> np.ndarray:
+    """Eval-mode class scores of S parameter vectors in one pass, shape
+    [S, B, n_classes], with no tape.
+
+    ``rows`` is [S, size], each row a flat vector that ``layout`` cuts
+    into tensors, as a ParameterSet's ``flat``; the tensors are views into
+    it, so a ring's slot rows are read in place. Row s's scores equal
+    ``classify(train_mode=False)`` of that vector bit for bit: each step is
+    classify's numpy operation with its operands in the same order, each
+    matrix product runs one GEMM per (row, batch row) where classify runs
+    one per batch row (the last layer and the head one [B, d] GEMM per
+    row), and the steps done in place overwrite temporaries no tape keeps.
+    The batch check and the mask bias are computed once for all rows.
+    """
+    if rows.ndim != 2 or rows.shape[1] != layout[-1].stop:
+        raise ShapeError(f"parameter rows of shape {rows.shape} do not fit "
+                         f"a layout of size {layout[-1].stop}")
+    ids = np.asarray(batch.token_ids)
+    mask = np.asarray(batch.mask, dtype=np.float64)
+    _check_batch(config, ids, mask)
+    n = rows.shape[0]
+    p = {s.name: rows[:, s.offset:s.stop].reshape(n, *s.shape) for s in layout}
+
+    def linear(x, w, b=None):   # x @ w (+ b) of the named tensors, as ad.linear
+        y = np.matmul(x, p[w] if x.ndim == 3 else p[w][:, None])
+        if b is not None:
+            y += p[b].reshape(n, *(1,) * (x.ndim - 2), -1)
+        return y
+
+    x = p["tok_emb"][:, ids]
+    x += p["pos_emb"][:, None, :ids.shape[1]]
+    # keys at padded positions are hidden from every query
+    mask_bias = (mask - 1.0)[:, None, None, :] * ad.MASK_PENALTY
+
+    for i in range(config.n_layers):
+        pre = f"enc{i}."
+        last = i == config.n_layers - 1
+        xq = x[:, :, 0] if last else x
+        ctx = _attention_rows(linear(xq, pre + "attn.wq", pre + "attn.bq"),
+                              linear(x, pre + "attn.wk"),
+                              linear(x, pre + "attn.wv", pre + "attn.bv"),
+                              mask_bias, config.n_heads)
+        att_out = linear(ctx, pre + "attn.wo", pre + "attn.bo")
+        x = _layer_norm_rows(xq, att_out, p[pre + "ln1.g"], p[pre + "ln1.b"])
+
+        h1 = _gelu_in_place(linear(x, pre + "ffn.w1", pre + "ffn.b1"))
+        h2 = linear(h1, pre + "ffn.w2", pre + "ffn.b2")
+        x = _layer_norm_rows(x, h2, p[pre + "ln2.g"], p[pre + "ln2.b"])
+
+    return np.matmul(x, p["head.W"].transpose(0, 2, 1))
+
+
+def _attention_rows(q, k, v, mask_bias, n_heads: int) -> np.ndarray:
+    """``ad.attention``'s forward at p 0 with a leading row axis: k and v
+    [S, B, L, d], q [S, B, L, d] or [S, B, d]; the scores are overwritten
+    in place."""
+    s, b, _, d = k.shape
+    dh = d // n_heads
+
+    def split(t):   # [S, B, n, d] -> [S, B, heads, n, dh]; [S, B, d] -> n 1
+        if t.ndim == 3:
+            return t.reshape(s, b, n_heads, 1, dh)
+        return t.reshape(s, b, t.shape[2], n_heads, dh).transpose(0, 1, 3, 2, 4)
+
+    z = np.matmul(split(q), split(k).transpose(0, 1, 2, 4, 3))
+    z *= 1.0 / np.sqrt(dh)
+    z += mask_bias
+    z -= z.max(axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    ctx = np.matmul(z, split(v))
+    if q.ndim == 3:
+        return ctx.reshape(q.shape)
+    return ctx.transpose(0, 1, 3, 2, 4).reshape(q.shape)
+
+
+def _layer_norm_rows(a, residual, gain, bias, eps: float = 1e-5) -> np.ndarray:
+    """``ad.layer_norm(a, gain, bias, residual)``'s forward, written over
+    ``residual``; ``gain`` and ``bias`` are [S, d]."""
+    x = residual
+    x += a
+    x -= x.mean(axis=-1, keepdims=True)
+    x *= 1.0 / np.sqrt((x ** 2).mean(axis=-1, keepdims=True) + eps)
+    shape = (x.shape[0], *(1,) * (x.ndim - 2), -1)
+    x *= gain.reshape(shape)
+    x += bias.reshape(shape)
+    return x
+
+
+def _gelu_in_place(x) -> np.ndarray:
+    """``ad.gelu``'s forward, written over ``x``."""
+    t = x * x
+    t *= x
+    t *= 0.044715
+    t += x
+    t *= ad._GELU_C
+    np.tanh(t, out=t)
+    t += 1.0
+    x *= 0.5
+    x *= t
+    return x
+
+
 def predict_proba(params: ParameterSet, batch, config: ModelConfig) -> np.ndarray:
     """Class probabilities in eval mode; rows sum to 1 within 1e-6."""
-    logits = classify(params, batch, config, train_mode=False, tape=None)
-    return ad.softmax(logits).data
+    logits = classify_rows(params.layout, params.flat[None], batch, config)[0]
+    return ad.softmax(Tensor(logits)).data
 
 
 # ---------------------------------------------------------------------------

@@ -91,6 +91,17 @@ class CheckpointRing:
         n = self.insertions
         return [self._slots[i % self.capacity] for i in range(n - len(self), n)]
 
+    def runs(self, skip_newest: bool = False) -> list[np.ndarray]:
+        """The held slots' rows as at most two contiguous runs of
+        ``rows[:K]`` (views, never the mean row), oldest first; without
+        the newest slot if ``skip_newest``."""
+        k = self.capacity
+        start = (self.insertions - len(self)) % k
+        stop = start + len(self) - skip_newest
+        if stop <= k:
+            return [self.rows[start:stop]] if stop > start else []
+        return [self.rows[start:k], self.rows[:stop - k]]
+
     def move_to(self, rows: np.ndarray, lo: int = 0,
                 hi: int | None = None) -> None:
         """Keep the ring in ``rows`` from now on, its vectors copied there,

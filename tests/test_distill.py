@@ -411,6 +411,28 @@ class TestSdvTeacher:
              for s in state.teacher_state.snapshots()]), axis=0)
         assert logits.data.tobytes() == oracle.tobytes()
 
+    @pytest.mark.parametrize("newest_given", [False, True])
+    def test_a_wrapped_ring_is_the_per_snapshot_mean_bitwise(self,
+                                                             newest_given):
+        """Six snapshots in a ring of four: the held slots wrap, so the
+        teacher reads them in two runs, and still averages their logits
+        oldest first as np.mean of the stacked classify logits."""
+        rng = np.random.default_rng(9)
+        state = make_train_state(MODEL_NODROP,
+                                 DistillConfig(mode="sdv", teacher_size=4),
+                                 TrainConfig(epochs=1), n_train=32, seed=5)
+        for s in range(21, 26):
+            ring_push(state.teacher_state, init_params(MODEL_NODROP, seed=s))
+        assert len(state.teacher_state.runs()) == 2
+        batch = small_batch(rng)
+        per_snapshot = [classify(s, batch, MODEL_NODROP).data
+                        for s in state.teacher_state.snapshots()]
+        newest = per_snapshot[-1] if newest_given else None
+        logits = sdv_teacher_logits(state, batch, newest)
+        oracle = np.mean(np.stack(per_snapshot), axis=0)
+        assert logits.data.tobytes() == oracle.tobytes()
+        assert state.counters["teacher_forwards"] == 4
+
     def test_teacher_logits_are_constant(self):
         rng = np.random.default_rng(6)
         state = make_train_state(MODEL_NODROP,
@@ -445,9 +467,9 @@ class TestSdvTeacher:
             ring_push(state.teacher_state, state.params.with_flat(
                 np.full_like(state.params.flat, i)))
         monkeypatch.setattr(
-            distill, "classify",
-            lambda snap, batch, config, train_mode: Tensor(
-                outs[int(snap.flat[0])]))
+            distill, "classify_rows",
+            lambda layout, rows, batch, config: np.stack(
+                [outs[int(row[0])] for row in rows]))
         combined = sdv_teacher_logits(state, None, newest=outs[-1]).data
         expected = np.mean(np.stack(outs[-k:], axis=0), axis=0)
         assert combined.tobytes() == expected.tobytes()
@@ -681,11 +703,11 @@ def small_run_report(epochs, accum_steps=3):
 
 
 @pytest.mark.usefixtures("no_child_left")
-class TestSdvWorkerSelection:
+class TestStepWorkerSelection:
     """start_step_worker trains in process wherever a worker could not
     start or could not overlap, with the same report as a worker run."""
 
-    def test_a_pool_worker_runs_the_teacher_in_process(self, monkeypatch):
+    def test_a_pool_worker_trains_in_process(self, monkeypatch):
         """A Pool worker is a daemon, which may not start a process."""
         expected = with_worker(monkeypatch, lambda: small_run_report(2))
         pool = multiprocessing.get_context("fork").Pool(1)
@@ -696,8 +718,8 @@ class TestSdvWorkerSelection:
             pool.join()
         assert report == expected
 
-    def test_one_usable_cpu_runs_the_teacher_in_process(self, monkeypatch,
-                                                        started_workers):
+    def test_one_usable_cpu_trains_in_process(self, monkeypatch,
+                                            started_workers):
         expected = with_worker(monkeypatch, lambda: small_run_report(2))
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
                             raising=False)
@@ -788,13 +810,13 @@ class TestStepWorker:
         config = DistillConfig(mode="sdv", teacher_size=3)
         train = TrainConfig(epochs=2, micro_batch=4, accum_steps=2)
         eval_forwards = []
-        classify_ = distill.classify
+        classify_rows = distill.classify_rows
 
-        def counting(params, batch, model, train_mode=False, **kw):
-            eval_forwards.append(not train_mode)
-            return classify_(params, batch, model, train_mode=train_mode, **kw)
+        def counting(layout, rows, batch, model):
+            eval_forwards.append(len(rows))
+            return classify_rows(layout, rows, batch, model)
 
-        monkeypatch.setattr(distill, "classify", counting)
+        monkeypatch.setattr(distill, "classify_rows", counting)
         result = in_process(monkeypatch, lambda: fine_tune(
             MODEL_NODROP, config, train, task, seed=6))
         counters = result.report.counters

@@ -14,13 +14,14 @@ from selfdistill.encoder import (
     ModelConfig,
     ParameterSet,
     classify,
+    classify_rows,
     encode,
     init_params,
     load_params,
     predict_proba,
     save_params,
 )
-from selfdistill.errors import ConfigError, InputError
+from selfdistill.errors import ConfigError, InputError, ShapeError
 
 TINY = ModelConfig(vocab_size=50, max_len=10, dim=8, n_layers=1, n_heads=2,
                    ffn_dim=16, n_classes=4, dropout_p=0.0)
@@ -313,6 +314,73 @@ def reference_logits(params, batch, cfg):
         ffn = gelu(x @ w["ffn.w1"] + w["ffn.b1"]) @ w["ffn.w2"] + w["ffn.b2"]
         x = ln(x + ffn, w["ln2.g"], w["ln2.b"])
     return x[:, 0] @ P["head.W"].T
+
+
+class TestClassifyRows:
+    """The stacked eval forward gives each row ``classify``'s eval-mode
+    logits bit for bit."""
+
+    @pytest.mark.parametrize("n_heads", [1, 2, 4])
+    @pytest.mark.parametrize("n_layers", [1, 2, 3])
+    def test_each_row_is_classify_bitwise(self, n_layers, n_heads):
+        """S = 1..5 parameter vectors on batches of 1, 8 and 64 ragged
+        rows, so that padded keys occur."""
+        cfg = ModelConfig(vocab_size=50, max_len=14, dim=8,
+                          n_layers=n_layers, n_heads=n_heads, ffn_dim=16,
+                          n_classes=4, dropout_p=0.0)
+        rng = np.random.default_rng([n_layers, n_heads])
+        sets = [generic_point(init_params(cfg, seed=0), seed=s)
+                for s in range(5)]
+        rows = np.stack([ps.flat for ps in sets])
+        for b in (1, 8, 64):
+            lengths = rng.integers(1, 15, b)
+            lengths[0] = 11   # the batch is 11 columns wide or more
+            batch = ragged_batch(rng, cfg, int(lengths.max()), lengths)
+            for n in range(1, 6):
+                out = classify_rows(sets[0].layout, rows[:n], batch, cfg)
+                assert out.shape == (n, b, cfg.n_classes)
+                for ps, got in zip(sets, out):
+                    want = classify(ps, batch, cfg, train_mode=False).data
+                    assert got.tobytes() == want.tobytes()
+
+    def test_reads_the_rows_in_place(self):
+        """A strided view of wider rows, such as a ring's slots, reads as
+        the same vectors copied out."""
+        rng = np.random.default_rng(3)
+        sets = [generic_point(init_params(TWO_LAYER, seed=0), seed=s)
+                for s in range(3)]
+        wide = np.zeros((4, sets[0].flat.size + 5))
+        for row, ps in zip(wide, sets):
+            row[:ps.flat.size] = ps.flat
+        batch = ragged_batch(rng, TWO_LAYER, 14, [14, 3, 7, 1])
+        view = wide[:3, :sets[0].flat.size]
+        assert not view.flags.c_contiguous
+        out = classify_rows(sets[0].layout, view, batch, TWO_LAYER)
+        copied = classify_rows(sets[0].layout, view.copy(), batch, TWO_LAYER)
+        assert out.tobytes() == copied.tobytes()
+
+    def test_predict_proba_is_the_softmax_of_the_classify_logits(self):
+        rng = np.random.default_rng(4)
+        params = generic_point(init_params(TWO_LAYER, seed=0))
+        batch = ragged_batch(rng, TWO_LAYER, 14, [12, 3, 7, 12, 1, 9])
+        logits = classify(params, batch, TWO_LAYER)
+        probs = predict_proba(params, batch, TWO_LAYER)
+        assert probs.tobytes() == ad.softmax(logits).data.tobytes()
+
+    def test_rows_that_do_not_fit_the_layout_are_a_shape_error(self):
+        rng = np.random.default_rng(5)
+        params = init_params(TINY, seed=0)
+        rows = np.zeros((2, params.flat.size + 1))
+        with pytest.raises(ShapeError, match="do not fit"):
+            classify_rows(params.layout, rows, tiny_batch(rng), TINY)
+
+    def test_a_row_without_a_real_token_is_an_input_error(self):
+        rng = np.random.default_rng(6)
+        params = init_params(TINY, seed=0)
+        batch = tiny_batch(rng)
+        batch.mask[1] = 0.0
+        with pytest.raises(InputError, match="batch row 1 has no real token"):
+            classify_rows(params.layout, params.flat[None], batch, TINY)
 
 
 class TestExactness:

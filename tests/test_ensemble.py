@@ -192,6 +192,34 @@ class TestCheckpointRing:
             assert all(got.flat.tobytes() == expect.flat.tobytes()
                        for got, expect in zip(held, model))
 
+    @pytest.mark.parametrize("with_mean", [False, True])
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_runs_are_the_held_rows_in_place_oldest_first(self, k, with_mean):
+        """After every push, the runs are at most two slices of the K slot
+        rows that list the held snapshots oldest first, without the newest
+        when it is skipped, and never the mean row."""
+        rng = np.random.default_rng(k)
+        ring = CheckpointRing(k, with_mean=with_mean)
+        assert ring.runs() == [] and ring.runs(skip_newest=True) == []
+        model: list[ParameterSet] = []
+        for _ in range(2 * k + 2):
+            snap = random_set(rng)
+            ring_push(ring, snap)
+            model = (model + [snap])[-k:]
+            for skip in (False, True):
+                runs = ring.runs(skip_newest=skip)
+                assert len(runs) <= 2
+                assert all(np.shares_memory(run, ring.rows[:k])
+                           for run in runs)
+                if with_mean:
+                    assert not any(np.shares_memory(run, ring.rows[k:])
+                                   for run in runs)
+                rows = [row.tobytes() for run in runs for row in run]
+                held = model[:-1] if skip else model
+                assert rows == [ps.flat.tobytes() for ps in held]
+        # 2k + 2 pushes leave the oldest held snapshot in slot 2 % k
+        assert len(ring.runs()) == (1 if k <= 2 else 2)
+
     def test_push_into_empty(self):
         rng = np.random.default_rng(10)
         ring = CheckpointRing(4)

@@ -97,6 +97,13 @@ MATRIX = [
                                  "--eval-dataset", "{test_csv}", *MODEL,
                                  "--mode", "sdv", "--teacher-size", "3",
                                  "--accum-steps", "3"]),
+    # sdv K=5 without dropout on ragged rows: the teacher's stacked
+    # forwards see padded keys, reuse the student's logits as the newest
+    # snapshot's, and read the older ones in two runs once the ring wraps
+    ("train_csv_sdv_k5_nodrop", ["train", "--dataset", "{train_csv}",
+                                 "--eval-dataset", "{test_csv}", *SHAPE,
+                                 "--epochs", "2", "--dropout", "0",
+                                 "--mode", "sdv", "--teacher-size", "5"]),
     ("sweep_k", [*SWEEP, "--mode", "sda", "--axis", "k", "--grid", "1,all",
                  "--seeds", "0,1"]),
     ("sweep_lambda", [*SWEEP, "--mode", "sdv", "--axis", "lambda",
